@@ -92,21 +92,29 @@ class ReducedTree:
     def is_empty(self) -> bool:
         return not self.edges
 
+    def _route_table(self) -> dict[int, tuple[int, ...]]:
+        """``sequence_of`` for every present edge, kept on the tree once built."""
+        table = {}
+        for label in self.edges:
+            seq = [label]
+            cur = self.parents[label - 1]
+            while cur != ROOT:
+                seq.append(cur)
+                cur = self.parents[cur - 1]
+            table[label] = tuple(reversed(seq))
+        self.__dict__["_routes"] = table
+        return table
+
 
 def sequence_of(rt: ReducedTree, label: int) -> tuple[int, ...]:
     """Labels on the route from the reduced-tree root down to ``label``.
 
     Empty when the edge is absent; otherwise ends with ``label`` itself.
     """
-    if label not in rt:
-        return ()
-    seq = [label]
-    cur = rt.parents[label - 1]
-    while cur != ROOT:
-        seq.append(cur)
-        cur = rt.parents[cur - 1]
-    seq.reverse()
-    return tuple(seq)
+    routes = rt.__dict__.get("_routes")
+    if routes is None:
+        routes = rt._route_table()
+    return routes.get(label, ())
 
 
 def seq_price(seq: Sequence[int], prices: PriceFunction) -> Scalar:

@@ -14,7 +14,9 @@ per-query shortest path tree computation.
 
 from __future__ import annotations
 
+import logging
 import threading
+import time
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import UnreachableVertexError, ValidationError
@@ -39,6 +41,8 @@ __all__ = [
     "embed_points",
     "query_intervals",
 ]
+
+_log = logging.getLogger("stackspt")
 
 
 class RevenueOracle:
@@ -81,7 +85,15 @@ class RevenueOracle:
             with self._lock:
                 tree = self._trees.get(key)
                 if tree is None:
-                    tree = build_range_tree(embed_points(self, rt, label))
+                    pts = embed_points(self, rt, label)
+                    start = time.perf_counter()
+                    tree = build_range_tree(pts)
+                    _log.debug(
+                        "range tree for edge %d of reduced tree %s: dim=%d points=%d "
+                        "distinct=%d build_s=%.4f",
+                        label, rt.parents, tree.dim, tree.size, tree.distinct,
+                        time.perf_counter() - start,
+                    )
                     self._trees[key] = tree
         return tree
 

@@ -1,13 +1,23 @@
 """Weighted orthogonal range searching over a static point set.
 
-A layered range tree: a balanced hierarchy of canonical subsets, sorted per
-axis, with prefix-summed weights at the innermost level.  The last two
-dimensions share coordinated orderings (each node stores, for every boundary
-position in its own order, the matching position in each child's order), so a
-d-dimensional rectangle query resolves its final two axes with a single
-binary search and finishes in O(log^{d-1} n) exact arithmetic comparisons.
-Builds for d >= 3 re-sort each canonical subset, trading a log factor of
-build time for simplicity; queries are unaffected.
+A layered range tree in rank space.  Equal points are merged (weights summed,
+zero weights dropped) and each axis is mapped once to integer ranks against
+one sorted list of its distinct exact values.  A query turns every interval
+end into a rank cut with one binary search against that list; everything
+below compares machine ints.
+
+The points are sorted once, by their rank on the last axis.  Every other axis
+is a wavelet matrix over that sequence: per bit of the axis's ranks, from the
+top, the sequence is stably partitioned (0 bits first) and a flat
+``array('q')`` keeps the running count of 0 bits, so the slots [a, b) of a
+node map to those of its two children with two lookups.  The nodes of one
+level are the rank intervals of that depth of a balanced tree on the axis.
+Each level also holds the next axis's structure over its own sequence, and
+the last axis keeps running weight sums.  Positions found once at the root
+are carried exactly into every node, whatever mix of open and closed ends
+produced them.  With at most R distinct values per axis, a d-dimensional
+build takes O(n log^(d-1) R) time and space, and a query O(log^(d-1) R)
+steps after its 2d binary searches.
 
 Coordinates and query bounds are exact rationals, with -infinity (and
 +infinity) usable as sentinels.  Every interval end is independently open,
@@ -20,6 +30,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -36,14 +48,15 @@ __all__ = [
 
 Bound = tuple[ExtScalar, bool]  # (value, end is closed)
 
-_I64 = 1 << 62
+_EXT_TYPES = FINITE_TYPES + (Infinity,)
+_I64 = 1 << 63
 
 
 def _check_bound(bound: Optional[Bound], what: str) -> Optional[Bound]:
     if bound is None:
         return None
     value, closed = bound
-    if not isinstance(value, FINITE_TYPES + (Infinity,)) or isinstance(value, bool):
+    if not isinstance(value, _EXT_TYPES) or isinstance(value, bool):
         raise ValidationError(f"{what} must be an exact scalar, got {value!r}")
     return (value, bool(closed))
 
@@ -117,7 +130,7 @@ class WeightedPointSet:
             if len(pt) != self.dim:
                 raise ValidationError(f"point {pt!r} is not {self.dim}-dimensional")
             for x in pt:
-                if not isinstance(x, FINITE_TYPES + (Infinity,)) or isinstance(x, bool):
+                if not isinstance(x, _EXT_TYPES) or isinstance(x, bool):
                     raise ValidationError(f"coordinate {x!r} is not an exact scalar")
         for w in self.weights:
             if not isinstance(w, FINITE_TYPES) or isinstance(w, bool):
@@ -129,204 +142,116 @@ class WeightedPointSet:
         return len(self.points)
 
 
-def _compact(values: list) -> Sequence:
-    """array('q') when everything is a machine-sized int, else a tuple."""
-    if all(type(v) is int and -_I64 < v < _I64 for v in values):
-        return array("q", values)
-    return tuple(values)
+def _layer(seq: list, axes: list, ws: list, sums):
+    """The structure over ``seq``: point ids, in last-axis order within each
+    node of the enclosing layers.
 
-
-def _prefix(weights: list) -> Sequence:
-    pref = [0] * (len(weights) + 1)
-    acc: Scalar = 0
-    for i, w in enumerate(weights):
-        acc = acc + w
-        pref[i + 1] = acc
-    return _compact(pref)
-
-
-def _lo_index(arr: Sequence, bound: Optional[Bound]) -> int:
-    if bound is None:
-        return 0
-    value, closed = bound
-    return bisect_left(arr, value) if closed else bisect_right(arr, value)
-
-
-def _hi_index(arr: Sequence, bound: Optional[Bound]) -> int:
-    if bound is None:
-        return len(arr)
-    value, closed = bound
-    return bisect_right(arr, value) if closed else bisect_left(arr, value)
-
-
-class _Tree1:
-    __slots__ = ("xs", "pref")
-
-    def __init__(self, pts: list[tuple], ws: list, axis: int):
-        order = sorted(range(len(pts)), key=lambda i: pts[i][axis])
-        self.xs = _compact([pts[i][axis] for i in order])
-        self.pref = _prefix([ws[i] for i in order])
-
-    def query(self, ivs: tuple[Interval, ...]) -> Scalar:
-        (iv,) = ivs
-        lo = _lo_index(self.xs, iv.lower)
-        hi = _hi_index(self.xs, iv.upper)
-        if hi <= lo:
-            return 0
-        return self.pref[hi] - self.pref[lo]
-
-
-class _Node2:
-    __slots__ = ("pref", "lpos", "left", "right")
-
-    def __init__(self, pref, lpos, left, right):
-        self.pref = pref
-        self.lpos = lpos
-        self.left = left
-        self.right = right
-
-
-class _Tree2:
-    """Index-range tree on the first axis, coordinated orders on the second.
-
-    Each node covers a contiguous range of the axis-0 order and keeps the
-    prefix weights of its points in axis-1 order.  ``lpos[q]`` maps boundary
-    position q of the node's order to the matching boundary in the left
-    child's order (the right child's is q - lpos[q]), so positions found once
-    at the root stay exact all the way down, whatever mix of open and closed
-    ends produced them.
+    ``axes`` lists (rank of each point, number of rank bits) for the axes
+    before the last still to resolve, ``ws`` the weights; ``sums`` makes
+    running sums.  With no such axis the structure is the running weight sums
+    over ``seq``.  Otherwise it is a wavelet matrix on the first axis's ranks:
+    per rank bit, from the top, the running count of ids whose bit is 0,
+    their total, and the next axis's structure over this ``seq``, which is
+    then stably partitioned, 0 bits first, for the next bit.
     """
+    if not axes:
+        return sums(accumulate([ws[i] for i in seq], initial=0))
+    (rank, bits), deeper = axes[0], axes[1:]
+    levels = []
+    for shift in reversed(range(bits)):
+        zero = [not rank[i] >> shift & 1 for i in seq]
+        zeros = array("q", accumulate(zero, initial=0))
+        levels.append((zeros, zeros[-1], _layer(seq, deeper, ws, sums)))
+        seq = [i for i, f in zip(seq, zero) if f] + [i for i, f in zip(seq, zero) if not f]
+    levels.append((None, 0, _layer(seq, deeper, ws, sums)))
+    return levels
 
-    __slots__ = ("xs", "ys", "root")
 
-    def __init__(self, pts: list[tuple], ws: list, axis: int):
-        order = sorted(range(len(pts)), key=lambda i: pts[i][axis])
-        self.xs = _compact([pts[i][axis] for i in order])
-        root, ys, _ = self._build(order, 0, len(order), pts, ws, axis + 1)
-        self.root = root
-        self.ys = _compact(ys)
-
-    def _build(self, order, lo, hi, pts, ws, yaxis):
-        if hi - lo == 1:
-            i = order[lo]
-            w = ws[i]
-            return _Node2(_compact([0, w]), None, None, None), [pts[i][yaxis]], [w]
-        mid = (lo + hi) // 2
-        left, lys, lws = self._build(order, lo, mid, pts, ws, yaxis)
-        right, rys, rws = self._build(order, mid, hi, pts, ws, yaxis)
-        nl, nr = len(lys), len(rys)
-        ys = []
-        wsm = []
-        lpos = array("q", bytes(8 * (nl + nr + 1)))
-        i = j = 0
-        while i < nl or j < nr:
-            if j >= nr or (i < nl and not rys[j] < lys[i]):
-                ys.append(lys[i])
-                wsm.append(lws[i])
-                i += 1
+def _cover(layer, a: int, b: int, ranges: list) -> Scalar:
+    """Weight at the slots [a, b) of one node of ``layer`` whose points' ranks
+    on the axes before the last lie in ``ranges``: (low, high, 2 ** bits)
+    per axis, ``high`` raised to 2 ** bits when no value lies above it."""
+    (lo, hi, width), rest = ranges[0], ranges[1:]
+    total: Scalar = 0
+    todo = [(0, 0, width, a, b)]
+    while todo:
+        t, rl, w, a, b = todo.pop()
+        while a < b:
+            zeros, z, sub = layer[t]
+            if lo <= rl and rl + w <= hi:
+                total += _cover(sub, a, b, rest) if rest else sub[b] - sub[a]
+                break
+            za, zb = zeros[a], zeros[b]
+            w >>= 1
+            t += 1
+            if rl + w < hi:  # the upper half meets the range
+                if lo <= rl:  # and covers the lower half
+                    if za < zb:
+                        sub = layer[t][2]
+                        total += _cover(sub, za, zb, rest) if rest else sub[zb] - sub[za]
+                elif lo < rl + w:
+                    todo.append((t, rl, w, za, zb))
+                rl, a, b = rl + w, z + a - za, z + b - zb
             else:
-                ys.append(rys[j])
-                wsm.append(rws[j])
-                j += 1
-            lpos[i + j] = i
-        node = _Node2(_prefix(wsm), lpos, left, right)
-        return node, ys, wsm
-
-    def query(self, ivs: tuple[Interval, ...]) -> Scalar:
-        iv0, iv1 = ivs
-        lo = _lo_index(self.xs, iv0.lower)
-        hi = _hi_index(self.xs, iv0.upper)
-        if hi <= lo:
-            return 0
-        ylo = _lo_index(self.ys, iv1.lower)
-        yhi = _hi_index(self.ys, iv1.upper)
-        if yhi <= ylo:
-            return 0
-        return self._visit(self.root, 0, len(self.xs), lo, hi, ylo, yhi)
-
-    def _visit(self, node, nl, nr, lo, hi, ylo, yhi) -> Scalar:
-        if hi <= nl or nr <= lo or ylo >= yhi:
-            return 0
-        if lo <= nl and hi >= nr:
-            return node.pref[yhi] - node.pref[ylo]
-        mid = (nl + nr) // 2
-        ll, lh = node.lpos[ylo], node.lpos[yhi]
-        return self._visit(node.left, nl, mid, lo, hi, ll, lh) + self._visit(
-            node.right, mid, nr, lo, hi, ylo - ll, yhi - lh
-        )
+                a, b = za, zb
+    return total
 
 
-class _NodeK:
-    __slots__ = ("sub", "left", "right")
-
-    def __init__(self, sub, left, right):
-        self.sub = sub
-        self.left = left
-        self.right = right
-
-
-class _TreeK:
-    """Index-range tree on the first axis; canonical nodes hold lower-dim trees."""
-
-    __slots__ = ("xs", "root")
-
-    def __init__(self, pts: list[tuple], ws: list, axis: int, dim: int):
-        order = sorted(range(len(pts)), key=lambda i: pts[i][axis])
-        self.xs = _compact([pts[i][axis] for i in order])
-        self.root = self._build(order, 0, len(order), pts, ws, axis, dim)
-
-    def _build(self, order, lo, hi, pts, ws, axis, dim):
-        ids = order[lo:hi]
-        sub = _build_impl([pts[i] for i in ids], [ws[i] for i in ids], axis + 1, dim - 1)
-        if hi - lo == 1:
-            return _NodeK(sub, None, None)
-        mid = (lo + hi) // 2
-        left = self._build(order, lo, mid, pts, ws, axis, dim)
-        right = self._build(order, mid, hi, pts, ws, axis, dim)
-        return _NodeK(sub, left, right)
-
-    def query(self, ivs: tuple[Interval, ...]) -> Scalar:
-        lo = _lo_index(self.xs, ivs[0].lower)
-        hi = _hi_index(self.xs, ivs[0].upper)
-        if hi <= lo:
-            return 0
-        return self._visit(self.root, 0, len(self.xs), lo, hi, ivs[1:])
-
-    def _visit(self, node, nl, nr, lo, hi, rest) -> Scalar:
-        if hi <= nl or nr <= lo:
-            return 0
-        if lo <= nl and hi >= nr:
-            return node.sub.query(rest)
-        mid = (nl + nr) // 2
-        return self._visit(node.left, nl, mid, lo, hi, rest) + self._visit(
-            node.right, mid, nr, lo, hi, rest
-        )
-
-
-def _build_impl(pts: list[tuple], ws: list, axis: int, dim: int):
-    if dim == 1:
-        return _Tree1(pts, ws, axis)
-    if dim == 2:
-        return _Tree2(pts, ws, axis)
-    return _TreeK(pts, ws, axis, dim)
+def _rank_cut(iv: Interval, values: list) -> tuple[int, int]:
+    """The ranks [lo, hi) of the sorted distinct ``values`` inside ``iv``."""
+    lo, hi = 0, len(values)
+    if iv.lower is not None:
+        v, closed = iv.lower
+        lo = bisect_left(values, v) if closed else bisect_right(values, v)
+    if iv.upper is not None:
+        v, closed = iv.upper
+        hi = bisect_right(values, v) if closed else bisect_left(values, v)
+    return lo, hi
 
 
 class RangeTree:
-    """Immutable weighted range-search structure over a fixed point set."""
+    """Immutable weighted range-search structure over a fixed point set.
 
-    __slots__ = ("dim", "size", "total_weight", "_impl")
+    ``size`` and ``total_weight`` count the points as supplied; ``distinct``
+    the points stored, once equal points are merged and zero weights dropped.
+    """
+
+    __slots__ = ("dim", "size", "distinct", "total_weight", "_head", "_last", "_cut", "_layer")
 
     def __init__(self, pts: WeightedPointSet):
         self.dim = pts.dim
         self.size = len(pts)
         total: Scalar = 0
-        for w in pts.weights:
+        merged: dict = {}
+        for pt, w in zip(pts.points, pts.weights):
             total = total + w
+            if w:
+                merged[pt] = merged.get(pt, 0) + w
         self.total_weight = total
-        if self.size:
-            self._impl = _build_impl(list(pts.points), list(pts.weights), 0, pts.dim)
-        else:
-            self._impl = None
+        points = list(merged)
+        self.distinct = len(points)
+        # per axis: sorted distinct values, rank space size (a power of 2), point ranks
+        axes, ranks = [], []
+        for axis in range(self.dim):
+            col = [pt[axis] for pt in points]
+            values = sorted(set(col))
+            rank_of = dict(zip(values, range(len(values))))
+            axes.append((values, 1 << (len(values) - 1).bit_length()))
+            ranks.append([rank_of[x] for x in col])
+        (self._last, _), self._head = axes.pop(), tuple(axes)
+        last = ranks.pop()
+        per_rank = [0] * (len(self._last) + 1)
+        for r in last:
+            per_rank[r + 1] += 1
+        self._cut = array("q", accumulate(per_rank))  # slots of last-axis ranks < r
+        ws = [merged[pt] for pt in points]
+        ints = all(type(w) is int for w in ws) and total < _I64
+        self._layer = _layer(
+            sorted(range(len(points)), key=last.__getitem__),
+            [(r, w.bit_length() - 1) for r, (_, w) in zip(ranks, axes)],
+            ws,
+            partial(array, "q") if ints else list,
+        )
 
     def query(self, rect: Union[QueryRect, Sequence[Interval]]) -> Scalar:
         ivs = rect.intervals if isinstance(rect, QueryRect) else tuple(rect)
@@ -334,9 +259,19 @@ class RangeTree:
             raise ValidationError(
                 f"rectangle has {len(ivs)} axes, tree has {self.dim}"
             )
-        if self._impl is None:
+        lo, hi = _rank_cut(ivs[-1], self._last)
+        if hi <= lo:
             return 0
-        return self._impl.query(ivs)
+        a, b = self._cut[lo], self._cut[hi]
+        if not self._head:
+            return self._layer[b] - self._layer[a]
+        ranges = []
+        for iv, (values, width) in zip(ivs, self._head):
+            lo, hi = _rank_cut(iv, values)
+            if hi <= lo:
+                return 0
+            ranges.append((lo, hi if hi < len(values) else width, width))
+        return _cover(self._layer, a, b, ranges)
 
 
 def build_range_tree(pts: WeightedPointSet) -> RangeTree:

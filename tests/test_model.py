@@ -87,6 +87,9 @@ class TestSequences:
         assert sequence_of(rt, 3) == (1, 3)
         assert sequence_of(rt, 5) == (1, 3, 5)
         assert sequence_of(rt, 4) == ()
+        assert sequence_of(rt, 0) == sequence_of(rt, 9) == ()
+        assert sequence_of(rt, 5) is sequence_of(rt, 5)  # kept on the tree
+        assert rt == ReducedTree((0, 1, 1, None, 3)) and hash(rt) == hash(ReducedTree(rt.parents))
 
     def test_price_and_signature(self):
         prices = PriceFunction.parse("5, 3, 1/2", 3)

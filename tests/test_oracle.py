@@ -1,5 +1,6 @@
 """Revenue oracle: embeddings, dominance rectangles, and naive agreement."""
 
+import logging
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +16,7 @@ from stackspt.model import ReducedTree, reduced_tree_of_spt, sequence_of, w_infi
 from stackspt.oracle import RevenueOracle, build_oracle, embed_points, query_intervals
 from stackspt.rational import NEG_INF, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
+from stackspt.solver import heuristic_candidates
 
 
 def chain_with_bypasses() -> Instance:
@@ -194,6 +196,40 @@ def test_revenue_matches_naive_on_larger_instances():
             assert oracle.revenue(p) == naive_revenue(inst, p)
 
 
+def four_root_shortcuts() -> Instance:
+    """Four regions in a row, each entered from the root by a long fixed edge
+    and by a priceable shortcut.  Regions link forward only, so a shortcut's
+    head cannot reach the regions before it: those axes are NEG_INF."""
+    edges = []
+    for i in range(4):
+        first = 1 + 4 * i
+        edges.append(Edge(0, first, Fixed(20 + 3 * i)))
+        edges.append(Edge(0, first, Priceable(i + 1)))
+        for j in range(3):
+            edges.append(Edge(first + j, first + j + 1, Fixed(1 + (i + j) % 3)))
+        if i < 3:
+            edges.append(Edge(first + 3, first + 4, Fixed(2)))
+    return Instance(n=17, root=0, edges=tuple(edges), demand=tuple(1 + v % 3 for v in range(17)))
+
+
+def test_four_edge_trees_match_naive_at_breakpoints():
+    inst = four_root_shortcuts()
+    oracle = build_oracle(inst)
+    breakpoints = heuristic_candidates(inst).per_edge
+    rng = random.Random(4)
+    shifts = [0, 0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 7)]
+    four_edge = 0
+    for _ in range(300):
+        p = PriceFunction(tuple(rng.choice(bps) + rng.choice(shifts) for bps in breakpoints))
+        four_edge += len(oracle.reduced_tree_for(p).edges) == 4
+        assert oracle.revenue(p) == naive_revenue(inst, p), p
+    assert four_edge >= 30
+    deep = [(rt, label) for rt, label in oracle.materialized_keys if len(rt.edges) == 4]
+    assert any(
+        NEG_INF in point for rt, label in deep for point in embed_points(oracle, rt, label).points
+    )
+
+
 class TestPartition:
     @settings(max_examples=80)
     @given(strategies.priced_instances(min_n=2, min_k=2, max_n=7))
@@ -301,3 +337,18 @@ class TestMemo:
             results = [f.result() for f in [pool.submit(worker) for _ in range(8)]]
         assert all(r == expect for r in results)
         assert len(calls) == len(oracle.reduced_tree_for(p).edges)
+
+
+def test_debug_log_once_per_materialized_tree(caplog):
+    oracle = build_oracle(chain_with_bypasses())
+    p = PriceFunction.parse("1 1", 2)
+    rt = oracle.reduced_tree_for(p)
+    with caplog.at_level(logging.DEBUG, logger="stackspt"):
+        oracle.revenue(p)
+        built = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
+        assert len(built) == len(rt.edges) == 2
+        assert all(f"{rt.parents}" in m and "dim=2" in m and "build_s=" in m for m in built)
+        assert any("points=2 distinct=1" in m for m in built)  # two equal points merged
+        caplog.clear()
+        oracle.revenue(p)
+        assert not [r for r in caplog.records if r.name == "stackspt"]

@@ -244,3 +244,34 @@ def test_large_randomized_three_dim():
 def test_accepts_plain_interval_sequence():
     rt = build_range_tree(pts(2, [(1, 1), (2, 2)]))
     assert rt.query([Interval(upper=(1, True)), Interval()]) == 1
+
+
+# few distinct values, so points repeat and every bound can sit on a coordinate
+EXACT_VALUES = [NEG_INF, -(1 << 70), -3, Fraction(-1, 2), 0, Fraction(1, 3), 2, 1 << 70]
+
+
+def exact_bound(rng):
+    if rng.random() < 0.2:
+        return None
+    return (rng.choice(EXACT_VALUES + [INF]), rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "weight_pool",
+    [(0, 1, 3, Fraction(1, 3), Fraction(5, 7)), (1 << 62, 5)],
+    ids=["fractions", "past-int64"],
+)
+def test_rank_cuts_on_exact_coordinates(dim, weight_pool):
+    rng = random.Random(2000 + dim)
+    for n in (0, 1, 2, 30, 150):
+        points = [tuple(rng.choice(EXACT_VALUES) for _ in range(dim)) for _ in range(n)]
+        weights = [rng.choice(weight_pool) for _ in range(n)]
+        rt = build_range_tree(pts(dim, points, weights))
+        # counted as supplied, before equal points are merged
+        assert rt.size == n and rt.total_weight == sum(weights)
+        for _ in range(200):
+            rect = QueryRect(
+                tuple(Interval(lower=exact_bound(rng), upper=exact_bound(rng)) for _ in range(dim))
+            )
+            assert rt.query(rect) == linear_scan(points, weights, rect)
