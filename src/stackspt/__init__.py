@@ -35,7 +35,6 @@ from .rangetree import (
     RangeTree,
     WeightedPointSet,
     build_range_tree,
-    query_weight,
 )
 from .rational import INF, NEG_INF, format_scalar, parse_scalar
 from .shortest import (
@@ -101,7 +100,6 @@ __all__ = [
     "parse_instance",
     "parse_scalar",
     "parse_sizes",
-    "query_weight",
     "random_instance",
     "reduced_tree",
     "run_bench",

@@ -79,8 +79,6 @@ def run_bench(
 
     Deterministic content for fixed arguments (timings vary, answers do not).
     """
-    if k < 2:
-        raise ValidationError("bench needs k >= 2 (the oracle path)")
     if queries < 1:
         raise ValidationError("bench needs at least one query")
     records = []

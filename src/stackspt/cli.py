@@ -60,10 +60,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     prices = PriceFunction.parse(args.prices, inst.k)
-    if inst.k >= 2:
-        value = build_oracle(inst).revenue(prices)
-    else:
-        value = naive_revenue(inst, prices)
+    value = build_oracle(inst).revenue(prices)
     print(format_scalar(value))
     if args.naive:
         check = naive_revenue(inst, prices)
@@ -82,7 +79,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cands = None
     if args.candidates is not None:
         cands = parse_candidates(Path(args.candidates).read_text(encoding="utf-8"), inst.k)
-    result = solve(inst, cands, jobs=args.parallel)
+    result = solve(inst, cands)
     print(f"prices {result.best_price}")
     print(f"revenue {format_scalar(result.best_revenue)}")
     print(f"evaluations {result.evaluations}")
@@ -177,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     so = sub.add_parser("solve", help="sweep candidate prices for the best revenue")
     so.add_argument("--instance", required=True, help="instance file")
     so.add_argument("--candidates", help="candidate file (defaults to the breakpoint heuristic)")
-    so.add_argument("--parallel", type=int, default=1, metavar="N", help="worker threads")
     so.set_defaults(func=_cmd_solve)
 
     ve = sub.add_parser("verify", help="cross-check fast evaluation against first principles")

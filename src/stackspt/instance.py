@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import ParseError, ValidationError
 from .rational import FINITE_TYPES, Scalar, ensure_scalar, format_scalar, parse_scalar
@@ -153,23 +152,6 @@ class Instance:
         """The priceable edges ordered by label, so ``priceable[i-1]`` is e_i."""
         by_label = {e.kind.index: e for e in self.edges if isinstance(e.kind, Priceable)}
         return tuple(by_label[i] for i in range(1, self.k + 1))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-tail ``(head, edge_position)`` pairs, in edge order."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for pos, e in enumerate(self.edges):
-            out[e.tail].append((e.head, pos))
-        return tuple(tuple(lst) for lst in out)
-
-    @cached_property
-    def all_integer(self) -> bool:
-        """True when every fixed cost is a plain int (fast-path eligible)."""
-        return all(
-            isinstance(e.kind.cost, int)
-            for e in self.edges
-            if isinstance(e.kind, Fixed)
-        )
 
     def source_of(self, i: int) -> int:
         return self.priceable[i - 1].tail

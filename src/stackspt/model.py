@@ -15,15 +15,15 @@ edges exactly where needed.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Sequence, Union
 
 from .errors import ValidationError
 from .instance import Instance, Priceable, PriceFunction
 from .rational import ExtScalar, Scalar, is_finite
-from .shortest import SptResult, chi_sum, last_priceable_labels
+from .shortest import SptResult, _dijkstra, _lex_keys, chi_sum, last_priceable_labels
 
 __all__ = [
     "ReducedTree",
@@ -33,7 +33,6 @@ __all__ = [
     "reduced_tree_of_spt",
     "sequence_of",
     "seq_price",
-    "seq_chi",
     "seq_order_lt",
     "w_infinity",
 ]
@@ -125,18 +124,13 @@ def seq_price(seq: Sequence[int], prices: PriceFunction) -> Scalar:
     return total
 
 
-def seq_chi(seq: Sequence[int]) -> int:
-    """Signature of a label sequence."""
-    return chi_sum(seq)
-
-
 def seq_order_lt(a: Sequence[int], b: Sequence[int], prices: PriceFunction) -> bool:
     """Preference order between sequences: higher price first, then higher signature.
 
     Returns True when ``a`` is strictly preferred to ``b``.  Distinct
     sequences never tie, because distinct label sets have distinct signatures.
     """
-    return (seq_price(a, prices), seq_chi(a)) > (seq_price(b, prices), seq_chi(b))
+    return (seq_price(a, prices), chi_sum(a)) > (seq_price(b, prices), chi_sum(b))
 
 
 @dataclass(frozen=True)
@@ -184,6 +178,30 @@ class ModelGraph:
                         adj[tail].append((head, w))
         return tuple(tuple(lst) for lst in adj)
 
+    @cached_property
+    def _csr(self) -> tuple:
+        """The model graph as slot arrays for the Dijkstra core.
+
+        Returns (starts, heads, tails, weights, labels, scale): each logical
+        vertex's fixed edges in ``fixed_adjacency`` order, then e_i out of
+        s_i.  ``labels[j]`` is the priceable label at slot j or 0; fixed
+        weights are stored times ``scale``, the LCM of their denominators.
+        """
+        starts, heads, tails, weights, labels = [0], [], [], [], []
+        for u, row in enumerate(self.fixed_adjacency):
+            slots = [(v, w, 0) for v, w in row]
+            if u % 2:
+                slots.append((u + 1, 0, (u + 1) // 2))  # e_i from s_i = 2i-1 to t_i = 2i
+            for v, w, label in slots:
+                heads.append(v)
+                tails.append(u)
+                weights.append(w)
+                labels.append(label)
+            starts.append(len(heads))
+        scale = lcm(*[w.denominator for w in weights])
+        weights = [w.numerator * (scale // w.denominator) for w in weights]
+        return starts, heads, tails, weights, labels, scale
+
 
 def build_model_graph(
     inst: Instance,
@@ -217,47 +235,23 @@ def reduced_tree(mg: ModelGraph, prices: PriceFunction) -> ReducedTree:
     """
     if len(prices) != mg.k:
         raise ValidationError(f"model graph has k = {mg.k}, got {len(prices)} prices")
-    size = 2 * mg.k + 1
-
-    # adjacency with composite weights; parent records (tail, label or None)
-    adj: list[list[tuple[int, tuple, Union[int, None]]]] = [
-        [(head, (w, 0, 0), None) for head, w in row] for row in mg.fixed_adjacency
-    ]
-    for i in range(1, mg.k + 1):
-        p = prices.price(i)
-        adj[mg.s_of(i)].append((mg.t_of(i), (p, -p, -(1 << i)), i))
-
-    dist: list = [None] * size
-    parent: list = [None] * size
-    start = (0, 0, 0)
-    dist[0] = start
-    heap = [(start, 0)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d != dist[u]:
-            continue
-        dw, dp, dc = d
-        for v, (w, np_, nc), label in adj[u]:
-            nd = (dw + w, dp + np_, dc + nc)
-            dv = dist[v]
-            if dv is None or nd < dv:
-                dist[v] = nd
-                parent[v] = (u, label)
-                heapq.heappush(heap, (nd, v))
+    starts, heads, tails, weights, labels, scale = mg._csr
+    inc, start = _lex_keys(weights, labels, scale, prices.values)[:2]
+    _dist, parent = _dijkstra(starts, heads, inc, 0, start, len(starts) - 1)
 
     parents: list = [None] * mg.k
     for i in range(1, mg.k + 1):
-        par = parent[mg.t_of(i)]
-        if par is None or par[1] != i:
+        j = parent[mg.t_of(i)]
+        if j is None or labels[j] != i:
             continue  # e_i is not a tree edge
         cur = mg.s_of(i)
         found = ROOT
         while cur != 0:
-            tail, label = parent[cur]
-            if label is not None:
-                found = label
+            j = parent[cur]
+            if labels[j]:
+                found = labels[j]
                 break
-            cur = tail
+            cur = tails[j]
         parents[i - 1] = found
     return ReducedTree(tuple(parents))
 

@@ -33,7 +33,7 @@ from .model import (
 )
 from .rangetree import QueryRect, RangeTree, WeightedPointSet, build_range_tree
 from .rational import NEG_INF, ExtScalar, Scalar, is_finite
-from .shortest import fixed_cost_sssp
+from .shortest import _csr, fixed_cost_sssp
 
 __all__ = [
     "RevenueOracle",
@@ -152,13 +152,13 @@ def _as_prices(prices: Union[PriceFunction, Sequence], k: int) -> PriceFunction:
 
 
 def _reachable_from_root(inst: Instance) -> list[bool]:
+    starts, heads = _csr(inst)[:2]
     seen = [False] * inst.n
     seen[inst.root] = True
     stack = [inst.root]
-    adj = inst.adjacency
     while stack:
         u = stack.pop()
-        for v, _ in adj[u]:
+        for v in heads[starts[u]:starts[u + 1]]:
             if not seen[v]:
                 seen[v] = True
                 stack.append(v)
@@ -166,15 +166,7 @@ def _reachable_from_root(inst: Instance) -> list[bool]:
 
 
 def build_oracle(inst: Instance) -> RevenueOracle:
-    """Run the one-time preprocessing: k+1 fixed-only sweeps plus the model graph.
-
-    Requires k >= 2; with a single priceable edge the direct per-query
-    computation is already cheap and callers use it instead.
-    """
-    if inst.k < 2:
-        raise ValidationError(
-            f"oracle preprocessing needs at least 2 priceable edges, got {inst.k}"
-        )
+    """Run the one-time preprocessing: k+1 fixed-only sweeps plus the model graph."""
     d_root = fixed_cost_sssp(inst, inst.root)
     by_vertex: dict[int, tuple[ExtScalar, ...]] = {}
     d_t = []

@@ -43,7 +43,6 @@ __all__ = [
     "WeightedPointSet",
     "RangeTree",
     "build_range_tree",
-    "query_weight",
 ]
 
 Bound = tuple[ExtScalar, bool]  # (value, end is closed)
@@ -275,10 +274,9 @@ class RangeTree:
 
 
 def build_range_tree(pts: WeightedPointSet) -> RangeTree:
-    """Preprocess a weighted point set for rectangle weight-sum queries."""
+    """Preprocess a weighted point set for rectangle weight-sum queries.
+
+    The oracle builds every tree through this name, so that a tracer wrapping
+    it (``perfbench/layers.py``) can time the builds by dimension.
+    """
     return RangeTree(pts)
-
-
-def query_weight(rt: RangeTree, rect: Union[QueryRect, Sequence[Interval]]) -> Scalar:
-    """Exact total weight of the points inside the rectangle."""
-    return rt.query(rect)

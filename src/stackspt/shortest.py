@@ -9,17 +9,21 @@ the leader most; among those, the one whose priceable-edge set has the largest
 signature.  The last component makes every tie resolution reproducible, so
 the revenue of "the" shortest path tree is well defined.
 
-Two interchangeable cores implement the Dijkstra sweep: a general one over
-weight triples of exact scalars, and a fast one that packs the triple into a
-single integer key when every cost and price is an int.  Packing is safe
-because every key the sweep ever stores belongs to a simple path, so the low
-components are bounded by the sum of all prices and by 2^(k+1)-2.
+One integer-key Dijkstra core runs every sweep: the composite-order sweeps
+here, the fixed-only sweeps of the preprocessing, and the model-graph sweep
+of each query.  Fractional costs and prices are brought to ints by the LCM of
+their denominators, the triple is packed into a single int key, and results
+are divided back exactly.  Packing is safe because every key a sweep stores
+belongs to a simple path, so the low components are bounded by the sum of
+all prices and by 2^(k+1)-2.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Union
 
 from .errors import UnreachableVertexError, ValidationError
@@ -122,71 +126,25 @@ def _normalize_prices(inst: Instance, prices) -> PriceFunction:
     return pf
 
 
-# -- cores -------------------------------------------------------------------
+# -- the Dijkstra core ---------------------------------------------------------
 #
-# Both cores work on the instance's cached CSR adjacency:
-#   starts[u]..starts[u+1] index parallel arrays heads / epos,
-#   costs[j] is the fixed cost at slot j or None, labels[j] the priceable
-#   label at slot j or 0.
+# Every sweep runs on a CSR adjacency: starts[u]..starts[u+1] index the slots
+# of u's out-edges, heads[j] is the head at slot j and inc[j] the integer key
+# increment of crossing it.  Keys are exact ints; float inf marks vertices the
+# sweep has not reached.
 
 
-def _csr(inst: Instance):
-    n, m = inst.n, inst.m
-    cached = inst.__dict__.get("_csr_cache")
-    if cached is not None:
-        return cached
-    counts = [0] * (n + 1)
-    for e in inst.edges:
-        counts[e.tail + 1] += 1
-    for u in range(n):
-        counts[u + 1] += counts[u]
-    starts = list(counts)
-    heads = [0] * m
-    epos = [0] * m
-    costs: list = [None] * m
-    labels = [0] * m
-    fill = list(starts)
-    for pos, e in enumerate(inst.edges):
-        j = fill[e.tail]
-        fill[e.tail] = j + 1
-        heads[j] = e.head
-        epos[j] = pos
-        if isinstance(e.kind, Fixed):
-            costs[j] = e.kind.cost
-        else:
-            labels[j] = e.kind.index
-    cached = (starts, heads, epos, costs, labels)
-    inst.__dict__["_csr_cache"] = cached
-    return cached
+_UNREACHED = float("inf")
 
 
-def _run_packed(inst: Instance, prices: PriceFunction, source: int):
-    """Integer-key Dijkstra.  Requires every cost and price to be an int.
+def _dijkstra(starts, heads, inc, source: int, start: int, n: int):
+    """Integer-key Dijkstra from ``source`` with key ``start``.
 
-    Returns (dist, parent, m1, m2, pcap, chicap); dist[v] is a packed int or
-    float inf for unreachable vertices.
+    Returns (dist, parent_slot): dist[v] is v's key or float inf when v is
+    unreachable, parent_slot[v] the slot of v's tree edge or None.
     """
-    starts, heads, epos, costs, labels = _csr(inst)
-    n = inst.n
-    k = inst.k
-    pvals = prices.values
-    pcap = sum(pvals)
-    chicap = (1 << (k + 1)) - 2 if k else 0
-    m2 = chicap + 1
-    m1 = (pcap + 1) * m2
-
-    inc = [0] * inst.m
-    for j, c in enumerate(costs):
-        if c is not None:
-            inc[j] = c * m1
-        else:
-            p = pvals[labels[j] - 1]
-            inc[j] = p * (m1 - m2) - (1 << labels[j])
-
-    infinity = float("inf")
-    dist: list = [infinity] * n
+    dist: list = [_UNREACHED] * n
     parent: list = [None] * n
-    start = pcap * m2 + chicap
     dist[source] = start
     heap = [(start, source)]
     push = heapq.heappush
@@ -200,54 +158,94 @@ def _run_packed(inst: Instance, prices: PriceFunction, source: int):
             nd = d + inc[j]
             if nd < dist[v]:
                 dist[v] = nd
-                parent[v] = epos[j]
-                push(heap, (nd, v))
-    return dist, parent, m1, m2, pcap, chicap
-
-
-def _run_tuples(inst: Instance, prices: PriceFunction, source: int):
-    """General Dijkstra over (w, -p, -chi) triples of exact scalars."""
-    starts, heads, epos, costs, labels = _csr(inst)
-    n = inst.n
-    pvals = prices.values
-
-    wv: list = [0] * inst.m
-    npv: list = [0] * inst.m
-    ncv = [0] * inst.m
-    for j, c in enumerate(costs):
-        if c is not None:
-            wv[j] = c
-        else:
-            p = pvals[labels[j] - 1]
-            wv[j] = p
-            npv[j] = -p
-            ncv[j] = -(1 << labels[j])
-
-    dist: list = [None] * n
-    parent: list = [None] * n
-    start = (0, 0, 0)
-    dist[source] = start
-    heap = [(start, source)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if d != dist[u]:
-            continue
-        dw, dp, dc = d
-        for j in range(starts[u], starts[u + 1]):
-            v = heads[j]
-            nd = (dw + wv[j], dp + npv[j], dc + ncv[j])
-            dv = dist[v]
-            if dv is None or nd < dv:
-                dist[v] = nd
-                parent[v] = epos[j]
+                parent[v] = j
                 push(heap, (nd, v))
     return dist, parent
 
 
-def _all_int_prices(prices: PriceFunction) -> bool:
-    return all(isinstance(p, int) for p in prices.values)
+def _unscaled(x: Scalar, scale: int) -> Scalar:
+    """``x / scale`` exactly, as an int whenever the value is integral."""
+    if scale != 1:
+        x = Fraction(x, scale)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _lex_keys(costs, labels, cost_scale: int, pvals):
+    """Packed keys of the composite order ``(w, -p, -chi)`` for one price vector.
+
+    ``costs[j]`` is the fixed cost at slot j times ``cost_scale``, ``labels[j]``
+    the priceable label at slot j or 0.  Costs and prices are brought to ints
+    by ``scale``, the LCM of ``cost_scale`` and the price denominators, and a
+    route's key is ``W * m1 + (pcap - P) * m2 + (chicap - chi)`` for its scaled
+    weight W, scaled price P and signature chi.  Packing is exact because
+    every key a sweep stores belongs to a simple path, so P <= pcap, the sum
+    of all scaled prices, and chi <= chicap = 2^(k+1)-2.
+
+    Returns (inc, start, scale, pcap, m1, m2).
+    """
+    scale = lcm(cost_scale, *[p.denominator for p in pvals])
+    ps = [p.numerator * (scale // p.denominator) for p in pvals]
+    pcap = sum(ps)
+    chicap = (1 << (len(ps) + 1)) - 2
+    m2 = chicap + 1
+    m1 = (pcap + 1) * m2
+    step = m1 - m2
+    pinc = [0]  # by label
+    for i, p in enumerate(ps):
+        pinc.append(p * step - (2 << i))
+    fm1 = scale // cost_scale * m1
+    inc = [pinc[lab] if lab else c * fm1 for c, lab in zip(costs, labels)]
+    return inc, pcap * m2 + chicap, scale, pcap, m1, m2
+
+
+def _csr(inst: Instance):
+    """The instance's CSR, built once: (starts, heads, epos, costs, labels, scale, cutoff).
+
+    ``epos[j]`` is the position in ``Instance.edges`` of slot j.  Fixed costs
+    are stored times ``scale``, the LCM of their denominators.  A priceable
+    slot has label >= 1 and cost ``cutoff``, one more than the scaled total of
+    all fixed costs, so a fixed-only sweep can cross it like any edge: a
+    distance below ``cutoff`` is a fixed-only route, one at or above it is not.
+    """
+    n, m = inst.n, inst.m
+    cached = inst.__dict__.get("_csr_cache")
+    if cached is not None:
+        return cached
+    counts = [0] * (n + 1)
+    for e in inst.edges:
+        counts[e.tail + 1] += 1
+    for u in range(n):
+        counts[u + 1] += counts[u]
+    starts = list(counts)
+    heads = [0] * m
+    epos = [0] * m
+    costs = [0] * m
+    labels = [0] * m
+    scale = lcm(*[e.kind.cost.denominator for e in inst.edges if isinstance(e.kind, Fixed)])
+    fill = list(starts)
+    for pos, e in enumerate(inst.edges):
+        j = fill[e.tail]
+        fill[e.tail] = j + 1
+        heads[j] = e.head
+        epos[j] = pos
+        if isinstance(e.kind, Fixed):
+            c = e.kind.cost
+            costs[j] = c.numerator * (scale // c.denominator)
+        else:
+            labels[j] = e.kind.index
+    cutoff = sum(costs) + 1
+    costs = [cutoff if lab else c for c, lab in zip(costs, labels)]
+    cached = (starts, heads, epos, costs, labels, scale, cutoff)
+    inst.__dict__["_csr_cache"] = cached
+    return cached
+
+
+def _lex_sweep(inst: Instance, prices: PriceFunction, source: int):
+    """Composite-order sweep: (dist keys, parent slots, scale, pcap, m1, m2)."""
+    starts, heads, _epos, costs, labels, cost_scale, _cutoff = _csr(inst)
+    inc, start, scale, pcap, m1, m2 = _lex_keys(costs, labels, cost_scale, prices.values)
+    dist, parent = _dijkstra(starts, heads, inc, source, start, inst.n)
+    return dist, parent, scale, pcap, m1, m2
 
 
 def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult:
@@ -262,24 +260,20 @@ def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult
     if not 0 <= src < inst.n:
         raise ValidationError(f"source {src} out of range [0, {inst.n})")
 
-    if inst.all_integer and _all_int_prices(pf):
-        dist_raw, parent, m1, m2, pcap, chicap = _run_packed(inst, pf, src)
-        dist = []
-        for d in dist_raw:
-            if isinstance(d, float):
-                dist.append(UNREACHABLE_WEIGHT)
-            else:
-                low = d % m1
-                dist.append(
-                    CompositeWeight(d // m1, (low // m2) - pcap, (low % m2) - chicap)
-                )
-    else:
-        dist_raw, parent = _run_tuples(inst, pf, src)
-        dist = [
-            UNREACHABLE_WEIGHT if d is None else CompositeWeight(*d) for d in dist_raw
-        ]
-
-    return SptResult(source=src, dist=tuple(dist), parent_edge=tuple(parent))
+    dist_raw, parent, scale, pcap, m1, m2 = _lex_sweep(inst, pf, src)
+    chicap = m2 - 1
+    dist = []
+    for d in dist_raw:
+        if isinstance(d, float):
+            dist.append(UNREACHABLE_WEIGHT)
+        else:
+            w, low = divmod(d, m1)
+            dist.append(CompositeWeight(
+                _unscaled(w, scale), _unscaled(low // m2 - pcap, scale), low % m2 - chicap
+            ))
+    epos = _csr(inst)[2]
+    parent_edge = tuple(None if j is None else epos[j] for j in parent)
+    return SptResult(source=src, dist=tuple(dist), parent_edge=parent_edge)
 
 
 def fixed_cost_sssp(inst: Instance, source: int) -> tuple[ExtScalar, ...]:
@@ -290,28 +284,9 @@ def fixed_cost_sssp(inst: Instance, source: int) -> tuple[ExtScalar, ...]:
     """
     if not 0 <= source < inst.n:
         raise ValidationError(f"source {source} out of range [0, {inst.n})")
-    starts, heads, _epos, costs, _labels = _csr(inst)
-    n = inst.n
-    dist: list = [None] * n
-    dist[source] = 0
-    heap = [(0, source)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if d != dist[u]:
-            continue
-        for j in range(starts[u], starts[u + 1]):
-            c = costs[j]
-            if c is None:
-                continue
-            v = heads[j]
-            nd = d + c
-            dv = dist[v]
-            if dv is None or nd < dv:
-                dist[v] = nd
-                push(heap, (nd, v))
-    return tuple(INF if d is None else d for d in dist)
+    starts, heads, _epos, costs, _labels, scale, cutoff = _csr(inst)
+    dist, _parent = _dijkstra(starts, heads, costs, source, 0, inst.n)
+    return tuple(_unscaled(d, scale) if d < cutoff else INF for d in dist)
 
 
 def naive_revenue(inst: Instance, prices) -> Scalar:
@@ -323,34 +298,20 @@ def naive_revenue(inst: Instance, prices) -> Scalar:
     from the root.
     """
     pf = _normalize_prices(inst, prices)
+    dist, _parent, scale, pcap, m1, m2 = _lex_sweep(inst, pf, inst.root)
     demand = inst.demand
     revenue: Scalar = 0
-
-    if inst.all_integer and _all_int_prices(pf):
-        dist_raw, _parent, m1, m2, pcap, _chicap = _run_packed(inst, pf, inst.root)
-        for v, d in enumerate(dist_raw):
-            phi = demand[v]
-            if isinstance(d, float):
-                if phi > 0:
-                    raise UnreachableVertexError(
-                        f"vertex {v} has demand {phi} but no route from root {inst.root}"
-                    )
-                continue
-            if phi:
-                revenue += phi * (pcap - (d % m1) // m2)
-    else:
-        dist_raw, _parent = _run_tuples(inst, pf, inst.root)
-        for v, d in enumerate(dist_raw):
-            phi = demand[v]
-            if d is None:
-                if phi > 0:
-                    raise UnreachableVertexError(
-                        f"vertex {v} has demand {phi} but no route from root {inst.root}"
-                    )
-                continue
-            if phi:
-                revenue += phi * (-d[1])
-    return revenue
+    for v, d in enumerate(dist):
+        phi = demand[v]
+        if isinstance(d, float):
+            if phi > 0:
+                raise UnreachableVertexError(
+                    f"vertex {v} has demand {phi} but no route from root {inst.root}"
+                )
+            continue
+        if phi:
+            revenue += phi * (pcap - (d % m1) // m2)
+    return _unscaled(revenue, scale)
 
 
 def last_priceable_labels(inst: Instance, spt: SptResult) -> tuple[Union[int, None], ...]:

@@ -3,7 +3,7 @@
 The solver evaluates every vector in a candidate cross product (or an
 explicit vector list) through the fast oracle and keeps the best, breaking
 revenue ties toward the lexicographically smallest vector so results are
-reproducible, including under parallel evaluation.
+reproducible.
 
 Candidate generation ships as a breakpoint heuristic: for each priceable
 edge, the prices at which routing some vertex through that edge exactly ties
@@ -17,19 +17,17 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from random import Random
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import ParseError, ValidationError
 from .instance import Fixed, Instance, PriceFunction, ensure_scalar, serialize_instance
 from .model import reduced_tree_of_spt
 from .oracle import RevenueOracle, build_oracle
 from .rational import Scalar, format_scalar, is_finite, parse_scalar
-from .shortest import fixed_cost_sssp, last_priceable_labels, lex_dijkstra, naive_revenue
+from .shortest import last_priceable_labels, lex_dijkstra, naive_revenue
 
 __all__ = [
     "CandidateSet",
@@ -128,17 +126,19 @@ def fallback_price(inst: Instance) -> Scalar:
     return total
 
 
-def heuristic_candidates(inst: Instance) -> CandidateSet:
+def heuristic_candidates(oracle: RevenueOracle) -> CandidateSet:
     """Breakpoint prices per edge: where serving some vertex becomes tight.
 
     For edge i and vertex v the breakpoint is
     d(root, v) - d(root, tail_i) - d(head_i, v), all on fixed edges only;
-    kept when finite and strictly positive, deduplicated, ascending.
+    kept when finite and strictly positive, deduplicated, ascending.  The
+    distances are the oracle's own fixed-only tables.
     """
-    d_root = fixed_cost_sssp(inst, inst.root)
+    inst = oracle.instance
+    d_root = oracle.d_root
     per_edge = []
     for i in range(1, inst.k + 1):
-        d_head = fixed_cost_sssp(inst, inst.target_of(i))
+        d_head = oracle.d_t[i - 1]
         d_tail = d_root[inst.source_of(i)]
         found = set()
         if is_finite(d_tail):
@@ -193,104 +193,37 @@ def parse_candidates(text: str, k: int) -> CandidateSet:
         raise ParseError(str(exc)) from exc
 
 
-def _magnitude_bucket(x: Scalar) -> int:
-    if isinstance(x, int):
-        return x.bit_length()
-    return x.numerator.bit_length() - x.denominator.bit_length()
-
-
-def _warmup_vectors(lists: Sequence[tuple[Scalar, ...]]) -> list[tuple[Scalar, ...]]:
-    """One representative per per-edge magnitude bucket, aligned index-wise."""
-    reps = []
-    for lst in lists:
-        by_bucket: dict[int, Scalar] = {}
-        for x in lst:
-            by_bucket.setdefault(_magnitude_bucket(x), x)
-        reps.append([by_bucket[b] for b in sorted(by_bucket)])
-    width = max(len(r) for r in reps)
-    return [
-        tuple(r[min(i, len(r) - 1)] for r in reps) for i in range(width)
-    ]
-
-
-def _sweep(evaluate, vectors) -> tuple[Optional[tuple], Optional[Scalar], int]:
-    best_vec = None
-    best_rev: Optional[Scalar] = None
-    count = 0
-    for vec in vectors:
-        rev = evaluate(vec)
-        count += 1
-        if best_rev is None or rev > best_rev or (rev == best_rev and vec < best_vec):
-            best_rev = rev
-            best_vec = vec
-    return best_vec, best_rev, count
-
-
-def solve(
-    inst: Instance,
-    cands: Union[CandidateSet, None] = None,
-    *,
-    jobs: int = 1,
-) -> SolveResult:
+def solve(inst: Instance, cands: Union[CandidateSet, None] = None) -> SolveResult:
     """Evaluate every candidate price vector and return the best.
 
-    With ``jobs > 1`` the cross product is split into contiguous blocks
-    evaluated by worker threads; the block-ordered reduction makes the result
-    identical to a sequential run.
+    Without candidates, the breakpoint heuristic runs on the oracle's own
+    distance tables.  Revenue ties go to the lexicographically smallest vector.
     """
     t0 = time.perf_counter()
     if inst.k < 1:
         raise ValidationError("instance has no priceable edges to solve for")
+    oracle = build_oracle(inst)
     if cands is None:
-        cands = heuristic_candidates(inst)
+        cands = heuristic_candidates(oracle)
     if cands.k != inst.k:
         raise ValidationError(f"candidate set is for k = {cands.k}, instance has k = {inst.k}")
-
     if cands.vectors is not None:
         if not cands.vectors:
             raise ValidationError("empty candidate space")
-        total = len(cands.vectors)
-
-        def vectors_slice(lo, hi):
-            return cands.vectors[lo:hi]
-
-        lists = None
+        vectors = cands.vectors
     else:
         lists = [lst if lst else (fallback_price(inst),) for lst in cands.per_edge]
-        total = prod(len(lst) for lst in lists)
+        vectors = itertools.product(*lists)
 
-        def vectors_slice(lo, hi):
-            return itertools.islice(itertools.product(*lists), lo, hi)
-
-    if inst.k == 1:
-        def evaluate(vec):
-            return naive_revenue(inst, vec)
-    else:
-        oracle = build_oracle(inst)
-        evaluate = oracle.revenue
-
-    jobs = max(1, min(jobs, total))
-    if jobs == 1:
-        best_vec, best_rev, count = _sweep(evaluate, vectors_slice(0, total))
-    else:
-        if lists is not None:
-            for vec in _warmup_vectors(lists):
-                evaluate(vec)
-        bounds = [total * j // jobs for j in range(jobs + 1)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_sweep, evaluate, vectors_slice(bounds[j], bounds[j + 1]))
-                for j in range(jobs)
-            ]
-            parts = [f.result() for f in futures]
-        best_vec, best_rev, count = None, None, 0
-        for vec, rev, c in parts:
-            count += c
-            if vec is None:
-                continue
-            if best_rev is None or rev > best_rev or (rev == best_rev and vec < best_vec):
-                best_rev = rev
-                best_vec = vec
+    best_vec = None
+    best_rev: Optional[Scalar] = None
+    count = 0
+    for vec in vectors:
+        rev = oracle.revenue(vec)
+        count += 1
+        if best_rev is None or rev > best_rev or (rev == best_rev and vec < best_vec):
+            best_rev = rev
+            best_vec = vec
 
     return SolveResult(
         best_price=PriceFunction(tuple(best_vec)),

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from stackspt.instance import PriceFunction, random_instance
+from stackspt.instance import Edge, Fixed, Instance, PriceFunction, random_instance
 
 
 @st.composite
@@ -22,6 +22,19 @@ def instances(
     return random_instance(n, m, k, seed=seed, cost_max=cost_max, demand_max=demand_max)
 
 
+@st.composite
+def fractional_cost_instances(draw, **kwargs):
+    """``instances`` output with every fixed cost divided by 2, 3 or 7."""
+    inst = draw(instances(**kwargs))
+    edges = []
+    for e in inst.edges:
+        if isinstance(e.kind, Fixed):
+            cost = Fraction(e.kind.cost, draw(st.sampled_from((2, 3, 7))))
+            e = Edge(e.tail, e.head, Fixed(cost))
+        edges.append(e)
+    return Instance(n=inst.n, root=inst.root, edges=tuple(edges), demand=inst.demand)
+
+
 def scalar_prices(max_value=12):
     """Strictly positive exact scalars, small enough to collide often."""
     return st.one_of(
@@ -35,8 +48,8 @@ def scalar_prices(max_value=12):
 
 
 @st.composite
-def priced_instances(draw, integer_only=False, **kwargs):
-    inst = draw(instances(**kwargs))
+def priced_instances(draw, integer_only=False, fractional_costs=False, **kwargs):
+    inst = draw((fractional_cost_instances if fractional_costs else instances)(**kwargs))
     if integer_only:
         price = st.integers(min_value=1, max_value=12)
     else:

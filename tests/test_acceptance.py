@@ -348,7 +348,7 @@ def test_criterion_8_solver_sanity(announce):
         m = rng.randint(n + 1, 3 * n)
         inst = random_instance(n, m, 2, seed=rng.randrange(2**48), cost_max=8, demand_max=2)
         cands = CandidateSet(
-            k=2, per_edge=tuple(lst[:8] for lst in heuristic_candidates(inst).per_edge)
+            k=2, per_edge=tuple(lst[:8] for lst in heuristic_candidates(build_oracle(inst)).per_edge)
         )
         lists = [lst if lst else (fallback_price(inst),) for lst in cands.per_edge]
         best_vec = best_rev = None

@@ -33,9 +33,13 @@ class TestRecord:
 class TestRunBench:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
-            run_bench([64], k=1)
+            run_bench([4], k=14)  # m = 16 edges leave room for 13 priceable ones
         with pytest.raises(ValidationError):
             run_bench([64], queries=0)
+
+    def test_single_priceable_edge_runs_the_oracle(self):
+        (rec,) = run_bench([64], k=1, queries=6, seed=2)
+        assert (rec.n, rec.k, rec.queries) == (64, 1, 6)
 
     def test_record_content_is_deterministic(self):
         a = run_bench([32, 64], k=2, queries=6, seed=5)

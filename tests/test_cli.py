@@ -151,11 +151,9 @@ class TestSolve:
         assert code == 0
         assert out == "prices 9\nrevenue 9\nevaluations 1\n"
 
-    def test_parallel_output_identical(self, capsys, instance_file):
-        code1, out1, _ = run(capsys, "solve", "--instance", instance_file)
-        code8, out8, _ = run(capsys, "solve", "--instance", instance_file, "--parallel", "8")
-        assert code1 == code8 == 0
-        assert out1 == out8
+    def test_parallel_option_is_rejected(self, capsys, instance_file):
+        code, out, _ = run(capsys, "solve", "--instance", instance_file, "--parallel", "8")
+        assert code == 2 and out == ""
 
     def test_explicit_vector_candidates(self, capsys, instance_file, tmp_path):
         cand = tmp_path / "cands.txt"

@@ -175,7 +175,7 @@ def _bfs_reachable(inst):
     frontier = [inst.root]
     while frontier:
         u = frontier.pop()
-        for v, _pos in inst.adjacency[u]:
+        for v in (e.head for e in inst.edges if e.tail == u):
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)

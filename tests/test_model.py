@@ -15,14 +15,13 @@ from stackspt.model import (
     build_model_graph,
     reduced_tree,
     reduced_tree_of_spt,
-    seq_chi,
     seq_order_lt,
     seq_price,
     sequence_of,
     w_infinity,
 )
 from stackspt.rational import INF
-from stackspt.shortest import fixed_cost_sssp, last_priceable_labels, lex_dijkstra
+from stackspt.shortest import chi_sum, fixed_cost_sssp, last_priceable_labels, lex_dijkstra
 
 
 def model_of(inst: Instance) -> ModelGraph:
@@ -95,8 +94,8 @@ class TestSequences:
         prices = PriceFunction.parse("5, 3, 1/2", 3)
         assert seq_price((1, 3), prices) == Fraction(11, 2)
         assert seq_price((), prices) == 0
-        assert seq_chi((1, 3)) == 0b1010
-        assert seq_chi(()) == 0
+        assert chi_sum((1, 3)) == 0b1010
+        assert chi_sum(()) == 0
 
     def test_order_prefers_higher_price_then_higher_signature(self):
         prices = PriceFunction.parse("5 3 2", 3)
@@ -255,5 +254,5 @@ def test_tree_distances_decompose_over_sequences(case):
         seq = sequence_of(rt, i)
         assert seq, "classified vertex must sit below a present edge"
         assert -neg_p == seq_price(seq, prices)
-        assert -neg_chi == seq_chi(seq)
+        assert -neg_chi == chi_sum(seq)
         assert w == w_infinity(mg, seq) + seq_price(seq, prices) + d_t[i][v]

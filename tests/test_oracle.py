@@ -44,10 +44,12 @@ def priceable_chain() -> Instance:
 
 
 class TestBuild:
-    def test_requires_two_priceable_edges(self):
-        inst = random_instance(6, 8, 1, seed=3)
-        with pytest.raises(ValidationError):
-            build_oracle(inst)
+    def test_builds_for_fewer_than_two_priceable_edges(self):
+        for k in (0, 1):
+            inst = random_instance(6, 8, k, seed=3)
+            oracle = build_oracle(inst)
+            assert oracle.k == k and oracle.model.k == k
+            assert oracle.revenue((4,) * k) == naive_revenue(inst, (4,) * k)
 
     def test_shared_distance_tables(self):
         # both priceable edges end at the same vertex: one sweep, one table
@@ -180,6 +182,24 @@ def test_revenue_matches_naive(case):
     assert oracle.revenue(prices) == naive_revenue(inst, prices)
 
 
+@settings(max_examples=150)
+@given(strategies.priced_instances(min_n=2, max_n=8, max_k=1))
+def test_fewer_than_two_priceable_edges_match_naive(case):
+    inst, prices = case
+    oracle = build_oracle(inst)
+    assert oracle.revenue(prices) == naive_revenue(inst, prices)
+    assert oracle.reduced_tree_for(prices) == reduced_tree_of_spt(inst, lex_dijkstra(inst, prices))
+
+
+@settings(max_examples=150)
+@given(strategies.priced_instances(fractional_costs=True, min_n=2, max_n=8, max_k=4))
+def test_fractional_costs_match_naive_and_contraction(case):
+    inst, prices = case
+    oracle = build_oracle(inst)
+    assert oracle.revenue(prices) == naive_revenue(inst, prices)
+    assert oracle.reduced_tree_for(prices) == reduced_tree_of_spt(inst, lex_dijkstra(inst, prices))
+
+
 def test_revenue_matches_naive_on_larger_instances():
     rng = random.Random(424)
     for trial in range(15):
@@ -215,7 +235,7 @@ def four_root_shortcuts() -> Instance:
 def test_four_edge_trees_match_naive_at_breakpoints():
     inst = four_root_shortcuts()
     oracle = build_oracle(inst)
-    breakpoints = heuristic_candidates(inst).per_edge
+    breakpoints = heuristic_candidates(oracle).per_edge
     rng = random.Random(4)
     shifts = [0, 0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 7)]
     four_edge = 0

@@ -15,7 +15,6 @@ from stackspt.rangetree import (
     RangeTree,
     WeightedPointSet,
     build_range_tree,
-    query_weight,
 )
 from stackspt.rational import INF, NEG_INF
 
@@ -70,7 +69,7 @@ class TestValidation:
         with pytest.raises(ValidationError):
             rt.query(everywhere(3))
         with pytest.raises(ValidationError):
-            query_weight(rt, everywhere(1))
+            rt.query(everywhere(1))
 
 
 class TestTrivial:

@@ -22,10 +22,8 @@ from stackspt.shortest import (
     last_priceable_labels,
     lex_dijkstra,
     naive_revenue,
-    _run_packed,
-    _run_tuples,
 )
-from strategies import instances, priced_instances
+from strategies import fractional_cost_instances, instances, priced_instances
 
 
 def chain(*kinds, demand=None):
@@ -158,34 +156,59 @@ class TestAgainstPathEnumeration:
             assert spt.dist[v] == expected
 
 
-class TestCoreAgreement:
-    @given(priced_instances(integer_only=True, max_n=10, max_extra=16))
-    def test_packed_equals_tuples(self, case):
-        inst, prices = case
-        packed_dist, packed_parent, m1, m2, pcap, chicap = _run_packed(
-            inst, prices, inst.root
-        )
-        tuple_dist, _ = _run_tuples(inst, prices, inst.root)
-        for v in range(inst.n):
-            if isinstance(packed_dist[v], float):
-                assert tuple_dist[v] is None
-                continue
-            d = packed_dist[v]
-            low = d % m1
-            decoded = (d // m1, (low // m2) - pcap, (low % m2) - chicap)
-            assert decoded == tuple_dist[v]
+def _exact_scalars(*values):
+    """Every value is an int when integral, else a Fraction in lowest terms."""
+    return all(
+        isinstance(x, int) if x == int(x) else isinstance(x, Fraction) for x in values
+    )
 
-    @given(priced_instances(integer_only=True, max_n=10, max_extra=16))
-    def test_dispatch_uses_packed_results(self, case):
+
+class TestFractionalCosts:
+    """Fraction costs (denominators 2, 3, 7) against brute force.
+
+    The core scales costs and prices to ints by the LCM of their denominators
+    and divides back; these checks hold only if both scalings are exact.
+    """
+
+    @given(priced_instances(fractional_costs=True, max_n=6, max_extra=8))
+    def test_distances_match_path_enumeration(self, case):
         inst, prices = case
-        # public entry point must agree with the general core as well
+        best = oracles.min_composite_by_path_enumeration(inst, prices, inst.root)
         spt = lex_dijkstra(inst, prices)
-        dist_raw, _ = _run_tuples(inst, prices, inst.root)
         for v in range(inst.n):
-            expected = (
-                UNREACHABLE_WEIGHT if dist_raw[v] is None else CompositeWeight(*dist_raw[v])
-            )
+            expected = UNREACHABLE_WEIGHT if best[v] is None else CompositeWeight(*best[v])
             assert spt.dist[v] == expected
+            if spt.reachable(v):
+                assert _exact_scalars(spt.dist[v].w, spt.dist[v].neg_p)
+
+    @settings(max_examples=60)
+    @given(priced_instances(fractional_costs=True, max_n=6, max_extra=6))
+    def test_naive_revenue_matches_exhaustive_tree_maximum(self, case):
+        inst, prices = case
+        try:
+            expected = oracles.max_spt_revenue(inst, prices, cap=50_000)
+        except ValueError:
+            return  # too many trees to enumerate; other examples cover it
+        value = naive_revenue(inst, prices)
+        assert value == expected
+        assert _exact_scalars(value)
+
+    @given(fractional_cost_instances(max_n=12, max_extra=20), st.integers(0, 11))
+    def test_fixed_cost_sssp_matches_bellman_ford(self, inst, source_pick):
+        source = source_pick % inst.n
+        got = fixed_cost_sssp(inst, source)
+        assert list(got) == oracles.bellman_ford_fixed(inst, source)
+        assert _exact_scalars(*(d for d in got if d is not INF))
+
+    def test_huge_costs_stay_exact(self):
+        # scaled distances far beyond the float range
+        big = Fraction(10**400 + 1, 7)
+        inst = chain(Fixed(big), Priceable(1), Fixed(Fraction(1, 3)), Fixed(big))
+        assert fixed_cost_sssp(inst, 0) == (0, big, INF, INF, INF)
+        assert fixed_cost_sssp(inst, 2) == (INF, INF, 0, Fraction(1, 3), big + Fraction(1, 3))
+        spt = lex_dijkstra(inst, PriceFunction((Fraction(1, 2),)))
+        assert spt.dist[4] == CompositeWeight(2 * big + Fraction(5, 6), Fraction(-1, 2), -2)
+        assert naive_revenue(inst, PriceFunction((5,))) == 15
 
 
 class TestPermutationInvariance:
