@@ -21,6 +21,7 @@ from .instance import (
     Fixed,
     Instance,
     MAX_PRICEABLE_EDGES,
+    MAX_VERTICES,
     PriceFunction,
     Priceable,
     parse_instance,
@@ -68,6 +69,7 @@ __all__ = [
     "Instance",
     "Interval",
     "MAX_PRICEABLE_EDGES",
+    "MAX_VERTICES",
     "ModelGraph",
     "NEG_INF",
     "ParseError",

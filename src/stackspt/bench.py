@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from . import instance
 from .errors import ValidationError
 from .instance import random_instance
 from .oracle import build_oracle
@@ -47,19 +48,28 @@ class BenchRecord:
 
 
 def parse_sizes(text: str) -> list[int]:
-    """Size list: comma or space separated, plain integers or ``2^e`` powers."""
+    """Size list: comma or space separated, plain integers or ``2^e`` powers,
+    each in [2, ``MAX_VERTICES``]."""
+    cap = instance.MAX_VERTICES
     sizes = []
     for token in text.replace(",", " ").split():
         try:
             if "^" in token:
-                base, exp = token.split("^", 1)
-                value = int(base) ** int(exp)
+                base, exp = (int(part) for part in token.split("^", 1))
             else:
-                value = int(token)
+                base, exp = int(token), 1
         except ValueError as exc:
             raise ValidationError(f"bad size {token!r}") from exc
+        if exp < 0:
+            raise ValidationError(f"bad size {token!r}")
+        # checked before the power is taken: b^e grows without bound in e
+        if exp > cap.bit_length() or abs(base) > cap:
+            raise ValidationError(f"size {token!r} is above the cap {cap}")
+        value = base ** exp
         if value < 2:
             raise ValidationError(f"sizes must be >= 2, got {value}")
+        if value > cap:
+            raise ValidationError(f"size {token!r} is above the cap {cap}")
         sizes.append(value)
     if not sizes:
         raise ValidationError("no sizes given")

@@ -60,8 +60,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     prices = PriceFunction.parse(args.prices, inst.k)
-    value = build_oracle(inst).revenue(prices)
+    oracle = build_oracle(inst)
+    value = oracle.revenue(prices)
     print(format_scalar(value))
+    if args.explain:
+        _rt, rows = oracle.revenue_breakdown(prices)
+        for label, price, served in rows:
+            print(f"edge {label} price {format_scalar(price)} served {format_scalar(served)}")
     if args.naive:
         check = naive_revenue(inst, prices)
         print(f"naive {format_scalar(check)}")
@@ -169,6 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--instance", required=True, help="instance file")
     ev.add_argument("--prices", required=True, help="comma- or space-separated prices")
     ev.add_argument("--naive", action="store_true", help="cross-check against the direct sweep")
+    ev.add_argument(
+        "--explain", action="store_true",
+        help="one line per reduced-tree edge: label, route price, served demand",
+    )
     ev.set_defaults(func=_cmd_eval)
 
     so = sub.add_parser("solve", help="sweep candidate prices for the best revenue")

@@ -30,6 +30,7 @@ from .rational import FINITE_TYPES, Scalar, ensure_scalar, format_scalar, parse_
 
 __all__ = [
     "MAX_PRICEABLE_EDGES",
+    "MAX_VERTICES",
     "FORMAT_MAGIC",
     "FORMAT_VERSION",
     "Fixed",
@@ -46,6 +47,12 @@ __all__ = [
 # dimensions and signature values grow with k, so raising this is a deliberate
 # act, not a tuning knob.
 MAX_PRICEABLE_EDGES = 16
+
+# Cap on the vertex count a parsed header (and a ``bench`` size) may declare.
+# The parser allocates per-vertex tables from the header before it has seen a
+# single edge, so an unchecked ``graph <n> ...`` line could ask for terabytes.
+# 2^20 is eight times the largest size the acceptance benchmark runs (2^17).
+MAX_VERTICES = 1 << 20
 
 FORMAT_MAGIC = "stackspt"
 FORMAT_VERSION = 1
@@ -259,6 +266,8 @@ def parse_instance(text: str) -> Instance:
     if tokens[0] != "graph" or len(tokens) != 4:
         raise ParseError("expected 'graph <n> <m> <k>'", lineno)
     n = _parse_int(tokens[1], lineno, "n")
+    if n > MAX_VERTICES:
+        raise ParseError(f"n must be <= MAX_VERTICES = {MAX_VERTICES}, got {n}", lineno)
     m = _parse_int(tokens[2], lineno, "m")
     k = _parse_int(tokens[3], lineno, "k")
 

@@ -4,7 +4,10 @@ A layered range tree in rank space.  Equal points are merged (weights summed,
 zero weights dropped) and each axis is mapped once to integer ranks against
 one sorted list of its distinct exact values.  A query turns every interval
 end into a rank cut with one binary search against that list; everything
-below compares machine ints.
+below compares machine ints.  ``RangeTree.count`` takes the rank cuts
+themselves, which is where ``query`` ends too, so a caller that can find the
+cuts more cheaply (the revenue oracle does, on integer-scaled copies of the
+lists) shares the one counting routine.
 
 The points are sorted once, by their rank on the last axis.  Every other axis
 is a wavelet matrix over that sequence: per bit of the axis's ranks, from the
@@ -213,9 +216,11 @@ class RangeTree:
 
     ``size`` and ``total_weight`` count the points as supplied; ``distinct``
     the points stored, once equal points are merged and zero weights dropped.
+    ``values[axis]`` is the sorted list of that axis's distinct coordinates,
+    the rank space ``count`` works in.
     """
 
-    __slots__ = ("dim", "size", "distinct", "total_weight", "_head", "_last", "_cut", "_layer")
+    __slots__ = ("dim", "size", "distinct", "total_weight", "values", "_widths", "_cut", "_layer")
 
     def __init__(self, pts: WeightedPointSet):
         self.dim = pts.dim
@@ -230,16 +235,17 @@ class RangeTree:
         points = list(merged)
         self.distinct = len(points)
         # per axis: sorted distinct values, rank space size (a power of 2), point ranks
-        axes, ranks = [], []
+        values, widths, ranks = [], [], []
         for axis in range(self.dim):
             col = [pt[axis] for pt in points]
-            values = sorted(set(col))
-            rank_of = dict(zip(values, range(len(values))))
-            axes.append((values, 1 << (len(values) - 1).bit_length()))
+            vals = sorted(set(col))
+            rank_of = dict(zip(vals, range(len(vals))))
+            values.append(vals)
+            widths.append(1 << (len(vals) - 1).bit_length())
             ranks.append([rank_of[x] for x in col])
-        (self._last, _), self._head = axes.pop(), tuple(axes)
+        self.values, self._widths = tuple(values), tuple(widths[:-1])
         last = ranks.pop()
-        per_rank = [0] * (len(self._last) + 1)
+        per_rank = [0] * (len(values[-1]) + 1)
         for r in last:
             per_rank[r + 1] += 1
         self._cut = array("q", accumulate(per_rank))  # slots of last-axis ranks < r
@@ -247,7 +253,7 @@ class RangeTree:
         ints = all(type(w) is int for w in ws) and total < _I64
         self._layer = _layer(
             sorted(range(len(points)), key=last.__getitem__),
-            [(r, w.bit_length() - 1) for r, (_, w) in zip(ranks, axes)],
+            [(r, w.bit_length() - 1) for r, w in zip(ranks, widths)],
             ws,
             partial(array, "q") if ints else list,
         )
@@ -258,15 +264,18 @@ class RangeTree:
             raise ValidationError(
                 f"rectangle has {len(ivs)} axes, tree has {self.dim}"
             )
-        lo, hi = _rank_cut(ivs[-1], self._last)
+        return self.count([_rank_cut(iv, values) for iv, values in zip(ivs, self.values)])
+
+    def count(self, cuts: Sequence[tuple[int, int]]) -> Scalar:
+        """Weight of the points whose rank on every axis lies in its [lo, hi)."""
+        lo, hi = cuts[-1]
         if hi <= lo:
             return 0
         a, b = self._cut[lo], self._cut[hi]
-        if not self._head:
+        if not self._widths:
             return self._layer[b] - self._layer[a]
         ranges = []
-        for iv, (values, width) in zip(ivs, self._head):
-            lo, hi = _rank_cut(iv, values)
+        for (lo, hi), values, width in zip(cuts, self.values, self._widths):
             if hi <= lo:
                 return 0
             ranges.append((lo, hi if hi < len(values) else width, width))

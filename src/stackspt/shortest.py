@@ -170,6 +170,13 @@ def _unscaled(x: Scalar, scale: int) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
+def _scaled_prices(cost_scale: int, pvals) -> tuple[int, list[int]]:
+    """(scale, prices times scale): scale is the LCM of ``cost_scale`` and the
+    price denominators, so every scaled price is an exact int."""
+    scale = lcm(cost_scale, *[p.denominator for p in pvals])
+    return scale, [p.numerator * (scale // p.denominator) for p in pvals]
+
+
 def _lex_keys(costs, labels, cost_scale: int, pvals):
     """Packed keys of the composite order ``(w, -p, -chi)`` for one price vector.
 
@@ -183,8 +190,7 @@ def _lex_keys(costs, labels, cost_scale: int, pvals):
 
     Returns (inc, start, scale, pcap, m1, m2).
     """
-    scale = lcm(cost_scale, *[p.denominator for p in pvals])
-    ps = [p.numerator * (scale // p.denominator) for p in pvals]
+    scale, ps = _scaled_prices(cost_scale, pvals)
     pcap = sum(ps)
     chicap = (1 << (len(ps) + 1)) - 2
     m2 = chicap + 1

@@ -18,6 +18,18 @@ class TestParseSizes:
             parse_sizes(bad)
 
 
+    def test_cap_on_sizes(self, monkeypatch):
+        import stackspt.instance as mod
+
+        assert parse_sizes("2^17") == [2**17]
+        monkeypatch.setattr(mod, "MAX_VERTICES", 100)
+        assert parse_sizes("2^6 100 10^2") == [64, 100, 100]
+        for bad in ["2^7", "101", "3^5", "101^1", "2^4096", "-101^2"]:
+            with pytest.raises(ValidationError) as err:
+                parse_sizes(bad)
+            assert "cap 100" in str(err.value)
+
+
 class TestRecord:
     def test_speedup_and_row(self):
         rec = BenchRecord(n=64, m=256, k=2, build_s=0.01234567,

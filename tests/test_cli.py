@@ -5,7 +5,17 @@ from fractions import Fraction
 import pytest
 
 from stackspt import cli
-from stackspt.instance import Edge, Fixed, Instance, Priceable, parse_instance, serialize_instance
+from stackspt.instance import (
+    Edge,
+    Fixed,
+    Instance,
+    Priceable,
+    PriceFunction,
+    parse_instance,
+    serialize_instance,
+)
+from stackspt.oracle import build_oracle
+from stackspt.rational import format_scalar, parse_scalar
 from stackspt.shortest import naive_revenue
 from stackspt.solver import VerifyReport
 
@@ -134,6 +144,37 @@ class TestEval:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("prices", ["3,4", "7/2,4", "1,1", "5/3,2/7", "500,500"])
+    def test_explain_rows_sum_to_revenue(self, capsys, instance_file, prices):
+        code, out, _ = run(
+            capsys, "eval", "--instance", instance_file, "--prices", prices, "--explain"
+        )
+        assert code == 0
+        value, *rows = out.splitlines()
+        total, labels = 0, []
+        for row in rows:
+            edge, label, price, p, served, w = row.split()
+            assert (edge, price, served) == ("edge", "price", "served")
+            labels.append(int(label))
+            total += parse_scalar(p) * parse_scalar(w)
+        assert labels == sorted(labels)
+        assert value == format_scalar(total)
+        pf = PriceFunction.parse(prices, 2)
+        assert total == naive_revenue(two_edge_fixture(), pf)
+        assert len(rows) == len(build_oracle(two_edge_fixture()).reduced_tree_for(pf).edges)
+
+    def test_oversized_header_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        import stackspt.instance as mod
+
+        monkeypatch.setattr(mod, "MAX_VERTICES", 3)
+        path = tmp_path / "big.txt"
+        path.write_text(serialize_instance(two_edge_fixture()))  # n = 4
+        code, out, err = run(capsys, "eval", "--instance", str(path), "--prices", "3,4")
+        assert code == 2 and out == ""
+        assert "MAX_VERTICES = 3" in err
+        code, _, err = run(capsys, "bench", "--sizes", "2^2")
+        assert code == 2 and "cap 3" in err
 
     def test_single_priceable_edge_instance(self, capsys, tmp_path):
         path = tmp_path / "bp.txt"

@@ -82,6 +82,17 @@ class TestParse:
             parse_instance(text)
         assert fragment in str(err.value)
 
+    def test_vertex_cap_checked_before_allocating(self, monkeypatch):
+        import stackspt.instance as mod
+
+        assert mod.MAX_VERTICES >= 2**17
+        monkeypatch.setattr(mod, "MAX_VERTICES", 4)
+        ok = "stackspt 1\ngraph 4 3 0\nroot 0\nedge 0 1 F 1\nedge 1 2 F 1\nedge 2 3 F 1\n"
+        assert parse_instance(ok).n == 4
+        with pytest.raises(ParseError) as err:
+            parse_instance(ok.replace("graph 4", "graph 5"))
+        assert "MAX_VERTICES = 4" in str(err.value) and "line 2" in str(err.value)
+
     def test_error_carries_line_number(self):
         text = "stackspt 1\ngraph 2 1 0\nroot 0\nedge 0 1 F zero\n"
         with pytest.raises(ParseError) as err:

@@ -2,18 +2,21 @@
 
 import logging
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction, random_instance
 from stackspt.model import ReducedTree, reduced_tree_of_spt, sequence_of, w_infinity
 from stackspt.oracle import RevenueOracle, build_oracle, embed_points, query_intervals
+from stackspt.rangetree import build_range_tree
 from stackspt.rational import NEG_INF, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
 from stackspt.solver import heuristic_candidates
@@ -250,6 +253,99 @@ def test_four_edge_trees_match_naive_at_breakpoints():
     )
 
 
+def _check_integer_cuts(inst: Instance, prices: PriceFunction) -> int:
+    """Assert the integer-cut query against the exact path; returns how many
+    points lie exactly on a side of their rectangle."""
+    oracle = build_oracle(inst)
+    value = oracle.revenue(prices)
+    rt, rows = oracle.revenue_breakdown(prices)
+    assert value == naive_revenue(inst, prices), prices
+    assert value == sum(price * served for _, price, served in rows)
+    assert rt == oracle.reduced_tree_for(prices) and [r[0] for r in rows] == list(rt.edges)
+    if value == int(value):
+        assert type(value) is int
+    on_side = 0
+    for label, price, served in rows:
+        if price == int(price):
+            assert type(price) is int
+        pts = embed_points(oracle, rt, label)
+        rect = query_intervals(oracle, rt, label, prices)
+        assert served == build_range_tree(pts).query(rect), (label, prices)
+        on_side += sum(
+            x == iv.upper[0] for point in pts.points for x, iv in zip(point, rect.intervals)
+        )
+    return on_side
+
+
+def _near_breakpoints(oracle: RevenueOracle, pick, qs=(1, 2, 3, 4, 5, 7, 9)) -> PriceFunction:
+    """Per edge a breakpoint, or a small int when it has none, moved by 0 or
+    +-1/q, or now and then the previous edge's price, so that routes tie on
+    price; ``pick(seq)`` chooses."""
+    prices = []
+    for bps in heuristic_candidates(oracle).per_edge:
+        if prices and pick((False, False, True)):
+            prices.append(prices[-1])
+            continue
+        base = pick(bps) if bps else pick(range(1, 13))
+        price = base + pick((0, 1, -1)) * Fraction(1, pick(qs))
+        prices.append(price if price > 0 else base)
+    return PriceFunction(tuple(prices))
+
+
+@settings(max_examples=150)
+@given(strategies.fractional_cost_instances(min_n=2, max_n=8, min_k=1, max_k=4), st.data())
+def test_integer_cuts_match_exact_bounds_near_breakpoints(inst, data):
+    # cost scales 2, 3, 7 and their LCMs, against price denominators q that
+    # neither divide nor are divided by them; own-axis bounds are all negative
+    prices = _near_breakpoints(build_oracle(inst), lambda seq: data.draw(st.sampled_from(seq)))
+    _check_integer_cuts(inst, prices)
+
+
+def _divided_costs(inst: Instance, divisors) -> Instance:
+    edges = tuple(
+        Edge(e.tail, e.head, Fixed(Fraction(e.kind.cost, divisors[pos % len(divisors)])))
+        if isinstance(e.kind, Fixed) else e
+        for pos, e in enumerate(inst.edges)
+    )
+    return Instance(n=inst.n, root=inst.root, edges=edges, demand=inst.demand)
+
+
+def diamond() -> Instance:
+    """Shortcuts 1 and 2 reach vertex 3 at equal fixed cost, so at equal
+    prices the signature alone decides which serves it; 3 hangs below both."""
+    edges = (
+        Edge(0, 1, Fixed(Fraction(10, 3))),
+        Edge(0, 2, Fixed(Fraction(10, 3))),
+        Edge(1, 3, Fixed(Fraction(1, 7))),
+        Edge(2, 3, Fixed(Fraction(1, 7))),
+        Edge(3, 4, Fixed(Fraction(5, 2))),
+        Edge(4, 5, Fixed(Fraction(1, 2))),
+        Edge(0, 3, Fixed(9)),
+        Edge(0, 4, Fixed(12)),
+        Edge(0, 1, Priceable(1)),
+        Edge(0, 2, Priceable(2)),
+        Edge(3, 4, Priceable(3)),
+    )
+    return Instance(n=6, root=0, edges=edges, demand=(1, 2, 3, 1, 2, Fraction(3, 2)))
+
+
+@pytest.mark.parametrize(
+    "make, divisors",
+    [(four_root_shortcuts, (7,)), (four_root_shortcuts, (2, 3)),
+     (four_root_shortcuts, (3, 7, 2)), (diamond, (1,))],
+)
+def test_integer_cuts_meet_points_on_the_sides(make, divisors):
+    rng = random.Random(sum(divisors))
+    inst = _divided_costs(make(), divisors)
+    oracle = build_oracle(inst)
+    on_side = deep = 0
+    for _ in range(60):
+        prices = _near_breakpoints(oracle, rng.choice)
+        on_side += _check_integer_cuts(inst, prices)
+        deep += len(oracle.reduced_tree_for(prices).edges) >= 3
+    assert on_side >= 100 and deep >= 10
+
+
 class TestPartition:
     @settings(max_examples=80)
     @given(strategies.priced_instances(min_n=2, min_k=2, max_n=7))
@@ -330,33 +426,75 @@ class TestMemo:
         oracle.revenue(p)
         assert len(calls) == n_built
 
+    def test_one_plan_per_reduced_tree_and_none_for_the_empty_tree(self, monkeypatch):
+        import stackspt.oracle as mod
+
+        plans, trees = [], []
+        real_plan, real_tree = mod._Plan, mod.build_range_tree
+        monkeypatch.setattr(mod, "_Plan", lambda mg, rt: plans.append(rt) or real_plan(mg, rt))
+        monkeypatch.setattr(mod, "build_range_tree", lambda pts: trees.append(1) or real_tree(pts))
+        inst = chain_with_bypasses()
+        oracle = build_oracle(inst)
+        empty = oracle.reduced_tree_for((100, 100))
+        assert empty.is_empty
+        oracle.warm_up([empty])
+        assert oracle.revenue((100, 100)) == 0
+        assert oracle.revenue_breakdown((100, 100)) == (empty, ())
+        assert plans == trees == [] and oracle.materialized_keys == frozenset()
+
+        vectors = [(a, b) for a in range(1, 9) for b in range(1, 9)]
+        seen = {oracle.reduced_tree_for(p) for p in vectors} - {empty}
+        assert len(seen) >= 2
+        for _ in range(2):
+            for p in vectors:
+                assert oracle.revenue(p) == naive_revenue(inst, p)
+        assert sorted(plans, key=repr) == sorted(seen, key=repr)  # once each
+        assert len(trees) == sum(len(rt.edges) for rt in seen)
+        assert oracle.materialized_keys == {(rt, label) for rt in seen for label in rt.edges}
+
     def test_concurrent_first_queries_build_once(self, monkeypatch):
         import stackspt.oracle as mod
 
         gate = threading.Barrier(8)
         lock = threading.Lock()
         calls = []
+        plans = []
         real = mod.build_range_tree
+        real_plan = mod._Plan
 
         def counting(pts):
             with lock:
                 calls.append(1)
             return real(pts)
 
+        def counting_plan(mg, rt):
+            with lock:
+                plans.append(rt)
+            return real_plan(mg, rt)
+
         monkeypatch.setattr(mod, "build_range_tree", counting)
+        monkeypatch.setattr(mod, "_Plan", counting_plan)
         inst = random_instance(16, 40, 3, seed=77, cost_max=9)
         oracle = build_oracle(inst)
         p = PriceFunction.parse("2 3 4", 3)
         expect = naive_revenue(inst, p)
 
         def worker():
-            gate.wait()
+            gate.wait(timeout=60)
             return oracle.revenue(p)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = [f.result() for f in [pool.submit(worker) for _ in range(8)]]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the memo's check-then-build
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(worker) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
         assert all(r == expect for r in results)
-        assert len(calls) == len(oracle.reduced_tree_for(p).edges)
+        rt = oracle.reduced_tree_for(p)
+        assert len(calls) == len(rt.edges) >= 1
+        assert plans == [rt]
 
 
 def test_debug_log_once_per_materialized_tree(caplog):
