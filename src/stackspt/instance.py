@@ -16,14 +16,20 @@ The text format is line-oriented::
 
 ``#`` starts a comment, blank lines are ignored, and numeric literals are
 integers, exact decimals, or ``a/b`` ratios.
+
+The parser costs little per edge: an integer literal becomes an ``int``
+without a ``Fraction`` on the way (``parse_scalar``), and every distinct cost
+token yields one ``Fixed`` payload that all edges spelling it share (payloads
+are frozen).  Validation still checks every edge, so an error names the
+first edge that carries a bad payload.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import ParseError, ValidationError
 from .rational import FINITE_TYPES, Scalar, ensure_scalar, format_scalar, parse_scalar
@@ -92,12 +98,15 @@ class Instance:
         root: the followers' common source vertex.
         edges: all edges in file order (parallel edges are allowed).
         demand: per-vertex demand, length n, each entry >= 0 and exact.
+        priceable: the priceable edges ordered by label, so ``priceable[i-1]``
+            is e_i; set by validation, not an argument.
     """
 
     n: int
     root: int
     edges: tuple[Edge, ...]
     demand: tuple[Scalar, ...]
+    priceable: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -113,36 +122,39 @@ class Instance:
                 raise ValidationError(f"demand of vertex {v} must be an exact scalar")
             if phi < 0:
                 raise ValidationError(f"demand of vertex {v} is negative: {phi}")
-        labels: set[int] = set()
+        n = self.n
+        by_label: dict[int, Edge] = {}
         for pos, e in enumerate(self.edges):
-            if not (0 <= e.tail < self.n and 0 <= e.head < self.n):
-                raise ValidationError(f"edge {pos} endpoint out of range: {e.tail}->{e.head}")
-            if e.tail == e.head:
-                raise ValidationError(f"edge {pos} is a self-loop at vertex {e.tail}")
-            if isinstance(e.kind, Fixed):
-                c = e.kind.cost
+            tail, head, kind = e.tail, e.head, e.kind
+            if not (0 <= tail < n and 0 <= head < n):
+                raise ValidationError(f"edge {pos} endpoint out of range: {tail}->{head}")
+            if tail == head:
+                raise ValidationError(f"edge {pos} is a self-loop at vertex {tail}")
+            if isinstance(kind, Fixed):
+                c = kind.cost
                 if isinstance(c, bool) or not isinstance(c, FINITE_TYPES):
                     raise ValidationError(f"edge {pos} cost must be an exact scalar")
                 if c <= 0:
                     raise ValidationError(f"edge {pos} cost must be > 0, got {c}")
-            elif isinstance(e.kind, Priceable):
-                i = e.kind.index
+            elif isinstance(kind, Priceable):
+                i = kind.index
                 if not isinstance(i, int) or isinstance(i, bool):
                     raise ValidationError(f"edge {pos} priceable label must be an int")
-                if i in labels:
+                if i in by_label:
                     raise ValidationError(f"duplicate priceable label {i}")
-                labels.add(i)
+                by_label[i] = e
             else:
-                raise ValidationError(f"edge {pos} has unknown kind {e.kind!r}")
-        k = len(labels)
-        if labels and (min(labels) != 1 or max(labels) != k):
+                raise ValidationError(f"edge {pos} has unknown kind {kind!r}")
+        k = len(by_label)
+        if by_label and (min(by_label) != 1 or max(by_label) != k):
             raise ValidationError(
-                f"priceable labels must be exactly 1..k, got {sorted(labels)}"
+                f"priceable labels must be exactly 1..k, got {sorted(by_label)}"
             )
         if k > MAX_PRICEABLE_EDGES:
             raise ValidationError(
                 f"k = {k} exceeds the cap of {MAX_PRICEABLE_EDGES} priceable edges"
             )
+        object.__setattr__(self, "priceable", tuple(by_label[i] for i in range(1, k + 1)))
 
     # -- derived views -----------------------------------------------------
 
@@ -152,13 +164,7 @@ class Instance:
 
     @cached_property
     def k(self) -> int:
-        return sum(1 for e in self.edges if e.is_priceable)
-
-    @cached_property
-    def priceable(self) -> tuple[Edge, ...]:
-        """The priceable edges ordered by label, so ``priceable[i-1]`` is e_i."""
-        by_label = {e.kind.index: e for e in self.edges if isinstance(e.kind, Priceable)}
-        return tuple(by_label[i] for i in range(1, self.k + 1))
+        return len(self.priceable)
 
     def source_of(self, i: int) -> int:
         return self.priceable[i - 1].tail
@@ -218,14 +224,6 @@ class PriceFunction:
 # -- text format -----------------------------------------------------------
 
 
-def _tokenize(text: str) -> Iterable[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        yield lineno, body.split()
-
-
 def _parse_int(token: str, lineno: int, what: str) -> int:
     try:
         return int(token)
@@ -247,22 +245,27 @@ def parse_instance(text: str) -> Instance:
     ``ValidationError`` when the parsed instance violates a semantic
     constraint (label gaps, nonpositive costs, ...).
     """
-    lines = _tokenize(text)
+    lines = enumerate(text.splitlines(), start=1)
+    header = []  # the first three non-blank lines: magic, graph, root
+    for lineno, raw in lines:
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            header.append((lineno, tokens))
+            if len(header) == 3:
+                break
 
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("empty input, expected magic line") from None
+    if not header:
+        raise ParseError("empty input, expected magic line")
+    lineno, tokens = header[0]
     if len(tokens) != 2 or tokens[0] != FORMAT_MAGIC:
         raise ParseError(f"expected '{FORMAT_MAGIC} {FORMAT_VERSION}' magic line", lineno)
     version = _parse_int(tokens[1], lineno, "format version")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version}", lineno)
 
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("missing 'graph' line") from None
+    if len(header) < 2:
+        raise ParseError("missing 'graph' line")
+    lineno, tokens = header[1]
     if tokens[0] != "graph" or len(tokens) != 4:
         raise ParseError("expected 'graph <n> <m> <k>'", lineno)
     n = _parse_int(tokens[1], lineno, "n")
@@ -271,10 +274,9 @@ def parse_instance(text: str) -> Instance:
     m = _parse_int(tokens[2], lineno, "m")
     k = _parse_int(tokens[3], lineno, "k")
 
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("missing 'root' line") from None
+    if len(header) < 3:
+        raise ParseError("missing 'root' line")
+    lineno, tokens = header[2]
     if tokens[0] != "root" or len(tokens) != 2:
         raise ParseError("expected 'root <r>'", lineno)
     root = _parse_int(tokens[1], lineno, "root")
@@ -285,9 +287,34 @@ def parse_instance(text: str) -> Instance:
     demand: list[Scalar] = [1] * n
     demand_seen: set[int] = set()
     edges: list[Edge] = []
+    payloads: dict[str, Fixed] = {}  # one shared Fixed per distinct cost token
 
-    for lineno, tokens in lines:
-        if tokens[0] == "demand":
+    for lineno, raw in lines:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
+            continue
+        if tokens[0] == "edge":
+            if len(tokens) != 5:
+                raise ParseError("expected 'edge <u> <v> F <cost>' or 'edge <u> <v> P <i>'", lineno)
+            _, tail, head, tag, value = tokens
+            try:
+                u = int(tail)
+            except ValueError:
+                raise ParseError(f"edge tail must be an integer, got {tail!r}", lineno) from None
+            try:
+                v = int(head)
+            except ValueError:
+                raise ParseError(f"edge head must be an integer, got {head!r}", lineno) from None
+            if tag == "F":
+                kind = payloads.get(value)
+                if kind is None:
+                    kind = payloads[value] = Fixed(_parse_cost(value, lineno, "cost"))
+            elif tag == "P":
+                kind = Priceable(_parse_int(value, lineno, "priceable label"))
+            else:
+                raise ParseError(f"edge kind must be F or P, got {tag!r}", lineno)
+            edges.append(Edge(u, v, kind))
+        elif tokens[0] == "demand":
             if len(tokens) != 3:
                 raise ParseError("expected 'demand <v> <phi>'", lineno)
             v = _parse_int(tokens[1], lineno, "vertex")
@@ -300,20 +327,6 @@ def parse_instance(text: str) -> Instance:
             if phi < 0:
                 raise ParseError(f"demand must be >= 0, got {phi}", lineno)
             demand[v] = phi
-        elif tokens[0] == "edge":
-            if len(tokens) != 5:
-                raise ParseError("expected 'edge <u> <v> F <cost>' or 'edge <u> <v> P <i>'", lineno)
-            u = _parse_int(tokens[1], lineno, "edge tail")
-            v = _parse_int(tokens[2], lineno, "edge head")
-            tag = tokens[3]
-            if tag == "F":
-                cost = _parse_cost(tokens[4], lineno, "cost")
-                kind: Union[Fixed, Priceable] = Fixed(cost)
-            elif tag == "P":
-                kind = Priceable(_parse_int(tokens[4], lineno, "priceable label"))
-            else:
-                raise ParseError(f"edge kind must be F or P, got {tag!r}", lineno)
-            edges.append(Edge(u, v, kind))
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
 

@@ -257,10 +257,14 @@ def build_oracle(inst: Instance) -> RevenueOracle:
             by_vertex[t] = table
         d_t.append(table)
     mg = build_model_graph(inst, d_root, d_t)
-    reachable = _reachable_from_root(inst)
-    unreachable = next(
-        (v for v in range(inst.n) if inst.demand[v] > 0 and not reachable[v]), None
-    )
+    unreachable = None
+    # fixed-only reachable implies reachable, so only a vertex the root's
+    # fixed-only sweep missed needs the traversal over every edge
+    if not all(map(is_finite, d_root)):
+        reachable = _reachable_from_root(inst)
+        unreachable = next(
+            (v for v in range(inst.n) if inst.demand[v] > 0 and not reachable[v]), None
+        )
     return RevenueOracle(inst, mg, d_root, tuple(d_t), unreachable)
 
 

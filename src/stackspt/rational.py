@@ -10,6 +10,11 @@ behave as expected (``x + INF == INF``, ``NEG_INF < x < INF`` for every finite
 
 Floats are deliberately rejected everywhere: every quantity in this package is
 exact.
+
+``parse_scalar`` accepts only the spellings ``_SCALAR_RE`` matches.  A literal
+with neither ``.`` nor ``/`` is converted by ``int`` directly, which gives the
+value ``Fraction`` would at a fraction of the cost; decimals and ratios go
+through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -167,6 +172,8 @@ def parse_scalar(text: str) -> Scalar:
     text = text.strip()
     if not _SCALAR_RE.match(text):
         raise ValueError(f"not a scalar literal: {text!r}")
+    if "." not in text and "/" not in text:
+        return int(text)
     try:
         value = Fraction(text)
     except ZeroDivisionError:

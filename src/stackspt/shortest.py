@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, NamedTuple, Union
 
@@ -213,34 +214,38 @@ def _csr(inst: Instance):
     all fixed costs, so a fixed-only sweep can cross it like any edge: a
     distance below ``cutoff`` is a fixed-only route, one at or above it is not.
     """
-    n, m = inst.n, inst.m
     cached = inst.__dict__.get("_csr_cache")
     if cached is not None:
         return cached
+    n, m, edges = inst.n, inst.m, inst.edges
     counts = [0] * (n + 1)
-    for e in inst.edges:
+    for e in edges:
         counts[e.tail + 1] += 1
-    for u in range(n):
-        counts[u + 1] += counts[u]
-    starts = list(counts)
+    starts = list(accumulate(counts))
+    fill = starts[:]
     heads = [0] * m
     epos = [0] * m
     costs = [0] * m
     labels = [0] * m
-    scale = lcm(*[e.kind.cost.denominator for e in inst.edges if isinstance(e.kind, Fixed)])
-    fill = list(starts)
-    for pos, e in enumerate(inst.edges):
+    priced = []
+    for pos, e in enumerate(edges):
         j = fill[e.tail]
         fill[e.tail] = j + 1
         heads[j] = e.head
         epos[j] = pos
-        if isinstance(e.kind, Fixed):
-            c = e.kind.cost
-            costs[j] = c.numerator * (scale // c.denominator)
+        kind = e.kind
+        if isinstance(kind, Fixed):
+            costs[j] = kind.cost
         else:
-            labels[j] = e.kind.index
+            labels[j] = kind.index
+            priced.append(j)
+    distinct = set(costs)
+    scale = lcm(*[c.denominator for c in distinct])
+    if not all(type(c) is int for c in distinct):  # Fractions, integral ones too
+        costs = [c.numerator * (scale // c.denominator) for c in costs]
     cutoff = sum(costs) + 1
-    costs = [cutoff if lab else c for c, lab in zip(costs, labels)]
+    for j in priced:
+        costs[j] = cutoff
     cached = (starts, heads, epos, costs, labels, scale, cutoff)
     inst.__dict__["_csr_cache"] = cached
     return cached
@@ -292,6 +297,8 @@ def fixed_cost_sssp(inst: Instance, source: int) -> tuple[ExtScalar, ...]:
         raise ValidationError(f"source {source} out of range [0, {inst.n})")
     starts, heads, _epos, costs, _labels, scale, cutoff = _csr(inst)
     dist, _parent = _dijkstra(starts, heads, costs, source, 0, inst.n)
+    if scale == 1:
+        return tuple(d if d < cutoff else INF for d in dist)
     return tuple(_unscaled(d, scale) if d < cutoff else INF for d in dist)
 
 

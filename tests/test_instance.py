@@ -33,6 +33,10 @@ edge 0 3 F 7
 """
 
 
+# a comment line and a blank line before the header, so the body starts on line 6
+_HEAD = "# header follows\n\nstackspt 1\ngraph 3 2 1\nroot 0\n"
+
+
 class TestParse:
     def test_sample(self):
         inst = parse_instance(SAMPLE)
@@ -99,6 +103,72 @@ class TestParse:
             parse_instance(text)
         assert "line 4" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("# only a comment\n\n", None, "empty input, expected magic line"),
+            ("# c\n\nnope 1\n", 3, "expected 'stackspt 1' magic line"),
+            ("# c\nstackspt x\n", 2, "format version must be an integer, got 'x'"),
+            ("# c\nstackspt 2\n", 2, "unsupported format version 2"),
+            ("# c\nstackspt 1  # magic\n# c\n", None, "missing 'graph' line"),
+            ("# c\nstackspt 1\ngraph 3 2\n", 3, "expected 'graph <n> <m> <k>'"),
+            ("# c\nstackspt 1\ngraph x 2 1\n", 3, "n must be an integer, got 'x'"),
+            ("# c\nstackspt 1\ngraph 3 y 1\n", 3, "m must be an integer, got 'y'"),
+            ("# c\nstackspt 1\ngraph 3 2 z\n", 3, "k must be an integer, got 'z'"),
+            ("# c\nstackspt 1\ngraph 3 2 1\n", None, "missing 'root' line"),
+            ("# c\nstackspt 1\ngraph 3 2 1\nroot\n", 4, "expected 'root <r>'"),
+            ("# c\nstackspt 1\ngraph 3 2 1\nroot r\n", 4, "root must be an integer, got 'r'"),
+            ("# c\nstackspt 1\ngraph 0 0 0\nroot 0\n", 4, "n must be >= 1, got 0"),
+        ]
+        + [
+            # after _HEAD, whose body starts on line 6
+            (_HEAD + body, line, message)
+            for body, line, message in [
+                ("edge 0 1 F\n", 6, "expected 'edge <u> <v> F <cost>' or 'edge <u> <v> P <i>'"),
+                ("edge a 1 F 1\n", 6, "edge tail must be an integer, got 'a'"),
+                ("edge 0 b F 1\n", 6, "edge head must be an integer, got 'b'"),
+                ("edge 0 1 F 1\nedge 1 2 F 1e3\n", 7, "bad cost: not a scalar literal: '1e3'"),
+                ("edge 0 1 F 1/0  # comment\n", 6, "bad cost: zero denominator in '1/0'"),
+                ("edge 0 1 P x\n", 6, "priceable label must be an integer, got 'x'"),
+                ("\nedge 0 1 Q 1\n", 7, "edge kind must be F or P, got 'Q'"),
+                ("edges 0 1 F 1\n", 6, "unknown directive 'edges'"),
+                ("demand 1\n", 6, "expected 'demand <v> <phi>'"),
+                ("demand x 1\n", 6, "vertex must be an integer, got 'x'"),
+                ("demand 3 1\n", 6, "demand vertex 3 out of range [0, 3)"),
+                ("demand 1 2\n# c\ndemand 1 3\n", 8, "duplicate demand line for vertex 1"),
+                ("demand 1 1e3\n", 6, "bad demand: not a scalar literal: '1e3'"),
+                ("demand 1 -1\n", 6, "demand must be >= 0, got -1"),
+                ("edge 0 1 F 1\n", None, "header declares m = 2 edges, found 1"),
+                ("edge 0 1 F 1\nedge 1 2 F 1\n", None, "header declares k = 1 priceable edges, found 0"),
+            ]
+        ],
+    )
+    def test_every_parse_error_names_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    def test_repeated_bad_cost_names_the_first_edge(self):
+        text = _HEAD.replace("graph 3 2 1", "graph 3 3 0") + (
+            "edge 0 1 F 1\nedge 1 2 F 0\nedge 0 2 F 0\n"
+        )
+        with pytest.raises(ValidationError) as err:
+            parse_instance(text)
+        assert str(err.value) == "edge 1 cost must be > 0, got 0"
+
+    def test_cost_tokens_share_one_exact_payload(self):
+        text = _HEAD.replace("graph 3 2 1", "graph 3 4 0") + (
+            "edge 0 1 F 1/2\nedge 1 2 F 0.5\nedge 0 2 F 1/2\nedge 2 0 F 2/4\n"
+        )
+        kinds = [e.kind for e in parse_instance(text).edges]
+        assert all(kind == Fixed(Fraction(1, 2)) for kind in kinds)
+        assert all(type(kind.cost) is Fraction for kind in kinds)
+        assert kinds[0] is kinds[2] and kinds[0] is not kinds[1]
+
+
+_ZERO = Fixed(0)  # one payload on two edges: the first edge must be named
+
 
 class TestValidation:
     def build(self, **overrides):
@@ -137,6 +207,8 @@ class TestValidation:
                 "exactly 1..k",
             ),
             (dict(edges=(Edge(0, 1, Priceable(0)),)), "exactly 1..k"),
+            (dict(edges=(Edge(0, 1, Fixed(1)), Edge(1, 2, Fixed(True)))), "edge 1 cost must be an exact"),
+            (dict(edges=(Edge(0, 1, Fixed(1)), Edge(1, 2, _ZERO), Edge(0, 2, _ZERO))), "edge 1 cost must be > 0"),
         ],
     )
     def test_invalid(self, overrides, fragment):

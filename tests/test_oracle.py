@@ -393,6 +393,22 @@ class TestDegenerate:
         ok = Instance(n=3, root=0, edges=edges, demand=(1, 1, 0))
         assert build_oracle(ok).revenue((1, 1)) == 1
 
+    def test_traversal_only_when_the_fixed_sweep_misses_a_vertex(self, monkeypatch):
+        import stackspt.oracle as mod
+
+        calls = []
+        real = mod._reachable_from_root
+        monkeypatch.setattr(mod, "_reachable_from_root", lambda inst: calls.append(1) or real(inst))
+        # every vertex is fixed-only reachable: no traversal
+        assert build_oracle(chain_with_bypasses()).revenue((1, 1)) == naive_revenue(
+            chain_with_bypasses(), (1, 1)
+        )
+        assert calls == []
+        # s2 needs the priceable edge: the traversal runs and finds it reachable
+        inst = priceable_chain()
+        assert build_oracle(inst).revenue((1, 1)) == naive_revenue(inst, (1, 1))
+        assert calls == [1]
+
 
 class TestMemo:
     def test_single_construction_per_key(self, monkeypatch):

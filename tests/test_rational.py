@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stackspt.errors import UndefinedOperationError
 from stackspt.rational import (
+    _SCALAR_RE,
     INF,
     NEG_INF,
     ensure_scalar,
@@ -17,6 +18,34 @@ from stackspt.rational import (
 )
 
 rationals = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6)
+
+# signs, ASCII digits, leading zeros, non-ASCII decimal digits (Arabic-Indic
+# three, fullwidth five), superscript two, and the decimal and ratio marks
+_digits = st.text(alphabet="0123456789\u0663\uff15", min_size=1, max_size=6)
+_literals = st.one_of(
+    st.text(alphabet="+-0123456789\u0663\uff15\u00b2./_ ", max_size=10),
+    st.builds(
+        lambda sign, zeros, whole, mark, rest: sign + zeros + whole + mark + rest,
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["", "0", "00"]),
+        _digits,
+        st.sampled_from(["", "", ".", "/"]),
+        st.one_of(st.just(""), st.just("0"), _digits),
+    ),
+    st.sampled_from(["-0", "+0", "-00", "0/5", "-0.0", "007", "\u0663/\uff15", "1/0", "-0/0"]),
+)
+
+
+def _reference_parse(text: str):
+    """Reference parser: the same spelling gate, then every literal through ``Fraction``."""
+    text = text.strip()
+    if not _SCALAR_RE.match(text):
+        raise ValueError(f"not a scalar literal: {text!r}")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    return int(value) if value.denominator == 1 else value
 
 
 class TestParse:
@@ -43,11 +72,25 @@ class TestParse:
         assert isinstance(value, int) == (Fraction(expected).denominator == 1)
 
     @pytest.mark.parametrize(
-        "text", ["", "a", "1e3", "1_000", "1.2.3", "1/0", "1/ 2", "2/-3", "--5", "1.", ".5", "nan", "inf"]
+        "text",
+        ["", "a", "1e3", "1_000", "1.2.3", "1/0", "1/ 2", "2/-3", "--5", "1.", ".5", "nan", "inf",
+         "\u00b2", "1\u00b2", "-\u00b2"],
     )
     def test_rejects(self, text):
+        # "\u00b2" (superscript two) passes str.isdigit but is no decimal digit
         with pytest.raises(ValueError):
             parse_scalar(text)
+
+    @given(_literals)
+    def test_matches_fraction_reference(self, text):
+        try:
+            expected = _reference_parse(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_scalar(text)
+            return
+        value = parse_scalar(text)
+        assert value == expected and type(value) is type(expected)
 
     @given(rationals)
     def test_roundtrip(self, q):

@@ -15,6 +15,7 @@ from stackspt.shortest import (
     UNREACHABLE_WEIGHT,
     CompositeWeight,
     ZERO_WEIGHT,
+    _csr,
     chi,
     chi_sum,
     composite_weight,
@@ -209,6 +210,15 @@ class TestFractionalCosts:
         spt = lex_dijkstra(inst, PriceFunction((Fraction(1, 2),)))
         assert spt.dist[4] == CompositeWeight(2 * big + Fraction(5, 6), Fraction(-1, 2), -2)
         assert naive_revenue(inst, PriceFunction((5,))) == 15
+
+    def test_integral_fraction_costs_give_int_distances(self):
+        # every denominator is 1, so the scale is 1, yet the costs are Fractions
+        inst = chain(Fixed(Fraction(4, 2)), Priceable(1), Fixed(3), Fixed(Fraction(1)))
+        assert _csr(inst)[5] == 1
+        got = fixed_cost_sssp(inst, 2)
+        assert got == (INF, INF, 0, 3, 4)
+        assert all(type(d) is int for d in got if d is not INF)
+        assert _exact_scalars(naive_revenue(inst, PriceFunction((Fraction(6, 3),))))
 
 
 class TestPermutationInvariance:
