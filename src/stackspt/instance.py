@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import ParseError, ValidationError
 from .rational import FINITE_TYPES, Scalar, ensure_scalar, format_scalar, parse_scalar
@@ -44,6 +44,7 @@ __all__ = [
     "Edge",
     "Instance",
     "PriceFunction",
+    "as_prices",
     "parse_instance",
     "serialize_instance",
     "random_instance",
@@ -83,10 +84,6 @@ class Edge:
     tail: int
     head: int
     kind: Union[Fixed, Priceable]
-
-    @property
-    def is_priceable(self) -> bool:
-        return isinstance(self.kind, Priceable)
 
 
 @dataclass(frozen=True)
@@ -202,10 +199,7 @@ class PriceFunction:
             values = tuple(parse_scalar(t) for t in parts)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        pf = cls(values)
-        if k is not None and len(pf) != k:
-            raise ValidationError(f"expected {k} prices, got {len(pf)}")
-        return pf
+        return cls(values) if k is None else as_prices(values, k)
 
     def price(self, i: int) -> Scalar:
         """Price of the edge labeled ``i`` (1-based)."""
@@ -219,6 +213,14 @@ class PriceFunction:
 
     def __str__(self) -> str:
         return " ".join(format_scalar(p) for p in self.values)
+
+
+def as_prices(prices: Union[PriceFunction, Sequence], k: int) -> PriceFunction:
+    """``prices`` as a validated ``PriceFunction`` of exactly ``k`` prices."""
+    p = prices if isinstance(prices, PriceFunction) else PriceFunction(tuple(prices))
+    if len(p) != k:
+        raise ValidationError(f"expected {k} prices, got {len(p)}")
+    return p
 
 
 # -- text format -----------------------------------------------------------

@@ -21,9 +21,9 @@ from math import lcm
 from typing import Sequence, Union
 
 from .errors import ValidationError
-from .instance import Instance, Priceable, PriceFunction
+from .instance import Instance, Priceable, PriceFunction, as_prices
 from .rational import ExtScalar, Scalar, is_finite
-from .shortest import SptResult, _dijkstra, _lex_keys, chi_sum, last_priceable_labels
+from .shortest import SptResult, _dijkstra, _lex_keys, _scaled_prices, last_priceable_labels
 
 __all__ = [
     "ReducedTree",
@@ -32,8 +32,6 @@ __all__ = [
     "reduced_tree",
     "reduced_tree_of_spt",
     "sequence_of",
-    "seq_price",
-    "seq_order_lt",
     "w_infinity",
 ]
 
@@ -114,23 +112,6 @@ def sequence_of(rt: ReducedTree, label: int) -> tuple[int, ...]:
     if routes is None:
         routes = rt._route_table()
     return routes.get(label, ())
-
-
-def seq_price(seq: Sequence[int], prices: PriceFunction) -> Scalar:
-    """Total price along a label sequence."""
-    total: Scalar = 0
-    for i in seq:
-        total += prices.price(i)
-    return total
-
-
-def seq_order_lt(a: Sequence[int], b: Sequence[int], prices: PriceFunction) -> bool:
-    """Preference order between sequences: higher price first, then higher signature.
-
-    Returns True when ``a`` is strictly preferred to ``b``.  Distinct
-    sequences never tie, because distinct label sets have distinct signatures.
-    """
-    return (seq_price(a, prices), chi_sum(a)) > (seq_price(b, prices), chi_sum(b))
 
 
 @dataclass(frozen=True)
@@ -227,16 +208,22 @@ def build_model_graph(
     return ModelGraph(k=k, vertex_of=tuple(vertex_of), root_w=root_w, t_w=t_w)
 
 
-def reduced_tree(mg: ModelGraph, prices: PriceFunction) -> ReducedTree:
-    """Reduced tree of the model graph under the given prices.
+def reduced_tree(mg: ModelGraph, prices: Union[PriceFunction, Sequence]) -> ReducedTree:
+    """Reduced tree of the model graph under the given prices."""
+    scale, ps = _scaled_prices(mg._csr[5], as_prices(prices, mg.k).values)
+    return ReducedTree(tree_parents(mg, scale, ps))
 
-    Runs the composite-weight Dijkstra sweep on the 2k+1 logical vertices and
-    contracts the fixed edges of the resulting tree.
+
+def tree_parents(mg: ModelGraph, scale: int, ps: list[int]) -> tuple[Union[int, None], ...]:
+    """``ReducedTree.parents`` under the prices ``ps``, given times ``scale``.
+
+    ``scale`` must be a multiple of the model graph's weight scale, which
+    divides the instance's cost scale, since every weight is a fixed-only
+    distance.  Runs the composite-weight Dijkstra sweep on the 2k+1 logical
+    vertices and contracts the fixed edges of the resulting tree.
     """
-    if len(prices) != mg.k:
-        raise ValidationError(f"model graph has k = {mg.k}, got {len(prices)} prices")
-    starts, heads, tails, weights, labels, scale = mg._csr
-    inc, start = _lex_keys(weights, labels, scale, prices.values)[:2]
+    starts, heads, tails, weights, labels, wscale = mg._csr
+    inc, start = _lex_keys(weights, labels, scale // wscale, ps)[:2]
     _dist, parent = _dijkstra(starts, heads, inc, 0, start, len(starts) - 1)
 
     parents: list = [None] * mg.k
@@ -253,7 +240,7 @@ def reduced_tree(mg: ModelGraph, prices: PriceFunction) -> ReducedTree:
                 break
             cur = tails[j]
         parents[i - 1] = found
-    return ReducedTree(tuple(parents))
+    return tuple(parents)
 
 
 def reduced_tree_of_spt(inst: Instance, spt: SptResult) -> ReducedTree:

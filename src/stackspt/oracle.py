@@ -3,8 +3,9 @@
 The pipeline: k+1 fixed-only shortest path sweeps feed the model graph; each
 price vector maps to a reduced tree via a (2k+1)-vertex Dijkstra run; for
 every edge of that tree, the vertices it can serve embed as weighted points
-whose dominance rectangle membership decides the classification; a memoized
-range tree per (reduced tree, edge) pair turns the revenue formula
+whose dominance rectangle membership decides the classification; one
+memoized range tree per edge of each reduced tree met so far turns the
+revenue formula
 
     revenue(p) = sum over tree edges e_i of  price(sigma_i) * weight(V(e_i, p))
 
@@ -14,9 +15,11 @@ per-query shortest path tree computation.
 Everything a query needs of one reduced tree is kept in its plan, built once:
 each edge's route, signature and range tree, and every axis's distinct
 coordinates times the instance's cost scale, which are exact ints.  A query
-scales the prices to ints once, sums each route's price once, and turns each
-rectangle side into an integer rank cut with one floor division and one
-binary search; the range tree then counts in rank space.
+scales the prices to ints once and shares them between the model-graph sweep
+and the cuts.  The sweep's parents tuple finds the plan, so a tree met
+before is neither rebuilt nor revalidated.  The query then sums each route's
+price once and turns each rectangle side into an integer rank cut with one
+floor division and one binary search; the range tree counts in rank space.
 """
 
 from __future__ import annotations
@@ -28,14 +31,14 @@ from bisect import bisect_right
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import UnreachableVertexError, ValidationError
-from .instance import Instance, PriceFunction
-from .model import (  # noqa: F401  seq_price: perfbench/layers.py traces it by this name
+from .instance import Instance, PriceFunction, as_prices
+from .model import (
     ModelGraph,
     ReducedTree,
     build_model_graph,
     reduced_tree,
-    seq_price,
     sequence_of,
+    tree_parents,
     w_infinity,
 )
 from .rangetree import QueryRect, RangeTree, WeightedPointSet, build_range_tree
@@ -51,15 +54,17 @@ __all__ = [
 
 _log = logging.getLogger("stackspt")
 _FLOAT_NEG_INF = float("-inf")
+_UNBUILT = object()  # the plan memo's answer for a parents tuple it has not met
 
 
 class RevenueOracle:
     """Preprocessed pricing-query structure for one instance.
 
     Holds the fixed-only distance tables, the model graph, and a lazily
-    populated memo of query plans, one per reduced tree, each holding the
-    range trees of that tree's edges.  Concurrent queries are safe; the first
-    query needing a given plan builds it, and its trees, exactly once.
+    populated memo from each reduced tree's parents tuple to its query plan,
+    which holds the range trees of that tree's edges, or to None for the
+    empty tree.  Concurrent queries are safe; the first query needing a given
+    plan builds it, and its trees, exactly once.
     """
 
     def __init__(
@@ -76,7 +81,7 @@ class RevenueOracle:
         self.d_t = d_t
         self._unreachable_demand = unreachable_demand
         self._cost_scale = _csr(inst)[5]
-        self._plans: dict[ReducedTree, _Plan] = {}
+        self._plans: dict[tuple, Optional[_Plan]] = {}
         self._lock = threading.Lock()
 
     @property
@@ -84,53 +89,56 @@ class RevenueOracle:
         return self.instance.k
 
     def reduced_tree_for(self, prices: Union[PriceFunction, Sequence]) -> ReducedTree:
-        return reduced_tree(self.model, _as_prices(prices, self.k))
+        return reduced_tree(self.model, prices)
 
-    def _plan_for(self, rt: ReducedTree) -> _Plan:
-        """The memoized plan of a non-empty reduced tree, with its range trees."""
-        plan = self._plans.get(rt)
-        if plan is None:
+    def _plan_for(self, parents: tuple) -> Optional[_Plan]:
+        """The memoized plan of the reduced tree with these parents, None when
+        the tree is empty.  A miss validates the tree and builds its range trees."""
+        plan = self._plans.get(parents, _UNBUILT)
+        if plan is _UNBUILT:
             with self._lock:
-                plan = self._plans.get(rt)
-                if plan is None:
-                    plan = _Plan(self.model, rt)
-                    for label in rt.edges:
-                        pts = embed_points(self, rt, label, plan)
-                        start = time.perf_counter()
-                        tree = build_range_tree(pts)
-                        _log.debug(
-                            "range tree for edge %d of reduced tree %s: dim=%d points=%d "
-                            "distinct=%d build_s=%.4f",
-                            label, rt.parents, tree.dim, tree.size, tree.distinct,
-                            time.perf_counter() - start,
-                        )
-                        plan.trees.append(tree)
-                        plan.axes.append(
-                            [_scaled_axis(values, self._cost_scale) for values in tree.values]
-                        )
-                    self._plans[rt] = plan
+                plan = self._plans.get(parents, _UNBUILT)
+                if plan is _UNBUILT:
+                    rt = ReducedTree(parents)
+                    plan = self._build_plan(rt) if rt.edges else None
+                    self._plans[parents] = plan
+        return plan
+
+    def _build_plan(self, rt: ReducedTree) -> _Plan:
+        plan = _Plan(self.model, rt)
+        for label in rt.edges:
+            pts = embed_points(self, rt, label, plan)
+            start = time.perf_counter()
+            tree = build_range_tree(pts)
+            _log.debug(
+                "range tree for edge %d of reduced tree %s: dim=%d points=%d "
+                "distinct=%d build_s=%.4f",
+                label, rt.parents, tree.dim, tree.size, tree.distinct,
+                time.perf_counter() - start,
+            )
+            plan.trees.append(tree)
+            plan.axes.append([_scaled_axis(values, self._cost_scale) for values in tree.values])
         return plan
 
     def warm_up(self, trees: Iterable[ReducedTree]) -> None:
         """Build the plan, and so every range tree, of each given reduced tree."""
         for rt in trees:
-            if rt.edges:
-                self._plan_for(rt)
+            self._plan_for(rt.parents)
 
-    def _rows(self, prices) -> tuple[ReducedTree, int, list]:
-        """The reduced tree, the price scale S, and per edge (label, route price
-        times S, served weight)."""
-        p = _as_prices(prices, self.k)
+    def _rows(self, prices) -> tuple[tuple, Optional[_Plan], int, list]:
+        """The reduced tree's parents and plan, the price scale S, and per edge
+        (label, route price times S, served weight)."""
+        p = as_prices(prices, self.k)
         if self._unreachable_demand is not None:
             raise UnreachableVertexError(
                 f"vertex {self._unreachable_demand} has positive demand "
                 "but is unreachable from the root"
             )
-        rt = reduced_tree(self.model, p)
-        if not rt.edges:
-            return rt, 1, []
-        plan = self._plan_for(rt)
         scale, ps = _scaled_prices(self._cost_scale, p.values)
+        parents = tree_parents(self.model, scale, ps)
+        plan = self._plan_for(parents)
+        if plan is None:
+            return parents, None, scale, []
         f = scale // self._cost_scale
         totals = plan.route_prices(ps)
         rows = []
@@ -140,11 +148,11 @@ class RevenueOracle:
                 for ints, (u, closed) in zip(axes, _uppers(totals, plan.chis, at))
             ]
             rows.append((plan.labels[at], totals[at], tree.count(cuts)))
-        return rt, scale, rows
+        return parents, plan, scale, rows
 
     def revenue(self, prices: Union[PriceFunction, Sequence]) -> Scalar:
         """Exact revenue of a price vector, an int whenever it is integral."""
-        _rt, scale, rows = self._rows(prices)
+        _parents, _plan, scale, rows = self._rows(prices)
         if not rows:
             return 0
         return _unscaled(sum(price * served for _, price, served in rows), scale)
@@ -153,29 +161,31 @@ class RevenueOracle:
         self, prices: Union[PriceFunction, Sequence]
     ) -> tuple[ReducedTree, tuple[tuple[int, Scalar, Scalar], ...]]:
         """The reduced tree plus (label, route price, served weight) per edge."""
-        rt, scale, rows = self._rows(prices)
+        parents, plan, scale, rows = self._rows(prices)
+        rt = ReducedTree(parents) if plan is None else plan.rt
         return rt, tuple((label, _unscaled(price, scale), served) for label, price, served in rows)
 
     @property
     def materialized_keys(self) -> frozenset:
         """(reduced tree, label) for every range tree built so far."""
-        plans = dict(self._plans)  # a copy: other threads may be adding plans
-        return frozenset((rt, label) for rt, plan in plans.items() for label in plan.labels)
+        plans = [plan for plan in list(self._plans.values()) if plan is not None]  # a copy
+        return frozenset((plan.rt, label) for plan in plans for label in plan.labels)
 
 
 class _Plan:
     """What a query needs of one non-empty reduced tree, in ``rt.edges`` order.
 
-    Per present edge: its route as 0-based price indices from the root down,
-    its signature ``chi_sum``, ``w_infinity`` of its route, its range tree,
-    and per axis of that tree the sorted distinct coordinates times the
-    instance's cost scale (``_scaled_axis``).  The oracle fills ``trees`` and
-    ``axes`` before it publishes the plan.
+    Holds the tree itself and, per present edge: its route as 0-based price
+    indices from the root down, its signature ``chi_sum``, ``w_infinity`` of
+    its route, its range tree, and per axis of that tree the sorted distinct
+    coordinates times the instance's cost scale (``_scaled_axis``).  The
+    oracle fills ``trees`` and ``axes`` before it publishes the plan.
     """
 
-    __slots__ = ("labels", "routes", "chis", "w_inf", "trees", "axes")
+    __slots__ = ("rt", "labels", "routes", "chis", "w_inf", "trees", "axes")
 
     def __init__(self, mg: ModelGraph, rt: ReducedTree):
+        self.rt = rt
         self.labels = rt.edges
         seqs = [sequence_of(rt, j) for j in rt.edges]
         self.routes = tuple(tuple(i - 1 for i in seq) for seq in seqs)
@@ -221,13 +231,6 @@ def _uppers(totals: list, chis: Sequence[int], at: int) -> list[tuple[int, bool]
         (-p, True) if j == at else (q - p, here > (q, chi))
         for j, (q, chi) in enumerate(zip(totals, chis))
     ]
-
-
-def _as_prices(prices: Union[PriceFunction, Sequence], k: int) -> PriceFunction:
-    p = prices if isinstance(prices, PriceFunction) else PriceFunction(tuple(prices))
-    if len(p) != k:
-        raise ValidationError(f"expected {k} prices, got {len(p)}")
-    return p
 
 
 def _reachable_from_root(inst: Instance) -> list[bool]:
@@ -282,7 +285,7 @@ def embed_points(
     if label not in rt:
         raise ValidationError(f"edge {label} is not in the reduced tree")
     if plan is None:
-        plan = oracle._plans.get(rt) or _Plan(oracle.model, rt)
+        plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
     inst = oracle.instance
     d_here = oracle.d_t[label - 1]
     w_here = plan.w_inf[plan.labels.index(label)]
@@ -319,7 +322,7 @@ def query_intervals(
     """
     if label not in rt:
         raise ValidationError(f"edge {label} is not in the reduced tree")
-    plan = oracle._plans.get(rt) or _Plan(oracle.model, rt)
-    scale, ps = _scaled_prices(oracle._cost_scale, _as_prices(prices, oracle.k).values)
+    plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
+    scale, ps = _scaled_prices(oracle._cost_scale, as_prices(prices, oracle.k).values)
     uppers = _uppers(plan.route_prices(ps), plan.chis, plan.labels.index(label))
     return QueryRect.dominance([(_unscaled(u, scale), closed) for u, closed in uppers])

@@ -28,17 +28,14 @@ from math import lcm
 from typing import Iterable, NamedTuple, Union
 
 from .errors import UnreachableVertexError, ValidationError
-from .instance import Edge, Fixed, Instance, Priceable, PriceFunction
+from .instance import Fixed, Instance, Priceable, PriceFunction, as_prices
 from .rational import INF, ExtScalar, Infinity, Scalar
 
 __all__ = [
     "CompositeWeight",
-    "ZERO_WEIGHT",
     "UNREACHABLE_WEIGHT",
     "SptResult",
-    "chi",
     "chi_sum",
-    "composite_weight",
     "lex_dijkstra",
     "fixed_cost_sssp",
     "naive_revenue",
@@ -53,39 +50,13 @@ class CompositeWeight(NamedTuple):
     neg_p: Scalar
     neg_chi: int
 
-    def __add__(self, other: "CompositeWeight") -> "CompositeWeight":  # type: ignore[override]
-        return CompositeWeight(
-            self.w + other.w, self.neg_p + other.neg_p, self.neg_chi + other.neg_chi
-        )
 
-    @property
-    def price_paid(self) -> Scalar:
-        return -self.neg_p
-
-
-ZERO_WEIGHT = CompositeWeight(0, 0, 0)
 UNREACHABLE_WEIGHT = CompositeWeight(INF, 0, 0)
-
-
-def chi(edge: Edge) -> int:
-    """Signature of a single edge: 0 if fixed, 2^i for the edge labeled i."""
-    if isinstance(edge.kind, Priceable):
-        return 1 << edge.kind.index
-    return 0
 
 
 def chi_sum(labels: Iterable[int]) -> int:
     """Signature of a set of priceable labels; injective on label sets."""
     return sum(1 << i for i in set(labels))
-
-
-def composite_weight(edge: Edge, prices: PriceFunction) -> CompositeWeight:
-    """Composite weight of one edge under the given prices."""
-    kind = edge.kind
-    if isinstance(kind, Fixed):
-        return CompositeWeight(kind.cost, 0, 0)
-    p = prices.price(kind.index)
-    return CompositeWeight(p, -p, -(1 << kind.index))
 
 
 @dataclass(frozen=True)
@@ -109,22 +80,6 @@ class SptResult:
     def price_paid(self, v: int) -> Scalar:
         """Total price collected on the tree route to v."""
         return -self.dist[v].neg_p
-
-    def tree_path_edges(self, inst: "Instance", v: int) -> tuple[int, ...]:
-        """Edge positions of the tree route source -> v, in route order."""
-        path: list[int] = []
-        while self.parent_edge[v] is not None:
-            pos = self.parent_edge[v]
-            path.append(pos)
-            v = inst.edges[pos].tail
-        return tuple(reversed(path))
-
-
-def _normalize_prices(inst: Instance, prices) -> PriceFunction:
-    pf = prices if isinstance(prices, PriceFunction) else PriceFunction(tuple(prices))
-    if len(pf) != inst.k:
-        raise ValidationError(f"instance has k = {inst.k} priceable edges, got {len(pf)} prices")
-    return pf
 
 
 # -- the Dijkstra core ---------------------------------------------------------
@@ -178,20 +133,18 @@ def _scaled_prices(cost_scale: int, pvals) -> tuple[int, list[int]]:
     return scale, [p.numerator * (scale // p.denominator) for p in pvals]
 
 
-def _lex_keys(costs, labels, cost_scale: int, pvals):
+def _lex_keys(costs, labels, f: int, ps: list[int]):
     """Packed keys of the composite order ``(w, -p, -chi)`` for one price vector.
 
-    ``costs[j]`` is the fixed cost at slot j times ``cost_scale``, ``labels[j]``
-    the priceable label at slot j or 0.  Costs and prices are brought to ints
-    by ``scale``, the LCM of ``cost_scale`` and the price denominators, and a
-    route's key is ``W * m1 + (pcap - P) * m2 + (chicap - chi)`` for its scaled
-    weight W, scaled price P and signature chi.  Packing is exact because
-    every key a sweep stores belongs to a simple path, so P <= pcap, the sum
-    of all scaled prices, and chi <= chicap = 2^(k+1)-2.
+    ``ps`` are the prices times a scale S, ``costs[j]`` is the fixed cost at
+    slot j times S / ``f``, and ``labels[j]`` the priceable label at slot j
+    or 0.  A route's key is ``W * m1 + (pcap - P) * m2 + (chicap - chi)`` for
+    its weight W and price P, both times S, and its signature chi.  Packing
+    is exact because every key a sweep stores belongs to a simple path, so
+    P <= pcap, the sum of ``ps``, and chi <= chicap = 2^(k+1)-2.
 
-    Returns (inc, start, scale, pcap, m1, m2).
+    Returns (inc, start, pcap, m1, m2).
     """
-    scale, ps = _scaled_prices(cost_scale, pvals)
     pcap = sum(ps)
     chicap = (1 << (len(ps) + 1)) - 2
     m2 = chicap + 1
@@ -200,9 +153,9 @@ def _lex_keys(costs, labels, cost_scale: int, pvals):
     pinc = [0]  # by label
     for i, p in enumerate(ps):
         pinc.append(p * step - (2 << i))
-    fm1 = scale // cost_scale * m1
+    fm1 = f * m1
     inc = [pinc[lab] if lab else c * fm1 for c, lab in zip(costs, labels)]
-    return inc, pcap * m2 + chicap, scale, pcap, m1, m2
+    return inc, pcap * m2 + chicap, pcap, m1, m2
 
 
 def _csr(inst: Instance):
@@ -254,7 +207,8 @@ def _csr(inst: Instance):
 def _lex_sweep(inst: Instance, prices: PriceFunction, source: int):
     """Composite-order sweep: (dist keys, parent slots, scale, pcap, m1, m2)."""
     starts, heads, _epos, costs, labels, cost_scale, _cutoff = _csr(inst)
-    inc, start, scale, pcap, m1, m2 = _lex_keys(costs, labels, cost_scale, prices.values)
+    scale, ps = _scaled_prices(cost_scale, prices.values)
+    inc, start, pcap, m1, m2 = _lex_keys(costs, labels, scale // cost_scale, ps)
     dist, parent = _dijkstra(starts, heads, inc, source, start, inst.n)
     return dist, parent, scale, pcap, m1, m2
 
@@ -266,7 +220,7 @@ def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult
     routes; the parent choices realize one shortest path tree.  Which parents
     are reported may depend on edge order, the distances never do.
     """
-    pf = _normalize_prices(inst, prices)
+    pf = as_prices(prices, inst.k)
     src = inst.root if source is None else source
     if not 0 <= src < inst.n:
         raise ValidationError(f"source {src} out of range [0, {inst.n})")
@@ -310,7 +264,7 @@ def naive_revenue(inst: Instance, prices) -> Scalar:
     ``UnreachableVertexError`` if a vertex with positive demand has no route
     from the root.
     """
-    pf = _normalize_prices(inst, prices)
+    pf = as_prices(prices, inst.k)
     dist, _parent, scale, pcap, m1, m2 = _lex_sweep(inst, pf, inst.root)
     demand = inst.demand
     revenue: Scalar = 0

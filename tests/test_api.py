@@ -1,0 +1,63 @@
+"""The public surface: exported names, and one validation of every price vector."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import stackspt
+from stackspt.errors import ValidationError
+from stackspt.instance import Edge, Fixed, Instance, Priceable
+from stackspt.model import reduced_tree
+from stackspt.oracle import build_oracle
+from stackspt.shortest import lex_dijkstra, naive_revenue
+
+
+def two_edge_instance() -> Instance:
+    edges = (
+        Edge(0, 1, Fixed(2)),
+        Edge(1, 2, Priceable(1)),
+        Edge(2, 3, Fixed(1)),
+        Edge(3, 4, Priceable(2)),
+        Edge(0, 4, Fixed(20)),
+    )
+    return Instance(n=5, root=0, edges=edges, demand=(1,) * 5)
+
+
+MODULES = ["stackspt"] + [f"stackspt.{m.name}" for m in pkgutil.iter_modules(stackspt.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+BAD_PRICES = [
+    ((1,), "expected 2 prices, got 1"),
+    ((1, 2, 3), "expected 2 prices, got 3"),
+    ((1.5, 1), "price 1 must be an int or Fraction, got float"),
+    ((1, True), "price 2 must be an int or Fraction, got bool"),
+    ((0, 1), "price 1 must be > 0, got 0"),
+    ((1, -2), "price 2 must be > 0, got -2"),
+]
+
+ENTRY_POINTS = {
+    "revenue": lambda inst, oracle, p: oracle.revenue(p),
+    "revenue_breakdown": lambda inst, oracle, p: oracle.revenue_breakdown(p),
+    "reduced_tree_for": lambda inst, oracle, p: oracle.reduced_tree_for(p),
+    "naive_revenue": lambda inst, oracle, p: naive_revenue(inst, p),
+    "lex_dijkstra": lambda inst, oracle, p: lex_dijkstra(inst, p),
+    "model.reduced_tree": lambda inst, oracle, p: reduced_tree(oracle.model, p),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("prices, message", BAD_PRICES)
+def test_bad_prices_raise_validation_error(entry, prices, message):
+    inst = two_edge_instance()
+    oracle = build_oracle(inst)
+    with pytest.raises(ValidationError) as info:
+        ENTRY_POINTS[entry](inst, oracle, prices)
+    assert str(info.value) == message

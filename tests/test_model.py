@@ -1,7 +1,5 @@
 """Model graph construction, reduced trees, and label sequences."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 
@@ -15,8 +13,6 @@ from stackspt.model import (
     build_model_graph,
     reduced_tree,
     reduced_tree_of_spt,
-    seq_order_lt,
-    seq_price,
     sequence_of,
     w_infinity,
 )
@@ -90,32 +86,9 @@ class TestSequences:
         assert sequence_of(rt, 5) is sequence_of(rt, 5)  # kept on the tree
         assert rt == ReducedTree((0, 1, 1, None, 3)) and hash(rt) == hash(ReducedTree(rt.parents))
 
-    def test_price_and_signature(self):
-        prices = PriceFunction.parse("5, 3, 1/2", 3)
-        assert seq_price((1, 3), prices) == Fraction(11, 2)
-        assert seq_price((), prices) == 0
+    def test_signature(self):
         assert chi_sum((1, 3)) == 0b1010
         assert chi_sum(()) == 0
-
-    def test_order_prefers_higher_price_then_higher_signature(self):
-        prices = PriceFunction.parse("5 3 2", 3)
-        assert seq_order_lt((1,), (2,), prices)  # 5 beats 3
-        assert not seq_order_lt((2,), (1,), prices)
-        assert seq_order_lt((1, 2), (1, 3), prices)  # 8 beats 7
-        even = PriceFunction.parse("3 3 6", 3)
-        # equal total price: signature decides, higher labels win
-        assert seq_order_lt((2,), (1,), even)
-        assert seq_order_lt((3,), (1, 2), even)
-        assert not seq_order_lt((1, 2), (3,), even)
-
-    def test_order_is_total_on_distinct_label_sets(self):
-        prices = PriceFunction.parse("2 2 2", 3)
-        seqs = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-        for a in seqs:
-            assert not seq_order_lt(a, a, prices)
-            for b in seqs:
-                if set(a) != set(b):
-                    assert seq_order_lt(a, b, prices) != seq_order_lt(b, a, prices)
 
 
 class TestModelGraphBuild:
@@ -253,6 +226,7 @@ def test_tree_distances_decompose_over_sequences(case):
             continue
         seq = sequence_of(rt, i)
         assert seq, "classified vertex must sit below a present edge"
-        assert -neg_p == seq_price(seq, prices)
+        price = sum(prices.price(j) for j in seq)
+        assert -neg_p == price
         assert -neg_chi == chi_sum(seq)
-        assert w == w_infinity(mg, seq) + seq_price(seq, prices) + d_t[i][v]
+        assert w == w_infinity(mg, seq) + price + d_t[i][v]

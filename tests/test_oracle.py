@@ -468,6 +468,41 @@ class TestMemo:
         assert len(trees) == sum(len(rt.edges) for rt in seen)
         assert oracle.materialized_keys == {(rt, label) for rt in seen for label in rt.edges}
 
+    def test_memoized_query_builds_nothing_and_scales_once(self, monkeypatch):
+        import stackspt.model
+        import stackspt.oracle as mod
+        import stackspt.shortest
+
+        base = chain_with_bypasses()
+        thirds = Instance(  # cost scale 3; the half prices make the price scale 6
+            n=base.n,
+            root=base.root,
+            edges=tuple(
+                Edge(e.tail, e.head, Fixed(Fraction(e.kind.cost, 3))) if isinstance(e.kind, Fixed) else e
+                for e in base.edges
+            ),
+            demand=base.demand,
+        )
+        vectors = [(a, b) for a in (Fraction(1, 2), 1, 3, 100) for b in (Fraction(3, 2), 2, 100)]
+        for inst in (base, thirds):
+            oracle = build_oracle(inst)
+            first = [oracle.revenue(p) for p in vectors]
+            trees = {oracle.reduced_tree_for(p) for p in vectors}
+            assert any(rt.is_empty for rt in trees) and len(trees) >= 3
+            calls = []
+            # every construction of a ReducedTree, in any module, runs its validation
+            real_check, real_plan = ReducedTree.__post_init__, mod._Plan
+            monkeypatch.setattr(ReducedTree, "__post_init__", lambda rt: calls.append(rt) or real_check(rt))
+            monkeypatch.setattr(mod, "_Plan", lambda *a: calls.append(a) or real_plan(*a))
+            scalings = []
+            real_scale = stackspt.shortest._scaled_prices
+            for owner in (stackspt.shortest, stackspt.model, mod):
+                monkeypatch.setattr(owner, "_scaled_prices", lambda *a: scalings.append(1) or real_scale(*a))
+            again = [oracle.revenue(p) for p in vectors]
+            assert calls == [] and len(scalings) == len(vectors)
+            assert again == first == [naive_revenue(inst, p) for p in vectors]
+            monkeypatch.undo()
+
     def test_concurrent_first_queries_build_once(self, monkeypatch):
         import stackspt.oracle as mod
 

@@ -14,11 +14,8 @@ from stackspt.rational import INF
 from stackspt.shortest import (
     UNREACHABLE_WEIGHT,
     CompositeWeight,
-    ZERO_WEIGHT,
     _csr,
-    chi,
     chi_sum,
-    composite_weight,
     fixed_cost_sssp,
     last_priceable_labels,
     lex_dijkstra,
@@ -35,12 +32,6 @@ def chain(*kinds, demand=None):
 
 
 class TestChi:
-    def test_single_edges(self):
-        assert chi(Edge(0, 1, Fixed(5))) == 0
-        assert chi(Edge(0, 1, Priceable(1))) == 2
-        assert chi(Edge(0, 1, Priceable(3))) == 8
-        assert chi(Edge(0, 1, Priceable(16))) == 65536
-
     def test_sum_is_injective_on_label_sets(self):
         k = 8
         values = set()
@@ -56,16 +47,6 @@ class TestChi:
 
 
 class TestCompositeWeight:
-    def test_edge_weights(self):
-        prices = PriceFunction((3, Fraction(1, 2)))
-        assert composite_weight(Edge(0, 1, Fixed(7)), prices) == (7, 0, 0)
-        assert composite_weight(Edge(0, 1, Priceable(1)), prices) == (3, -3, -2)
-        assert composite_weight(Edge(0, 1, Priceable(2)), prices) == (
-            Fraction(1, 2),
-            Fraction(-1, 2),
-            -4,
-        )
-
     def test_lexicographic_order(self):
         # cheaper first
         assert CompositeWeight(2, 0, 0) < CompositeWeight(3, -5, -8)
@@ -73,12 +54,6 @@ class TestCompositeWeight:
         assert CompositeWeight(5, -3, 0) < CompositeWeight(5, -2, -8)
         # among equal cost and price, higher signature first
         assert CompositeWeight(5, -3, -4) < CompositeWeight(5, -3, -2)
-
-    def test_componentwise_addition(self):
-        total = CompositeWeight(2, -1, -2) + CompositeWeight(3, 0, 0)
-        assert total == CompositeWeight(5, -1, -2)
-        assert ZERO_WEIGHT + total == total
-        assert total.price_paid == 1
 
 
 class TestTieBreaks:
@@ -128,7 +103,7 @@ class TestTieBreaks:
         prices = PriceFunction((2, Fraction(5, 2)))
         spt = lex_dijkstra(inst, prices)
         assert spt.price_paid(4) == Fraction(9, 2)
-        assert spt.tree_path_edges(inst, 4) == (0, 1, 2, 3)
+        assert spt.parent_edge == (None, 0, 1, 2, 3)
         assert last_priceable_labels(inst, spt) == (None, 1, 1, 2, 2)
         assert naive_revenue(inst, prices) == 2 + 2 + Fraction(9, 2) + Fraction(9, 2)
 
