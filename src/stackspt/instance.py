@@ -381,6 +381,8 @@ def random_instance(
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise ValidationError(f"n must be <= MAX_VERTICES = {MAX_VERTICES}, got {n}")
     if m < n - 1:
         raise ValidationError(f"m = {m} cannot reach all {n} vertices (need >= {n - 1})")
     if n == 1 and m > 0:

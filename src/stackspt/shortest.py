@@ -84,10 +84,10 @@ class SptResult:
 
 # -- the Dijkstra core ---------------------------------------------------------
 #
-# Every sweep runs on a CSR adjacency: starts[u]..starts[u+1] index the slots
-# of u's out-edges, heads[j] is the head at slot j and inc[j] the integer key
-# increment of crossing it.  Keys are exact ints; float inf marks vertices the
-# sweep has not reached.
+# Every sweep runs on a CSR adjacency: starts[u]..starts[u+1] index u's out-edge
+# slots, heads[j] is slot j's head and inc[j] its integer key increment.  Keys
+# are exact ints, float inf marks unreached vertices, and a heap entry is the
+# single int ``key * n + v``, ordered like (key, v) because 0 <= v < n.
 
 
 _UNREACHED = float("inf")
@@ -96,17 +96,17 @@ _UNREACHED = float("inf")
 def _dijkstra(starts, heads, inc, source: int, start: int, n: int):
     """Integer-key Dijkstra from ``source`` with key ``start``.
 
-    Returns (dist, parent_slot): dist[v] is v's key or float inf when v is
-    unreachable, parent_slot[v] the slot of v's tree edge or None.
+    Returns (dist, parent_slot): v's key or float inf if unreached, and the
+    slot of v's tree edge or None.  A heap entry is the single int ``key * n + v``.
     """
     dist: list = [_UNREACHED] * n
     parent: list = [None] * n
     dist[source] = start
-    heap = [(start, source)]
+    heap = [start * n + source]
     push = heapq.heappush
     pop = heapq.heappop
     while heap:
-        d, u = pop(heap)
+        d, u = divmod(pop(heap), n)
         if d != dist[u]:
             continue
         for j in range(starts[u], starts[u + 1]):
@@ -115,7 +115,7 @@ def _dijkstra(starts, heads, inc, source: int, start: int, n: int):
             if nd < dist[v]:
                 dist[v] = nd
                 parent[v] = j
-                push(heap, (nd, v))
+                push(heap, nd * n + v)
     return dist, parent
 
 

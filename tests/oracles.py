@@ -3,10 +3,14 @@
 Everything here is deliberately written the slow, obvious way, with no code
 shared with the package internals: Bellman-Ford instead of Dijkstra, explicit
 path enumeration instead of priority queues, linear scans instead of trees.
+The one exception is ``tuple_heap_dijkstra``, the library's earlier Dijkstra
+core kept verbatim, against which the packed-heap core is checked slot for
+slot.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -35,6 +39,35 @@ def bellman_ford_fixed(inst: Instance, source: int):
         if not changed:
             break
     return [INF if d is None else d for d in dist]
+
+
+_UNREACHED = float("inf")
+
+
+def tuple_heap_dijkstra(starts, heads, inc, source: int, start: int, n: int):
+    """Integer-key Dijkstra from ``source`` with key ``start``.
+
+    Returns (dist, parent_slot): dist[v] is v's key or float inf when v is
+    unreachable, parent_slot[v] the slot of v's tree edge or None.
+    """
+    dist: list = [_UNREACHED] * n
+    parent: list = [None] * n
+    dist[source] = start
+    heap = [(start, source)]
+    push = heapq.heappush
+    pop = heapq.heappop
+    while heap:
+        d, u = pop(heap)
+        if d != dist[u]:
+            continue
+        for j in range(starts[u], starts[u + 1]):
+            v = heads[j]
+            nd = d + inc[j]
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = j
+                push(heap, (nd, v))
+    return dist, parent
 
 
 def _edge_triple(edge, prices: PriceFunction):

@@ -88,6 +88,18 @@ class TestGen:
         assert code == 2
         assert "do not fit" in err
 
+    def test_vertex_cap_is_usage_error(self, capsys, monkeypatch):
+        import stackspt.instance as mod
+
+        # verify --random draws n from [3, --n-max], so a cap of 2 makes n = 3 certain
+        monkeypatch.setattr(mod, "MAX_VERTICES", 2)
+        assert mod.random_instance(2, 1, 0, seed=0).n == 2
+        message = "n must be <= MAX_VERTICES = 2, got 3"
+        code, out, err = run(capsys, "gen", "--n", "3", "--m", "4", "--k", "1", "--seed", "0")
+        assert code == 2 and out == "" and message in err
+        code, out, err = run(capsys, "verify", "--random", "--n-max", "3", "--seed", "0")
+        assert code == 2 and out == "" and message in err
+
 
 class TestEval:
     def test_matches_direct_computation(self, capsys, instance_file):

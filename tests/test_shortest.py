@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +15,7 @@ from stackspt.shortest import (
     UNREACHABLE_WEIGHT,
     CompositeWeight,
     _csr,
+    _dijkstra,
     chi_sum,
     fixed_cost_sssp,
     last_priceable_labels,
@@ -287,3 +288,38 @@ class TestNaiveRevenue:
         inst, prices = case
         value = naive_revenue(inst, prices)
         assert isinstance(value, (int, Fraction))
+
+
+@st.composite
+def csr_graphs(draw):
+    """``_dijkstra`` arguments (starts, heads, inc, source, start, n) of a random CSR.
+
+    Increments come from a two-value set, so equal keys and therefore ties
+    are common; on half the graphs that set sits above 2^200.  Vertices have
+    0..3 out-edges, so some are left unreached.
+    """
+    n = draw(st.integers(min_value=1, max_value=10))
+    base = draw(st.sampled_from((0, 2**200)))
+    starts, heads, inc = [0], [], []
+    for _ in range(n):
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            heads.append(draw(st.integers(min_value=0, max_value=n - 1)))
+            inc.append(base + draw(st.integers(min_value=1, max_value=2)))
+        starts.append(len(heads))
+    source = draw(st.integers(min_value=0, max_value=n - 1))
+    start = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=2**210)))
+    return starts, heads, inc, source, start, n
+
+
+class TestDijkstraCore:
+    """The packed-heap core against the tuple-heap core it replaced."""
+
+    @given(csr_graphs())
+    @example(([0, 0], [], [], 0, 7, 1))  # n = 1
+    @example(([0, 2, 3, 4, 4, 4], [1, 2, 3, 3], [1, 1, 1, 1], 0, 3, 5))  # tie at 3, 4 unreached
+    @settings(max_examples=300)
+    def test_same_dist_and_parents_as_tuple_heap(self, graph):
+        dist, parent = _dijkstra(*graph)
+        ref_dist, ref_parent = oracles.tuple_heap_dijkstra(*graph)
+        assert [(type(d), d) for d in dist] == [(type(d), d) for d in ref_dist]
+        assert parent == ref_parent
