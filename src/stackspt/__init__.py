@@ -20,6 +20,7 @@ from .instance import (
     Edge,
     Fixed,
     Instance,
+    MAX_EDGES,
     MAX_PRICEABLE_EDGES,
     MAX_VERTICES,
     PriceFunction,
@@ -68,6 +69,7 @@ __all__ = [
     "INF",
     "Instance",
     "Interval",
+    "MAX_EDGES",
     "MAX_PRICEABLE_EDGES",
     "MAX_VERTICES",
     "ModelGraph",

@@ -14,8 +14,9 @@ import random
 import sys
 from pathlib import Path
 
+from . import instance
 from .bench import format_csv, parse_sizes, run_bench
-from .errors import StacksptError, ValidationError
+from .errors import ParseError, StacksptError, ValidationError
 from .instance import (
     Instance,
     PriceFunction,
@@ -31,8 +32,16 @@ from .solver import parse_candidates, solve, verify_oracle
 __all__ = ["entry", "main"]
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    return parse_instance(_read_text(path))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -83,7 +92,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     cands = None
     if args.candidates is not None:
-        cands = parse_candidates(Path(args.candidates).read_text(encoding="utf-8"), inst.k)
+        cands = parse_candidates(_read_text(args.candidates), inst.k)
     result = solve(inst, cands)
     print(f"prices {result.best_price}")
     print(f"revenue {format_scalar(result.best_revenue)}")
@@ -94,8 +103,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _verify_targets(args: argparse.Namespace) -> list[tuple[str, Instance]]:
     if args.instance is not None:
         return [(Path(args.instance).name, _read_instance(args.instance))]
-    if args.instances < 1 or args.n_max < 3 or not 2 <= args.k_max <= 16:
-        raise ValidationError("need --instances >= 1, --n-max >= 3, 2 <= --k-max <= 16")
+    k_cap = instance.MAX_PRICEABLE_EDGES
+    if args.instances < 1 or args.n_max < 3 or not 2 <= args.k_max <= k_cap:
+        raise ValidationError(f"need --instances >= 1, --n-max >= 3, 2 <= --k-max <= {k_cap}")
     master = random.Random(args.seed)
     targets = []
     for idx in range(args.instances):

@@ -37,6 +37,7 @@ from .rational import FINITE_TYPES, Scalar, ensure_scalar, format_scalar, parse_
 __all__ = [
     "MAX_PRICEABLE_EDGES",
     "MAX_VERTICES",
+    "MAX_EDGES",
     "FORMAT_MAGIC",
     "FORMAT_VERSION",
     "Fixed",
@@ -60,6 +61,10 @@ MAX_PRICEABLE_EDGES = 16
 # single edge, so an unchecked ``graph <n> ...`` line could ask for terabytes.
 # 2^20 is eight times the largest size the acceptance benchmark runs (2^17).
 MAX_VERTICES = 1 << 20
+
+# Cap on the edges ``random_instance`` generates: the m = 4n of ``bench`` at the
+# vertex cap.  The parser needs none; it never allocates from the header's m.
+MAX_EDGES = 4 * MAX_VERTICES
 
 FORMAT_MAGIC = "stackspt"
 FORMAT_VERSION = 1
@@ -383,6 +388,8 @@ def random_instance(
         raise ValidationError(f"n must be >= 1, got {n}")
     if n > MAX_VERTICES:
         raise ValidationError(f"n must be <= MAX_VERTICES = {MAX_VERTICES}, got {n}")
+    if m > MAX_EDGES:
+        raise ValidationError(f"m must be <= MAX_EDGES = {MAX_EDGES}, got {m}")
     if m < n - 1:
         raise ValidationError(f"m = {m} cannot reach all {n} vertices (need >= {n - 1})")
     if n == 1 and m > 0:

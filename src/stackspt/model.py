@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 from .errors import ValidationError
 from .instance import Instance, Priceable, PriceFunction, as_prices
-from .rational import ExtScalar, Scalar, is_finite
+from .rational import ExtScalar, is_finite
 from .shortest import SptResult, _dijkstra, _lex_keys, _scaled_prices, last_priceable_labels
 
 __all__ = [
@@ -89,29 +89,19 @@ class ReducedTree:
     def is_empty(self) -> bool:
         return not self.edges
 
-    def _route_table(self) -> dict[int, tuple[int, ...]]:
-        """``sequence_of`` for every present edge, kept on the tree once built."""
-        table = {}
-        for label in self.edges:
-            seq = [label]
-            cur = self.parents[label - 1]
-            while cur != ROOT:
-                seq.append(cur)
-                cur = self.parents[cur - 1]
-            table[label] = tuple(reversed(seq))
-        self.__dict__["_routes"] = table
-        return table
-
 
 def sequence_of(rt: ReducedTree, label: int) -> tuple[int, ...]:
     """Labels on the route from the reduced-tree root down to ``label``.
 
-    Empty when the edge is absent; otherwise ends with ``label`` itself.
+    Empty when the edge is absent; otherwise from a child of ``ROOT`` to ``label``.
+    Walks ``parents`` up to ``ROOT``, at most k steps, as validation rules out cycles.
     """
-    routes = rt.__dict__.get("_routes")
-    if routes is None:
-        routes = rt._route_table()
-    return routes.get(label, ())
+    seq = []
+    cur = label if label in rt else ROOT
+    while cur != ROOT:
+        seq.append(cur)
+        cur = rt.parents[cur - 1]
+    return tuple(reversed(seq))
 
 
 @dataclass(frozen=True)
@@ -139,45 +129,28 @@ class ModelGraph:
         return 2 * label
 
     @cached_property
-    def fixed_adjacency(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
-        """Per logical vertex: (head, weight) fixed edges, infinite ones omitted."""
-        size = 2 * self.k + 1
-        adj: list[list[tuple[int, Scalar]]] = [[] for _ in range(size)]
-        for l in range(1, size):
-            w = self.root_w[l]
-            if is_finite(w):
-                adj[0].append((l, w))
-        for i in range(1, self.k + 1):
-            row = self.t_w[i - 1]
-            tail = self.t_of(i)
-            for j in range(1, self.k + 1):
-                if j == i:
-                    continue
-                for head in (self.s_of(j), self.t_of(j)):
-                    w = row[head]
-                    if is_finite(w):
-                        adj[tail].append((head, w))
-        return tuple(tuple(lst) for lst in adj)
-
-    @cached_property
     def _csr(self) -> tuple:
-        """The model graph as slot arrays for the Dijkstra core.
+        """The model graph as slot arrays for the Dijkstra core, built from
+        ``root_w`` and ``t_w``: (starts, heads, tails, weights, labels, scale).
 
-        Returns (starts, heads, tails, weights, labels, scale): each logical
-        vertex's fixed edges in ``fixed_adjacency`` order, then e_i out of
-        s_i.  ``labels[j]`` is the priceable label at slot j or 0; fixed
-        weights are stored times ``scale``, the LCM of their denominators.
+        Slots run per logical vertex: the root's finite fixed edges to 1..2k,
+        then for each label i the edge e_i out of s_i = 2i-1, then t_i = 2i's
+        finite fixed edges to s_j and t_j, j != i ascending.  ``labels[j]`` is
+        the priceable label at slot j or 0; fixed weights are stored times
+        ``scale``, the LCM of their denominators.
         """
+        rows = [[(v, w, 0) for v, w in enumerate(self.root_w) if v]]
+        for i, row in enumerate(self.t_w, start=1):
+            rows.append([(2 * i, 0, i)])
+            rows.append([(v, w, 0) for v, w in enumerate(row) if v and (v + 1) // 2 != i])
         starts, heads, tails, weights, labels = [0], [], [], [], []
-        for u, row in enumerate(self.fixed_adjacency):
-            slots = [(v, w, 0) for v, w in row]
-            if u % 2:
-                slots.append((u + 1, 0, (u + 1) // 2))  # e_i from s_i = 2i-1 to t_i = 2i
+        for u, slots in enumerate(rows):
             for v, w, label in slots:
-                heads.append(v)
-                tails.append(u)
-                weights.append(w)
-                labels.append(label)
+                if is_finite(w):
+                    heads.append(v)
+                    tails.append(u)
+                    weights.append(w)
+                    labels.append(label)
             starts.append(len(heads))
         scale = lcm(*[w.denominator for w in weights])
         weights = [w.numerator * (scale // w.denominator) for w in weights]

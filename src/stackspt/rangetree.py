@@ -74,11 +74,6 @@ class Interval:
         object.__setattr__(self, "lower", _check_bound(self.lower, "lower bound"))
         object.__setattr__(self, "upper", _check_bound(self.upper, "upper bound"))
 
-    @classmethod
-    def at_most(cls, value: ExtScalar, closed: bool = True) -> "Interval":
-        """Dominance form: unbounded below."""
-        return cls(lower=None, upper=(value, closed))
-
     def contains(self, x: ExtScalar) -> bool:
         if self.lower is not None:
             v, closed = self.lower

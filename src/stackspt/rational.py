@@ -55,10 +55,6 @@ class Infinity:
     def __init__(self, sign: int):
         self._sign = sign
 
-    @property
-    def sign(self) -> int:
-        return self._sign
-
     def __repr__(self) -> str:
         return "INF" if self._sign > 0 else "NEG_INF"
 

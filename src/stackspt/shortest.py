@@ -192,9 +192,8 @@ def _csr(inst: Instance):
         else:
             labels[j] = kind.index
             priced.append(j)
-    distinct = set(costs)
-    scale = lcm(*[c.denominator for c in distinct])
-    if not all(type(c) is int for c in distinct):  # Fractions, integral ones too
+    scale = lcm(*[c.denominator for c in set(costs)])
+    if set(map(type, costs)) != {int}:  # any Fraction, even a Fraction(1) beside a 1
         costs = [c.numerator * (scale // c.denominator) for c in costs]
     cutoff = sum(costs) + 1
     for j in priced:

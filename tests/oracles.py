@@ -3,19 +3,20 @@
 Everything here is deliberately written the slow, obvious way, with no code
 shared with the package internals: Bellman-Ford instead of Dijkstra, explicit
 path enumeration instead of priority queues, linear scans instead of trees.
-The one exception is ``tuple_heap_dijkstra``, the library's earlier Dijkstra
-core kept verbatim, against which the packed-heap core is checked slot for
-slot.
+The exceptions are earlier library code kept verbatim as references:
+``tuple_heap_dijkstra``, the Dijkstra core the packed-heap core is checked
+against slot for slot, and ``reference_model_csr``, the model graph's slot
+arrays as they were built from a per-vertex fixed adjacency.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from fractions import Fraction
+from math import lcm
 
 from stackspt.instance import Fixed, Instance, Priceable, PriceFunction
-from stackspt.rational import INF, NEG_INF, Infinity
+from stackspt.rational import INF, is_finite
 
 
 def bellman_ford_fixed(inst: Instance, source: int):
@@ -68,6 +69,49 @@ def tuple_heap_dijkstra(starts, heads, inc, source: int, start: int, n: int):
                 parent[v] = j
                 push(heap, (nd, v))
     return dist, parent
+
+
+def reference_fixed_adjacency(mg):
+    """Per logical vertex: (head, weight) fixed edges, infinite ones omitted."""
+    size = 2 * mg.k + 1
+    adj = [[] for _ in range(size)]
+    for l in range(1, size):
+        w = mg.root_w[l]
+        if is_finite(w):
+            adj[0].append((l, w))
+    for i in range(1, mg.k + 1):
+        row = mg.t_w[i - 1]
+        tail = mg.t_of(i)
+        for j in range(1, mg.k + 1):
+            if j == i:
+                continue
+            for head in (mg.s_of(j), mg.t_of(j)):
+                w = row[head]
+                if is_finite(w):
+                    adj[tail].append((head, w))
+    return tuple(tuple(lst) for lst in adj)
+
+
+def reference_model_csr(mg):
+    """``ModelGraph._csr`` built from ``reference_fixed_adjacency``.
+
+    Returns (starts, heads, tails, weights, labels, scale): each logical
+    vertex's fixed edges in adjacency order, then e_i out of s_i.
+    """
+    starts, heads, tails, weights, labels = [0], [], [], [], []
+    for u, row in enumerate(reference_fixed_adjacency(mg)):
+        slots = [(v, w, 0) for v, w in row]
+        if u % 2:
+            slots.append((u + 1, 0, (u + 1) // 2))  # e_i from s_i = 2i-1 to t_i = 2i
+        for v, w, label in slots:
+            heads.append(v)
+            tails.append(u)
+            weights.append(w)
+            labels.append(label)
+        starts.append(len(heads))
+    scale = lcm(*[w.denominator for w in weights])
+    weights = [w.numerator * (scale // w.denominator) for w in weights]
+    return starts, heads, tails, weights, labels, scale
 
 
 def _edge_triple(edge, prices: PriceFunction):

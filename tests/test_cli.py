@@ -1,5 +1,6 @@
 """End-to-end command line behavior: output, determinism, exit codes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,18 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--n", "3", "--m", "4", "--k", "1", "--seed", "0")
         assert code == 2 and out == "" and message in err
         code, out, err = run(capsys, "verify", "--random", "--n-max", "3", "--seed", "0")
+        assert code == 2 and out == "" and message in err
+
+    def test_edge_cap_is_usage_error(self, capsys, monkeypatch):
+        import stackspt.instance as mod
+
+        assert mod.MAX_EDGES == 4 * mod.MAX_VERTICES
+        monkeypatch.setattr(mod, "MAX_EDGES", 8)
+        assert mod.random_instance(3, 8, 1, seed=0).m == 8
+        message = "m must be <= MAX_EDGES = 8, got 9"
+        with pytest.raises(mod.ValidationError, match=message):
+            mod.random_instance(3, 9, 1, seed=0)
+        code, out, err = run(capsys, "gen", "--n", "3", "--m", "9", "--k", "1", "--seed", "0")
         assert code == 2 and out == "" and message in err
 
 
@@ -284,6 +297,14 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--instance", instance_file, "--random")
         assert code == 2
 
+    def test_k_max_cap_follows_the_instance_cap(self, capsys, monkeypatch):
+        import stackspt.instance as mod
+
+        monkeypatch.setattr(mod, "MAX_PRICEABLE_EDGES", 3)
+        code, out, err = run(capsys, "verify", "--random", "--k-max", "4", "--seed", "0")
+        assert code == 2 and out == ""
+        assert "2 <= --k-max <= 3" in err
+
     def test_neither_source_rejected(self, capsys):
         code, _, _ = run(capsys, "verify")
         assert code == 2
@@ -308,6 +329,27 @@ class TestBench:
         for sizes in ["", "abc", "0", "2^"]:
             code, _, _ = run(capsys, "bench", "--sizes", sizes)
             assert code == 2
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--instance", "{bad}", "--prices", "1,1"),
+            ("solve", "--instance", "{good}", "--candidates", "{bad}"),
+            ("verify", "--instance", "{bad}"),
+        ],
+    )
+    def test_non_utf8_file_is_usage_error(self, capsys, instance_file, tmp_path, argv):
+        data = b"\xff" + random.Random(0).randbytes(512)
+        with pytest.raises(UnicodeDecodeError):
+            data.decode("utf-8")
+        bad = tmp_path / "binary.bin"
+        bad.write_bytes(data)
+        code, out, err = run(capsys, *(a.format(bad=bad, good=instance_file) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(bad) in err and "UTF-8" in err
+        assert "Traceback" not in err
 
 
 class TestUsage:

@@ -1,13 +1,17 @@
 """Model graph construction, reduced trees, and label sequences."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import strategies
-from oracles import bellman_ford_fixed
+from oracles import bellman_ford_fixed, reference_model_csr
 from stackspt.errors import ValidationError
 from stackspt.instance import Instance, Edge, Fixed, Priceable, PriceFunction
 from stackspt.model import (
+    ROOT,
     ModelGraph,
     ReducedTree,
     build_model_graph,
@@ -38,6 +42,29 @@ def chain_with_bypasses() -> Instance:
         Edge(0, 4, Fixed(20)),
     )
     return Instance(n=5, root=0, edges=edges, demand=(1,) * 5)
+
+
+def shared_endpoints() -> Instance:
+    # two priceable edges in series sharing a vertex, tails touching the root
+    edges = (
+        Edge(0, 1, Priceable(1)),
+        Edge(1, 2, Priceable(2)),
+        Edge(0, 1, Fixed(5)),
+        Edge(1, 2, Fixed(7)),
+        Edge(0, 2, Fixed(100)),
+    )
+    return Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
+
+
+def unreachable_endpoints() -> Instance:
+    # e_1 sits where the root cannot reach; its head reaches back to e_2's tail
+    edges = (
+        Edge(0, 1, Fixed(3)),
+        Edge(2, 3, Priceable(1)),
+        Edge(1, 0, Priceable(2)),
+        Edge(3, 1, Fixed(Fraction(1, 2))),
+    )
+    return Instance(n=4, root=0, edges=edges, demand=(1,) * 4)
 
 
 class TestReducedTreeValidation:
@@ -83,7 +110,6 @@ class TestSequences:
         assert sequence_of(rt, 5) == (1, 3, 5)
         assert sequence_of(rt, 4) == ()
         assert sequence_of(rt, 0) == sequence_of(rt, 9) == ()
-        assert sequence_of(rt, 5) is sequence_of(rt, 5)  # kept on the tree
         assert rt == ReducedTree((0, 1, 1, None, 3)) and hash(rt) == hash(ReducedTree(rt.parents))
 
     def test_signature(self):
@@ -100,11 +126,18 @@ class TestModelGraphBuild:
         assert mg.root_w == (0, 2, 9, 10, 20)
         assert mg.t_w[0] == (INF, INF, 0, 1, INF)
         assert mg.t_w[1] == (INF, INF, INF, INF, 0)
-        adj = mg.fixed_adjacency
-        assert sorted(adj[0]) == [(1, 2), (2, 9), (3, 10), (4, 20)]
-        assert adj[mg.t_of(1)] == ((3, 1),)  # only the finite hop survives
-        assert adj[mg.t_of(2)] == ()
-        assert adj[mg.s_of(1)] == () and adj[mg.s_of(2)] == ()
+        starts, heads, tails, weights, labels, scale = mg._csr
+        assert scale == 1 and len(starts) == 6
+
+        def slots(u):
+            assert all(tails[j] == u for j in range(starts[u], starts[u + 1]))
+            return [(heads[j], weights[j], labels[j]) for j in range(starts[u], starts[u + 1])]
+
+        assert slots(0) == [(1, 2, 0), (2, 9, 0), (3, 10, 0), (4, 20, 0)]
+        assert slots(mg.t_of(1)) == [(3, 1, 0)]  # only the finite hop survives
+        assert slots(mg.t_of(2)) == []
+        # s_i holds no fixed edge, only e_i itself
+        assert slots(mg.s_of(1)) == [(2, 0, 1)] and slots(mg.s_of(2)) == [(4, 0, 2)]
 
     def test_tables_match_independent_sssp(self):
         inst = chain_with_bypasses()
@@ -151,15 +184,7 @@ class TestReducedTreeComputation:
             reduced_tree(mg, PriceFunction.parse("1", 1))
 
     def test_shared_endpoints(self):
-        # two priceable edges in series sharing a vertex, tails touching the root
-        edges = (
-            Edge(0, 1, Priceable(1)),
-            Edge(1, 2, Priceable(2)),
-            Edge(0, 1, Fixed(5)),
-            Edge(1, 2, Fixed(7)),
-            Edge(0, 2, Fixed(100)),
-        )
-        inst = Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
+        inst = shared_endpoints()
         mg = model_of(inst)
         assert mg.root_w == (0, 0, 5, 5, 12)
         rt = reduced_tree(mg, PriceFunction.parse("2 3", 2))
@@ -193,6 +218,40 @@ class TestWInfinity:
         mg = model_of(chain_with_bypasses())
         with pytest.raises(ValidationError):
             w_infinity(mg, ())
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        strategies.instances(max_k=4),
+        strategies.fractional_cost_instances(max_k=4),
+        strategies.loose_instances(),
+    )
+)
+@example(chain_with_bypasses())
+@example(shared_endpoints())
+@example(unreachable_endpoints())
+def test_csr_matches_adjacency_reference(inst):
+    mg = model_of(inst)
+    csr = mg._csr
+    ref = reference_model_csr(mg)
+    assert len(csr) == len(ref) == 6
+    for got, want in zip(csr, ref):
+        assert got == want
+
+
+@settings(max_examples=200)
+@given(strategies.reduced_trees())
+def test_routes_walk_parent_links(rt):
+    for label in range(rt.k + 2):
+        seq = sequence_of(rt, label)
+        if label not in rt:
+            assert seq == ()
+            continue
+        assert rt.parents[seq[0] - 1] == ROOT and seq[-1] == label
+        assert len(seq) <= rt.k
+        for parent, child in zip(seq, seq[1:]):
+            assert rt.parents[child - 1] == parent
 
 
 @settings(max_examples=120)

@@ -196,6 +196,14 @@ class TestFractionalCosts:
         assert all(type(d) is int for d in got if d is not INF)
         assert _exact_scalars(naive_revenue(inst, PriceFunction((Fraction(6, 3),))))
 
+    def test_integral_fraction_after_an_equal_int(self):
+        # a set of the costs keeps the int 1 and drops the Fraction(1) after it
+        inst = chain(Fixed(1), Priceable(1), Fixed(Fraction(1)), Fixed(1))
+        got = fixed_cost_sssp(inst, 2)
+        assert got == (INF, INF, 0, 1, 2)
+        assert all(type(d) is int for d in got if d is not INF)
+        assert naive_revenue(inst, PriceFunction((2,))) == 6
+
 
 class TestPermutationInvariance:
     @given(priced_instances(max_n=8, max_extra=10), st.randoms(use_true_random=False))
