@@ -12,7 +12,6 @@ from .bench import BenchRecord, format_csv, parse_sizes, run_bench
 from .errors import (
     ParseError,
     StacksptError,
-    UndefinedOperationError,
     UnreachableVertexError,
     ValidationError,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "SolveResult",
     "SptResult",
     "StacksptError",
-    "UndefinedOperationError",
     "UnreachableVertexError",
     "ValidationError",
     "VerifyFailure",

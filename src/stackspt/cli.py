@@ -13,6 +13,7 @@ import argparse
 import random
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import instance
 from .bench import format_csv, parse_sizes, run_bench
@@ -100,19 +101,28 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_targets(args: argparse.Namespace) -> list[tuple[str, Instance]]:
+def _verify_targets(args: argparse.Namespace) -> Iterable[tuple[str, Instance]]:
+    """(name, instance) per instance to verify.  The arguments are checked at
+    once; a random fleet is generated one instance at a time, as it is read."""
     if args.instance is not None:
         return [(Path(args.instance).name, _read_instance(args.instance))]
-    k_cap = instance.MAX_PRICEABLE_EDGES
+    k_cap, n_cap = instance.MAX_PRICEABLE_EDGES, instance.MAX_VERTICES
     if args.instances < 1 or args.n_max < 3 or not 2 <= args.k_max <= k_cap:
         raise ValidationError(f"need --instances >= 1, --n-max >= 3, 2 <= --k-max <= {k_cap}")
+    if args.n_max > n_cap:
+        raise ValidationError(f"--n-max: n must be <= MAX_VERTICES = {n_cap}, got {args.n_max}")
+    if args.cost_max < 1:
+        raise ValidationError(f"--cost-max: cost_max must be >= 1, got {args.cost_max}")
+    return _random_fleet(args)
+
+
+def _random_fleet(args: argparse.Namespace) -> Iterable[tuple[str, Instance]]:
     master = random.Random(args.seed)
-    targets = []
     for idx in range(args.instances):
         n = master.randint(3, args.n_max)
         k = master.randint(2, args.k_max)
         extra = master.randint(k, k + 2 * n)
-        inst = random_instance(
+        yield f"random-{idx}", random_instance(
             n,
             (n - 1) + extra,
             k,
@@ -120,8 +130,6 @@ def _verify_targets(args: argparse.Namespace) -> list[tuple[str, Instance]]:
             cost_max=args.cost_max,
             demand_max=args.demand_max,
         )
-        targets.append((f"random-{idx}", inst))
-    return targets
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -134,7 +142,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.csv:
         print("instance,trial,ok,fast,naive")
     exit_code = 0
-    for name, inst in targets:
+    count = 0
+    for count, (name, inst) in enumerate(targets, start=1):
         report = verify_oracle(inst, args.trials, seed=seeds.randrange(2**48))
         if args.csv:
             for trial, ok, fast, naive in report.rows:
@@ -146,7 +155,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             exit_code = 1
             print(report.first_counterexample, file=sys.stderr)
     if not args.csv and exit_code == 0:
-        print(f"all checks passed ({len(targets)} instance(s), {args.trials} trials each)")
+        print(f"all checks passed ({count} instance(s), {args.trials} trials each)")
     return exit_code
 
 

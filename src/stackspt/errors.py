@@ -24,9 +24,5 @@ class ValidationError(StacksptError):
     """A structurally well-formed value violates a semantic constraint."""
 
 
-class UndefinedOperationError(StacksptError):
-    """An arithmetic operation with no defined result, e.g. inf - inf."""
-
-
 class UnreachableVertexError(StacksptError):
     """A vertex with positive demand cannot be reached from the root."""

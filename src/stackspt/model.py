@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 from .errors import ValidationError
 from .instance import Instance, Priceable, PriceFunction, as_prices
-from .rational import ExtScalar, is_finite
+from .rational import INF, ExtScalar, is_finite
 from .shortest import SptResult, _dijkstra, _lex_keys, _scaled_prices, last_priceable_labels
 
 __all__ = [
@@ -238,12 +238,11 @@ def w_infinity(mg: ModelGraph, seq: Sequence[int]) -> ExtScalar:
 
     The route enters the first edge's tail from the root and hops between
     consecutive priceable edges on fixed-only segments; the priced jumps and
-    the final segment past the last head are *not* included.  Infinite when
-    some segment has no fixed-only route.
+    the final segment past the last head are *not* included.  INF, with no
+    sum taken (it could overflow), when some segment has no fixed-only route.
     """
     if not seq:
         raise ValidationError("w_infinity needs a non-empty label sequence")
-    total: ExtScalar = mg.root_w[mg.s_of(seq[0])]
-    for a, b in zip(seq, seq[1:]):
-        total = total + mg.t_w[a - 1][mg.s_of(b)]
-    return total
+    segments = [mg.root_w[mg.s_of(seq[0])]]
+    segments += [mg.t_w[a - 1][mg.s_of(b)] for a, b in zip(seq, seq[1:])]
+    return sum(segments) if all(map(is_finite, segments)) else INF

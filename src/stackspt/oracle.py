@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger("stackspt")
-_FLOAT_NEG_INF = float("-inf")
 _UNBUILT = object()  # the plan memo's answer for a parents tuple it has not met
 
 
@@ -209,9 +208,9 @@ class _Plan:
 
 def _scaled_axis(values: list, cost_scale: int) -> list:
     """Sorted coordinates times ``cost_scale``: exact ints, since every one is
-    a sum of fixed-only distances.  NEG_INF, first when present, becomes
-    float -inf; no coordinate is INF."""
-    head = [] if not values or is_finite(values[0]) else [_FLOAT_NEG_INF]
+    a sum of fixed-only distances.  NEG_INF, first when present, stays as it
+    is; no coordinate is INF."""
+    head = [] if not values or is_finite(values[0]) else [NEG_INF]
     return head + [(x * cost_scale).numerator for x in values[len(head):]]
 
 

@@ -22,10 +22,11 @@ produced them.  With at most R distinct values per axis, a d-dimensional
 build takes O(n log^(d-1) R) time and space, and a query O(log^(d-1) R)
 steps after its 2d binary searches.
 
-Coordinates and query bounds are exact rationals, with -infinity (and
-+infinity) usable as sentinels.  Every interval end is independently open,
-closed, or absent, and all comparisons are exact, so points lying precisely
-on a boundary are included or excluded per the interval, never by rounding.
+Coordinates and query bounds are exact rationals, with ``NEG_INF`` and ``INF``
+(float -inf and +inf) usable as sentinels; finite floats, nan and bools are
+rejected.  Every interval end is independently open, closed, or absent, and
+all comparisons are exact, so points lying precisely on a boundary are
+included or excluded per the interval, never by rounding.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
-from .rational import FINITE_TYPES, ExtScalar, Infinity, Scalar
+from .rational import FINITE_TYPES, INF, ExtScalar, Scalar
 
 __all__ = [
     "Interval",
@@ -50,15 +51,21 @@ __all__ = [
 
 Bound = tuple[ExtScalar, bool]  # (value, end is closed)
 
-_EXT_TYPES = FINITE_TYPES + (Infinity,)
 _I64 = 1 << 63
+
+
+def _is_exact(x: object) -> bool:
+    """True for an int or Fraction that is not a bool, and for INF and NEG_INF."""
+    if isinstance(x, float):
+        return abs(x) == INF
+    return isinstance(x, FINITE_TYPES) and not isinstance(x, bool)
 
 
 def _check_bound(bound: Optional[Bound], what: str) -> Optional[Bound]:
     if bound is None:
         return None
     value, closed = bound
-    if not isinstance(value, _EXT_TYPES) or isinstance(value, bool):
+    if not _is_exact(value):
         raise ValidationError(f"{what} must be an exact scalar, got {value!r}")
     return (value, bool(closed))
 
@@ -127,7 +134,7 @@ class WeightedPointSet:
             if len(pt) != self.dim:
                 raise ValidationError(f"point {pt!r} is not {self.dim}-dimensional")
             for x in pt:
-                if not isinstance(x, _EXT_TYPES) or isinstance(x, bool):
+                if type(x) is not int and not _is_exact(x):  # ints skip the call
                     raise ValidationError(f"coordinate {x!r} is not an exact scalar")
         for w in self.weights:
             if not isinstance(w, FINITE_TYPES) or isinstance(w, bool):

@@ -1,14 +1,15 @@
-"""Exact extended-rational scalars.
+"""Exact scalars and the two infinities.
 
 Finite quantities are plain ``int`` / ``fractions.Fraction`` values, so ordinary
-arithmetic stays exact and native-speed.  The module adds two totally ordered
-infinities, ``INF`` and ``NEG_INF``, for distances that do not exist (an
-unreachable vertex, a coordinate with no competing route).  Mixed expressions
-behave as expected (``x + INF == INF``, ``NEG_INF < x < INF`` for every finite
-``x``) and the one genuinely undefined combination, ``INF - INF``, raises
-``UndefinedOperationError`` instead of producing garbage.
+arithmetic stays exact and native-speed.  Distances that do not exist (an
+unreachable vertex, a coordinate with no competing route) are ``INF`` and
+``NEG_INF``, which are float +inf and -inf: Python orders them exactly against
+every int and Fraction, and they hash and sort natively.  Nothing else in the
+package is a float, so ``is_finite`` is a type test.  Adding a finite value
+too large for a float (``10**400 + INF``) raises ``OverflowError``, and
+``INF - INF`` is nan, so code sums only operands it has checked are finite.
 
-Floats are deliberately rejected everywhere: every quantity in this package is
+Finite floats are rejected everywhere: every quantity in this package is
 exact.
 
 ``parse_scalar`` accepts only the spellings ``_SCALAR_RE`` matches.  A literal
@@ -23,14 +24,11 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .errors import UndefinedOperationError
-
 __all__ = [
     "Scalar",
     "ExtScalar",
     "INF",
     "NEG_INF",
-    "Infinity",
     "is_finite",
     "ensure_scalar",
     "parse_scalar",
@@ -43,107 +41,15 @@ FINITE_TYPES = (int, Fraction)
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:\.\d+|/\d+)?$")
 
 
-class Infinity:
-    """Signed infinity, comparable with int and Fraction.
-
-    Only the two module-level singletons ``INF`` and ``NEG_INF`` exist; do not
-    instantiate this class yourself.
-    """
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int):
-        self._sign = sign
-
-    def __repr__(self) -> str:
-        return "INF" if self._sign > 0 else "NEG_INF"
-
-    def __str__(self) -> str:
-        return "inf" if self._sign > 0 else "-inf"
-
-    def __bool__(self) -> bool:
-        return True
-
-    def __hash__(self) -> int:
-        return hash(("stackspt.Infinity", self._sign))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Infinity) and other._sign == self._sign
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    def __neg__(self) -> "Infinity":
-        return NEG_INF if self._sign > 0 else INF
-
-    # -- ordering ----------------------------------------------------------
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, Infinity):
-            return self._sign < other._sign
-        if isinstance(other, FINITE_TYPES):
-            return self._sign < 0
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, Infinity):
-            return self._sign <= other._sign
-        if isinstance(other, FINITE_TYPES):
-            return self._sign < 0
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, Infinity):
-            return self._sign > other._sign
-        if isinstance(other, FINITE_TYPES):
-            return self._sign > 0
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, Infinity):
-            return self._sign >= other._sign
-        if isinstance(other, FINITE_TYPES):
-            return self._sign > 0
-        return NotImplemented
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: object):
-        if isinstance(other, Infinity):
-            if other._sign != self._sign:
-                raise UndefinedOperationError("inf + (-inf) is undefined")
-            return self
-        if isinstance(other, FINITE_TYPES):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object):
-        if isinstance(other, Infinity):
-            if other._sign == self._sign:
-                raise UndefinedOperationError("inf - inf is undefined")
-            return self
-        if isinstance(other, FINITE_TYPES):
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other: object):
-        # finite - inf
-        if isinstance(other, FINITE_TYPES):
-            return -self
-        return NotImplemented
-
-
-INF = Infinity(1)
-NEG_INF = Infinity(-1)
+INF = float("inf")
+NEG_INF = float("-inf")
 
 Scalar = Union[int, Fraction]
-ExtScalar = Union[int, Fraction, Infinity]
+ExtScalar = Union[int, Fraction, float]  # float only as INF or NEG_INF
 
 
 def is_finite(x: ExtScalar) -> bool:
-    return not isinstance(x, Infinity)
+    return type(x) is not float
 
 
 def ensure_scalar(x: object, what: str = "value") -> Scalar:

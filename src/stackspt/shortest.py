@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import UnreachableVertexError, ValidationError
 from .instance import Fixed, Instance, Priceable, PriceFunction, as_prices
-from .rational import INF, ExtScalar, Infinity, Scalar
+from .rational import INF, ExtScalar, Scalar
 
 __all__ = [
     "CompositeWeight",
@@ -75,7 +75,7 @@ class SptResult:
     parent_edge: tuple[Union[int, None], ...]
 
     def reachable(self, v: int) -> bool:
-        return not isinstance(self.dist[v].w, Infinity)
+        return self.dist[v].w != INF
 
     def price_paid(self, v: int) -> Scalar:
         """Total price collected on the tree route to v."""
@@ -86,20 +86,17 @@ class SptResult:
 #
 # Every sweep runs on a CSR adjacency: starts[u]..starts[u+1] index u's out-edge
 # slots, heads[j] is slot j's head and inc[j] its integer key increment.  Keys
-# are exact ints, float inf marks unreached vertices, and a heap entry is the
-# single int ``key * n + v``, ordered like (key, v) because 0 <= v < n.
-
-
-_UNREACHED = float("inf")
+# are exact ints, INF marks unreached vertices, and a heap entry is the single
+# int ``key * n + v``, ordered like (key, v) because 0 <= v < n.
 
 
 def _dijkstra(starts, heads, inc, source: int, start: int, n: int):
     """Integer-key Dijkstra from ``source`` with key ``start``.
 
-    Returns (dist, parent_slot): v's key or float inf if unreached, and the
+    Returns (dist, parent_slot): v's key or INF if unreached, and the
     slot of v's tree edge or None.  A heap entry is the single int ``key * n + v``.
     """
-    dist: list = [_UNREACHED] * n
+    dist: list = [INF] * n
     parent: list = [None] * n
     dist[source] = start
     heap = [start * n + source]
@@ -228,7 +225,7 @@ def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult
     chicap = m2 - 1
     dist = []
     for d in dist_raw:
-        if isinstance(d, float):
+        if d is INF:
             dist.append(UNREACHABLE_WEIGHT)
         else:
             w, low = divmod(d, m1)
@@ -269,7 +266,7 @@ def naive_revenue(inst: Instance, prices) -> Scalar:
     revenue: Scalar = 0
     for v, d in enumerate(dist):
         phi = demand[v]
-        if isinstance(d, float):
+        if d is INF:
             if phi > 0:
                 raise UnreachableVertexError(
                     f"vertex {v} has demand {phi} but no route from root {inst.root}"

@@ -267,11 +267,11 @@ class VerifyReport:
         return str(self.failures[0]) if self.failures else None
 
 
-def random_prices(inst: Instance, rng: Random, integer_only: bool = False) -> list[Scalar]:
-    """Small random prices, mixing integers and non-integers unless told not to."""
+def random_prices(inst: Instance, rng: Random) -> list[Scalar]:
+    """Small random prices, mixing integers and non-integers."""
     out: list[Scalar] = []
     for _ in range(inst.k):
-        if not integer_only and rng.random() < 0.3:
+        if rng.random() < 0.3:
             out.append(Fraction(rng.randint(1, 24), rng.randint(1, 5)))
         else:
             out.append(rng.randint(1, 12))
@@ -283,7 +283,6 @@ def verify_oracle(
     trials: int,
     seed: int,
     *,
-    integer_only: bool = False,
     oracle: Optional[RevenueOracle] = None,
 ) -> VerifyReport:
     """Cross-check the fast path against first principles on random prices.
@@ -311,7 +310,7 @@ def verify_oracle(
         )
 
     for trial in range(trials):
-        prices = random_prices(inst, rng, integer_only)
+        prices = random_prices(inst, rng)
         p = PriceFunction(tuple(prices))
         fast = oracle.revenue(p)
         naive = naive_revenue(inst, p)

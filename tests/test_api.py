@@ -38,6 +38,7 @@ BAD_PRICES = [
     ((1,), "expected 2 prices, got 1"),
     ((1, 2, 3), "expected 2 prices, got 3"),
     ((1.5, 1), "price 1 must be an int or Fraction, got float"),
+    ((1, float("inf")), "price 2 must be an int or Fraction, got float"),
     ((1, True), "price 2 must be an int or Fraction, got bool"),
     ((0, 1), "price 1 must be > 0, got 0"),
     ((1, -2), "price 2 must be > 0, got -2"),

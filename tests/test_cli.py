@@ -293,6 +293,41 @@ class TestVerify:
         assert code == 1
         assert "revenue check failed" in err
 
+    def test_fleet_generates_each_instance_just_before_its_check(self, capsys, monkeypatch):
+        calls = []
+        real_gen, real_verify = cli.random_instance, cli.verify_oracle
+
+        def gen(*args, **kwargs):
+            calls.append("gen")
+            return real_gen(*args, **kwargs)
+
+        def verify(inst, trials, seed):
+            calls.append("verify")
+            return real_verify(inst, trials, seed=seed)
+
+        monkeypatch.setattr(cli, "random_instance", gen)
+        monkeypatch.setattr(cli, "verify_oracle", verify)
+        code, out, _ = run(
+            capsys, "verify", "--random", "--instances", "4", "--trials", "2", "--seed", "5", "--csv"
+        )
+        assert code == 0 and len(out.splitlines()) == 1 + 4 * 2
+        assert calls == ["gen", "verify"] * 4
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--n-max", "3", "--cost-max", "0"], "cost_max must be >= 1, got 0"),
+            (["--n-max", "4"], "n must be <= MAX_VERTICES = 3, got 4"),
+            (["--instances", "0"], "need --instances >= 1"),
+        ],
+    )
+    def test_fleet_arguments_checked_before_the_header(self, capsys, monkeypatch, flags, message):
+        import stackspt.instance as mod
+
+        monkeypatch.setattr(mod, "MAX_VERTICES", 3)
+        code, out, err = run(capsys, "verify", "--random", "--csv", *flags)
+        assert code == 2 and out == "" and message in err
+
     def test_instance_and_random_together_rejected(self, capsys, instance_file):
         code, _, _ = run(capsys, "verify", "--instance", instance_file, "--random")
         assert code == 2

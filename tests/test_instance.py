@@ -17,6 +17,7 @@ from stackspt.instance import (
     random_instance,
     serialize_instance,
 )
+from stackspt.rational import INF
 
 SAMPLE = """\
 # a small instance with one comment per construct
@@ -193,11 +194,15 @@ class TestValidation:
             (dict(demand=(1, 1)), "demand has"),
             (dict(demand=(1, -1, 1)), "negative"),
             (dict(demand=(1, 0.5, 1)), "exact"),
+            (dict(demand=(1, INF, 1)), "demand of vertex 1 must be an exact"),
+            (dict(demand=(1, float("inf"), 1)), "demand of vertex 1 must be an exact"),
             (dict(edges=(Edge(0, 0, Fixed(1)),)), "self-loop"),
             (dict(edges=(Edge(0, 3, Fixed(1)),)), "out of range"),
             (dict(edges=(Edge(0, 1, Fixed(0)),)), "> 0"),
             (dict(edges=(Edge(0, 1, Fixed(-2)),)), "> 0"),
             (dict(edges=(Edge(0, 1, Fixed(0.5)),)), "exact"),
+            (dict(edges=(Edge(0, 1, Fixed(INF)),)), "edge 0 cost must be an exact"),
+            (dict(edges=(Edge(0, 1, Fixed(float("inf"))),)), "edge 0 cost must be an exact"),
             (
                 dict(edges=(Edge(0, 1, Priceable(1)), Edge(1, 2, Priceable(1)))),
                 "duplicate priceable",
@@ -247,6 +252,9 @@ class TestPriceFunction:
             PriceFunction((-1,))
         with pytest.raises(ValidationError):
             PriceFunction((0.5,))
+        for bad in (INF, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="must be an int or Fraction, got float"):
+                PriceFunction((bad,))
         with pytest.raises(ValidationError):
             PriceFunction.parse("1 2", k=3)
         with pytest.raises(ParseError):

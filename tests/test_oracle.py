@@ -17,7 +17,7 @@ from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction, r
 from stackspt.model import ReducedTree, reduced_tree_of_spt, sequence_of, w_infinity
 from stackspt.oracle import RevenueOracle, build_oracle, embed_points, query_intervals
 from stackspt.rangetree import build_range_tree
-from stackspt.rational import NEG_INF, is_finite
+from stackspt.rational import INF, NEG_INF, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
 from stackspt.solver import heuristic_candidates
 
@@ -117,6 +117,32 @@ class TestEmbedding:
         # hanging edge 2 directly off the root needs a fixed route to its tail
         with pytest.raises(ValidationError):
             embed_points(oracle, ReducedTree((0, 0)), 2)
+
+
+def huge_then_stranded(big) -> Instance:
+    # root -big-> 1 -(e1)-> 2, root -1-> 3 -(e2)-> 4: nothing leads from 2 to 3
+    edges = (
+        Edge(0, 1, Fixed(big)),
+        Edge(1, 2, Priceable(1)),
+        Edge(0, 3, Fixed(1)),
+        Edge(3, 4, Priceable(2)),
+    )
+    return Instance(n=5, root=0, edges=edges, demand=(1,) * 5)
+
+
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400 + 1, 7)])
+def test_huge_segment_before_a_missing_one(big):
+    # big + INF raises OverflowError, since it converts big to a float
+    with pytest.raises(OverflowError):
+        big + INF
+    oracle = build_oracle(huge_then_stranded(big))
+    mg = oracle.model
+    assert mg.root_w[mg.s_of(1)] == big and mg.t_w[0][mg.s_of(2)] == INF
+    assert w_infinity(mg, (1,)) == big
+    assert w_infinity(mg, (1, 2)) == INF
+    for label in (1, 2):
+        with pytest.raises(ValidationError, match="not realizable"):
+            query_intervals(oracle, ReducedTree((0, 1)), label, PriceFunction((1, 1)))
 
 
 class TestIntervals:

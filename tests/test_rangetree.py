@@ -43,22 +43,34 @@ class TestValidation:
         with pytest.raises(ValidationError):
             WeightedPointSet(dim=1, points=((1,),), weights=(1, 2))
 
-    @pytest.mark.parametrize("bad", [1.5, True, None, "3"])
+    @pytest.mark.parametrize("bad", [1.5, -1e308, float("nan"), True, False, None, "3"])
     def test_rejects_inexact_coordinates(self, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="is not an exact scalar"):
             pts(1, [(bad,)])
+        with pytest.raises(ValidationError, match="is not an exact scalar"):
+            pts(2, [(1, 2), (Fraction(1, 3), bad)])
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValidationError):
             pts(1, [(1,)], weights=(-1,))
         with pytest.raises(ValidationError):
             pts(1, [(1,)], weights=(0.5,))
-        with pytest.raises(ValidationError):
-            pts(1, [(1,)], weights=(INF,))
+        for bad in (INF, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="is not an exact finite scalar"):
+                pts(1, [(1,)], weights=(bad,))
 
-    def test_rejects_bad_bound_value(self):
-        with pytest.raises(ValidationError):
-            Interval(upper=(1.5, True))
+    @pytest.mark.parametrize("bad", [1.5, -1e308, float("nan"), True, None, "3"])
+    def test_rejects_bad_bound_value(self, bad):
+        with pytest.raises(ValidationError, match="must be an exact scalar"):
+            Interval(upper=(bad, True))
+        with pytest.raises(ValidationError, match="must be an exact scalar"):
+            Interval(lower=(bad, False), upper=(3, True))
+
+    def test_accepts_float_infinities(self):
+        # INF and NEG_INF are float +inf and -inf, so either spelling is the sentinel
+        tree = build_range_tree(pts(2, [(float("-inf"), 1), (0, INF)], weights=(3, 4)))
+        assert tree.query(QueryRect((Interval(upper=(NEG_INF, True)), Interval()))) == 3
+        assert tree.query(QueryRect((Interval(), Interval(lower=(float("inf"), True))))) == 4
 
     def test_rejects_non_interval_axis(self):
         with pytest.raises(ValidationError):

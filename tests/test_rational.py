@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stackspt.errors import UndefinedOperationError
 from stackspt.rational import (
     _SCALAR_RE,
     INF,
@@ -118,6 +117,9 @@ class TestInfinity:
     def test_total_order(self):
         big = 10**100
         assert NEG_INF < -big < 0 < Fraction(1, 3) < big < INF
+        # exact even where a float conversion would overflow
+        huge = Fraction(10**400 + 1, 7)
+        assert NEG_INF < -(10**400) < -huge < huge < 10**400 < INF
         assert INF > NEG_INF
         assert not INF < INF
         assert INF <= INF and INF >= INF
@@ -135,42 +137,33 @@ class TestInfinity:
         assert d[INF] == "top" and d[NEG_INF] == "bottom"
 
     def test_negation(self):
-        assert -INF is NEG_INF
-        assert -NEG_INF is INF
+        assert -INF == NEG_INF
+        assert -NEG_INF == INF
 
     def test_absorbing_addition(self):
-        assert 3 + INF is INF
-        assert INF + 3 is INF
-        assert INF + Fraction(1, 2) is INF
-        assert INF + INF is INF
-        assert NEG_INF + NEG_INF is NEG_INF
-        assert sum([1, Fraction(2, 3), INF]) is INF
+        assert 3 + INF == INF
+        assert INF + 3 == INF
+        assert INF + Fraction(1, 2) == INF
+        assert INF + INF == INF
+        assert NEG_INF + NEG_INF == NEG_INF
+        assert sum([1, Fraction(2, 3), INF]) == INF
 
     def test_subtraction(self):
-        assert INF - 5 is INF
-        assert 5 - INF is NEG_INF
-        assert NEG_INF - 5 is NEG_INF
-        assert 5 - NEG_INF is INF
-
-    def test_undefined_operations(self):
-        with pytest.raises(UndefinedOperationError):
-            INF - INF
-        with pytest.raises(UndefinedOperationError):
-            NEG_INF - NEG_INF
-        with pytest.raises(UndefinedOperationError):
-            INF + NEG_INF
-        with pytest.raises(UndefinedOperationError):
-            NEG_INF + INF
+        assert INF - 5 == INF
+        assert 5 - INF == NEG_INF
+        assert NEG_INF - 5 == NEG_INF
+        assert 5 - NEG_INF == INF
 
     def test_is_finite(self):
-        assert is_finite(0) and is_finite(Fraction(1, 3))
+        assert is_finite(0) and is_finite(Fraction(1, 3)) and is_finite(10**400)
         assert not is_finite(INF) and not is_finite(NEG_INF)
+        assert not is_finite(float("inf")) and not is_finite(float("-inf"))
 
     @given(rationals)
     def test_finite_vs_infinity_order(self, q):
         assert NEG_INF < q < INF
-        assert q + INF is INF
-        assert q - INF is NEG_INF
+        assert q + INF == INF
+        assert q - INF == NEG_INF
 
 
 class TestExactness:
@@ -203,3 +196,6 @@ class TestEnsureScalar:
             ensure_scalar(True)
         with pytest.raises(TypeError):
             ensure_scalar("3")
+        for bad in (INF, NEG_INF, float("inf"), float("nan")):
+            with pytest.raises(TypeError):
+                ensure_scalar(bad)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction
+from stackspt.model import reduced_tree_of_spt, sequence_of
+from stackspt.oracle import build_oracle
 from stackspt.rational import INF
 from stackspt.shortest import (
     UNREACHABLE_WEIGHT,
@@ -186,6 +188,34 @@ class TestFractionalCosts:
         spt = lex_dijkstra(inst, PriceFunction((Fraction(1, 2),)))
         assert spt.dist[4] == CompositeWeight(2 * big + Fraction(5, 6), Fraction(-1, 2), -2)
         assert naive_revenue(inst, PriceFunction((5,))) == 15
+        # the oracle too: costs above 2**1100 beside vertices with no fixed path,
+        # whose NEG_INF coordinates must never be added to a huge finite value
+        assert big > 2**1100
+        inst = Instance(n=6, root=0, edges=(
+            Edge(0, 1, Fixed(big)),
+            Edge(1, 2, Priceable(1)),
+            Edge(2, 3, Fixed(Fraction(1, 3))),
+            Edge(3, 4, Priceable(2)),
+            Edge(0, 3, Fixed(3 * big)),
+            Edge(4, 5, Fixed(big)),
+        ), demand=(1, 2, 3, 4, 5, 6))
+        assert fixed_cost_sssp(inst, 0) == (0, big, INF, 3 * big, INF, INF)
+        oracle = build_oracle(inst)
+        for prices in [(Fraction(1, 2), 5), (big, 1), (1, 3 * big), (3 * big, 1)]:
+            p = PriceFunction(prices)
+            spt = lex_dijkstra(inst, p)
+            rt = reduced_tree_of_spt(inst, spt)
+            last = last_priceable_labels(inst, spt)
+            expected = tuple(
+                (
+                    label,
+                    sum(p.price(i) for i in sequence_of(rt, label)),
+                    sum(phi for v, phi in enumerate(inst.demand) if last[v] == label),
+                )
+                for label in rt.edges
+            )
+            assert oracle.revenue(p) == naive_revenue(inst, p)
+            assert oracle.revenue_breakdown(p) == (rt, expected)
 
     def test_integral_fraction_costs_give_int_distances(self):
         # every denominator is 1, so the scale is 1, yet the costs are Fractions

@@ -237,5 +237,6 @@ class TestVerifyOracle:
         b = random_prices(inst, random.Random(4))
         assert a == b and len(a) == 3
         assert all(p > 0 for p in a)
-        ints = random_prices(inst, random.Random(4), integer_only=True)
-        assert all(isinstance(p, int) for p in ints)
+        # integers and non-integers both occur
+        many = random_prices(random_instance(40, 100, 16, seed=2), random.Random(4))
+        assert {type(p) for p in many} == {int, Fraction} and all(p > 0 for p in many)
