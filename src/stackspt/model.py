@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from typing import Sequence, Union
 
 from .errors import ValidationError
 from .instance import Instance, Priceable, PriceFunction, as_prices
 from .rational import INF, ExtScalar, is_finite
-from .shortest import SptResult, _dijkstra, _lex_keys, _scaled_prices, last_priceable_labels
+from .shortest import SptResult, _csr, _dijkstra, _lex_keys, _scaled_prices, last_priceable_labels
 
 __all__ = [
     "ReducedTree",
@@ -112,15 +111,18 @@ class ModelGraph:
     the edge labeled i.  ``vertex_of`` maps logical ids to instance vertices
     (several logical ids may share one).  ``root_w[l]`` is the fixed-only
     distance root -> vertex_of(l); ``t_w[i-1][l]`` the fixed-only distance
-    head(e_i) -> vertex_of(l).  Fixed model edges exist wherever these values
-    are finite: root -> every other logical vertex, and head(e_i) -> both
-    endpoints of every other priceable edge.
+    head(e_i) -> vertex_of(l).  Both are times ``scale``, the instance's cost
+    scale (the LCM of the fixed costs' denominators): exact ints, or INF where
+    no fixed-only route exists.  Fixed model
+    edges exist wherever these values are finite: root -> every other logical
+    vertex, and head(e_i) -> both endpoints of every other priceable edge.
     """
 
     k: int
     vertex_of: tuple[int, ...]
     root_w: tuple[ExtScalar, ...]
     t_w: tuple[tuple[ExtScalar, ...], ...]
+    scale: int
 
     def s_of(self, label: int) -> int:
         return 2 * label - 1
@@ -131,13 +133,13 @@ class ModelGraph:
     @cached_property
     def _csr(self) -> tuple:
         """The model graph as slot arrays for the Dijkstra core, built from
-        ``root_w`` and ``t_w``: (starts, heads, tails, weights, labels, scale).
+        ``root_w`` and ``t_w``: (starts, heads, tails, weights, labels).
 
         Slots run per logical vertex: the root's finite fixed edges to 1..2k,
         then for each label i the edge e_i out of s_i = 2i-1, then t_i = 2i's
         finite fixed edges to s_j and t_j, j != i ascending.  ``labels[j]`` is
-        the priceable label at slot j or 0; fixed weights are stored times
-        ``scale``, the LCM of their denominators.
+        the priceable label at slot j or 0; weights are the ints of ``root_w``
+        and ``t_w`` as they are.
         """
         rows = [[(v, w, 0) for v, w in enumerate(self.root_w) if v]]
         for i, row in enumerate(self.t_w, start=1):
@@ -152,9 +154,7 @@ class ModelGraph:
                     weights.append(w)
                     labels.append(label)
             starts.append(len(heads))
-        scale = lcm(*[w.denominator for w in weights])
-        weights = [w.numerator * (scale // w.denominator) for w in weights]
-        return starts, heads, tails, weights, labels, scale
+        return starts, heads, tails, weights, labels
 
 
 def build_model_graph(
@@ -165,7 +165,8 @@ def build_model_graph(
     """Assemble the model graph from precomputed fixed-only distance tables.
 
     ``d_root`` must be the fixed-only distances from the root, ``d_from_t``
-    one table per priceable edge, from that edge's head vertex.
+    one table per priceable edge, from that edge's head vertex, all times the
+    instance's cost scale: exact ints, with INF where no route exists.
     """
     k = inst.k
     if len(d_root) != inst.n or len(d_from_t) != k:
@@ -178,25 +179,26 @@ def build_model_graph(
     t_w = tuple(
         tuple(d_from_t[i - 1][v] for v in vertex_of) for i in range(1, k + 1)
     )
-    return ModelGraph(k=k, vertex_of=tuple(vertex_of), root_w=root_w, t_w=t_w)
+    if any(type(w) is not int and w != INF for w in root_w + sum(t_w, ())):
+        raise ValidationError("distance tables must hold ints times the cost scale, or INF")
+    return ModelGraph(k, tuple(vertex_of), root_w, t_w, scale=_csr(inst)[5])
 
 
 def reduced_tree(mg: ModelGraph, prices: Union[PriceFunction, Sequence]) -> ReducedTree:
     """Reduced tree of the model graph under the given prices."""
-    scale, ps = _scaled_prices(mg._csr[5], as_prices(prices, mg.k).values)
+    scale, ps = _scaled_prices(mg.scale, as_prices(prices, mg.k).values)
     return ReducedTree(tree_parents(mg, scale, ps))
 
 
 def tree_parents(mg: ModelGraph, scale: int, ps: list[int]) -> tuple[Union[int, None], ...]:
     """``ReducedTree.parents`` under the prices ``ps``, given times ``scale``.
 
-    ``scale`` must be a multiple of the model graph's weight scale, which
-    divides the instance's cost scale, since every weight is a fixed-only
-    distance.  Runs the composite-weight Dijkstra sweep on the 2k+1 logical
-    vertices and contracts the fixed edges of the resulting tree.
+    ``scale`` must be a multiple of ``mg.scale``, the unit of the model
+    graph's weights.  Runs the composite-weight Dijkstra sweep on the 2k+1
+    logical vertices and contracts the fixed edges of the resulting tree.
     """
-    starts, heads, tails, weights, labels, wscale = mg._csr
-    inc, start = _lex_keys(weights, labels, scale // wscale, ps)[:2]
+    starts, heads, tails, weights, labels = mg._csr
+    inc, start = _lex_keys(weights, labels, scale // mg.scale, ps)[:2]
     _dist, parent = _dijkstra(starts, heads, inc, 0, start, len(starts) - 1)
 
     parents: list = [None] * mg.k
@@ -238,8 +240,9 @@ def w_infinity(mg: ModelGraph, seq: Sequence[int]) -> ExtScalar:
 
     The route enters the first edge's tail from the root and hops between
     consecutive priceable edges on fixed-only segments; the priced jumps and
-    the final segment past the last head are *not* included.  INF, with no
-    sum taken (it could overflow), when some segment has no fixed-only route.
+    the final segment past the last head are *not* included.  Times
+    ``mg.scale``, like the model weights; INF, with no sum taken (it could
+    overflow), when some segment has no fixed-only route.
     """
     if not seq:
         raise ValidationError("w_infinity needs a non-empty label sequence")

@@ -12,14 +12,16 @@ revenue formula
 into a handful of range queries.  Answers agree exactly with the naive
 per-query shortest path tree computation.
 
-Everything a query needs of one reduced tree is kept in its plan, built once:
-each edge's route, signature and range tree, and every axis's distinct
-coordinates times the instance's cost scale, which are exact ints.  A query
-scales the prices to ints once and shares them between the model-graph sweep
-and the cuts.  The sweep's parents tuple finds the plan, so a tree met
-before is neither rebuilt nor revalidated.  The query then sums each route's
-price once and turns each rectangle side into an integer rank cut with one
-floor division and one binary search; the range tree counts in rank space.
+Fixed-only distances keep the unit the sweeps compute them in, times the
+instance's cost scale (``model.scale``): the tables, model weights and
+embedded points are exact ints, so each range tree's sorted values are the
+very lists a query cuts.  A plan, built once per reduced tree, keeps each
+edge's route, signature and range tree.  A query scales the prices to ints
+once and shares them between the model-graph sweep and the cuts.  The
+sweep's parents tuple finds the plan, so a tree met before is neither
+rebuilt nor revalidated.  The query then sums each route's price once and
+turns each rectangle side into an integer rank cut with one floor division
+and one binary search; the range tree counts in rank space.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from .model import (
     w_infinity,
 )
 from .rangetree import QueryRect, RangeTree, WeightedPointSet, build_range_tree
-from .rational import NEG_INF, ExtScalar, Scalar, is_finite
-from .shortest import _csr, _scaled_prices, _unscaled, chi_sum, fixed_cost_sssp
+from .rational import INF, NEG_INF, ExtScalar, Scalar, is_finite
+from .shortest import _fixed_sweep, _scaled_prices, _unscaled, chi_sum
 
 __all__ = [
     "RevenueOracle",
@@ -59,7 +61,8 @@ _UNBUILT = object()  # the plan memo's answer for a parents tuple it has not met
 class RevenueOracle:
     """Preprocessed pricing-query structure for one instance.
 
-    Holds the fixed-only distance tables, the model graph, and a lazily
+    Holds the fixed-only distance tables ``d_root`` and ``d_t`` (times the
+    cost scale ``model.scale``), the model graph, and a lazily
     populated memo from each reduced tree's parents tuple to its query plan,
     which holds the range trees of that tree's edges, or to None for the
     empty tree.  Concurrent queries are safe; the first query needing a given
@@ -79,7 +82,6 @@ class RevenueOracle:
         self.d_root = d_root
         self.d_t = d_t
         self._unreachable_demand = unreachable_demand
-        self._cost_scale = _csr(inst)[5]
         self._plans: dict[tuple, Optional[_Plan]] = {}
         self._lock = threading.Lock()
 
@@ -116,12 +118,12 @@ class RevenueOracle:
                 time.perf_counter() - start,
             )
             plan.trees.append(tree)
-            plan.axes.append([_scaled_axis(values, self._cost_scale) for values in tree.values])
         return plan
 
     def warm_up(self, trees: Iterable[ReducedTree]) -> None:
         """Build the plan, and so every range tree, of each given reduced tree."""
         for rt in trees:
+            _check_k(self, rt)
             self._plan_for(rt.parents)
 
     def _rows(self, prices) -> tuple[tuple, Optional[_Plan], int, list]:
@@ -133,18 +135,18 @@ class RevenueOracle:
                 f"vertex {self._unreachable_demand} has positive demand "
                 "but is unreachable from the root"
             )
-        scale, ps = _scaled_prices(self._cost_scale, p.values)
+        scale, ps = _scaled_prices(self.model.scale, p.values)
         parents = tree_parents(self.model, scale, ps)
         plan = self._plan_for(parents)
         if plan is None:
             return parents, None, scale, []
-        f = scale // self._cost_scale
+        f = scale // self.model.scale
         totals = plan.route_prices(ps)
         rows = []
-        for at, (tree, axes) in enumerate(zip(plan.trees, plan.axes)):
+        for at, tree in enumerate(plan.trees):
             cuts = [
                 (0, bisect_right(ints, u // f if closed else (u - 1) // f))
-                for ints, (u, closed) in zip(axes, _uppers(totals, plan.chis, at))
+                for ints, (u, closed) in zip(tree.values, _uppers(totals, plan.chis, at))
             ]
             rows.append((plan.labels[at], totals[at], tree.count(cuts)))
         return parents, plan, scale, rows
@@ -176,12 +178,12 @@ class _Plan:
 
     Holds the tree itself and, per present edge: its route as 0-based price
     indices from the root down, its signature ``chi_sum``, ``w_infinity`` of
-    its route, its range tree, and per axis of that tree the sorted distinct
-    coordinates times the instance's cost scale (``_scaled_axis``).  The
-    oracle fills ``trees`` and ``axes`` before it publishes the plan.
+    its route and its range tree, whose ``values`` are the sorted int (or
+    NEG_INF) coordinates a query cuts.  The oracle fills ``trees`` before it
+    publishes the plan.
     """
 
-    __slots__ = ("rt", "labels", "routes", "chis", "w_inf", "trees", "axes")
+    __slots__ = ("rt", "labels", "routes", "chis", "w_inf", "trees")
 
     def __init__(self, mg: ModelGraph, rt: ReducedTree):
         self.rt = rt
@@ -199,19 +201,10 @@ class _Plan:
             w_inf.append(w)
         self.w_inf = tuple(w_inf)
         self.trees: list[RangeTree] = []
-        self.axes: list[list[list]] = []
 
     def route_prices(self, ps: list[int]) -> list[int]:
         """Each route's price, from the prices ``ps`` by label - 1."""
         return [sum(map(ps.__getitem__, route)) for route in self.routes]
-
-
-def _scaled_axis(values: list, cost_scale: int) -> list:
-    """Sorted coordinates times ``cost_scale``: exact ints, since every one is
-    a sum of fixed-only distances.  NEG_INF, first when present, stays as it
-    is; no coordinate is INF."""
-    head = [] if not values or is_finite(values[0]) else [NEG_INF]
-    return head + [(x * cost_scale).numerator for x in values[len(head):]]
 
 
 def _uppers(totals: list, chis: Sequence[int], at: int) -> list[tuple[int, bool]]:
@@ -232,42 +225,21 @@ def _uppers(totals: list, chis: Sequence[int], at: int) -> list[tuple[int, bool]
     ]
 
 
-def _reachable_from_root(inst: Instance) -> list[bool]:
-    starts, heads = _csr(inst)[:2]
-    seen = [False] * inst.n
-    seen[inst.root] = True
-    stack = [inst.root]
-    while stack:
-        u = stack.pop()
-        for v in heads[starts[u]:starts[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
+def _check_k(oracle: RevenueOracle, rt: ReducedTree) -> None:
+    if rt.k != oracle.k:
+        raise ValidationError(f"reduced tree has k = {rt.k}, the oracle has k = {oracle.k}")
 
 
 def build_oracle(inst: Instance) -> RevenueOracle:
     """Run the one-time preprocessing: k+1 fixed-only sweeps plus the model graph."""
-    d_root = fixed_cost_sssp(inst, inst.root)
-    by_vertex: dict[int, tuple[ExtScalar, ...]] = {}
-    d_t = []
-    for i in range(1, inst.k + 1):
-        t = inst.target_of(i)
-        table = by_vertex.get(t)
-        if table is None:
-            table = fixed_cost_sssp(inst, t)
-            by_vertex[t] = table
-        d_t.append(table)
+    d_root, reached = _fixed_sweep(inst, inst.root)
+    heads = [inst.target_of(i) for i in range(1, inst.k + 1)]
+    by_vertex = {t: _fixed_sweep(inst, t)[0] for t in dict.fromkeys(heads)}  # one sweep per head
+    d_t = tuple(by_vertex[t] for t in heads)
     mg = build_model_graph(inst, d_root, d_t)
-    unreachable = None
-    # fixed-only reachable implies reachable, so only a vertex the root's
-    # fixed-only sweep missed needs the traversal over every edge
-    if not all(map(is_finite, d_root)):
-        reachable = _reachable_from_root(inst)
-        unreachable = next(
-            (v for v in range(inst.n) if inst.demand[v] > 0 and not reachable[v]), None
-        )
-    return RevenueOracle(inst, mg, d_root, tuple(d_t), unreachable)
+    # the raw sweep also crosses priceable slots: INF there means no route at all
+    unreachable = next((v for v, d in enumerate(reached) if d is INF and inst.demand[v]), None)
+    return RevenueOracle(inst, mg, d_root, d_t, unreachable)
 
 
 def embed_points(
@@ -276,11 +248,13 @@ def embed_points(
     """The point set behind the classification test for one reduced-tree edge.
 
     One point per vertex the edge's head can reach on fixed edges, one axis
-    per edge of the reduced tree (ascending label order).  A vertex belongs
-    to V(e_label, p) exactly when its point dominates none of the query
+    per edge of the reduced tree (ascending label order), with coordinates
+    times the cost scale: exact ints, or NEG_INF.  A vertex belongs to
+    V(e_label, p) exactly when its point dominates none of the query
     rectangle's bounds.  Routes and ``w_infinity`` come from ``plan``, or
     from the oracle's plan of ``rt``, or are computed afresh.
     """
+    _check_k(oracle, rt)
     if label not in rt:
         raise ValidationError(f"edge {label} is not in the reduced tree")
     if plan is None:
@@ -316,12 +290,14 @@ def query_intervals(
 ) -> QueryRect:
     """Dominance rectangle whose member points form V(e_label, p).
 
-    Axis order matches embed_points.  The bounds are the ones a query cuts
-    the range tree at (``_uppers``), divided back to exact scalars.
+    Axis order and unit match embed_points: the bounds are the ones a query
+    cuts the range tree at (``_uppers``), times the cost scale, exact scalars.
     """
+    _check_k(oracle, rt)
     if label not in rt:
         raise ValidationError(f"edge {label} is not in the reduced tree")
     plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
-    scale, ps = _scaled_prices(oracle._cost_scale, as_prices(prices, oracle.k).values)
+    scale, ps = _scaled_prices(oracle.model.scale, as_prices(prices, oracle.k).values)
     uppers = _uppers(plan.route_prices(ps), plan.chis, plan.labels.index(label))
-    return QueryRect.dominance([(_unscaled(u, scale), closed) for u, closed in uppers])
+    f = scale // oracle.model.scale
+    return QueryRect.dominance([(_unscaled(u, f), closed) for u, closed in uppers])

@@ -6,8 +6,8 @@ one sorted list of its distinct exact values.  A query turns every interval
 end into a rank cut with one binary search against that list; everything
 below compares machine ints.  ``RangeTree.count`` takes the rank cuts
 themselves, which is where ``query`` ends too, so a caller that can find the
-cuts more cheaply (the revenue oracle does, on integer-scaled copies of the
-lists) shares the one counting routine.
+cuts more cheaply (the revenue oracle does, on the lists themselves, whose
+values it keeps as ints) shares the one counting routine.
 
 The points are sorted once, by their rank on the last axis.  Every other axis
 is a wavelet matrix over that sequence: per bit of the axis's ranks, from the

@@ -21,6 +21,7 @@ through ``Fraction``.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -86,11 +87,13 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text for a finite scalar: ``5``, ``-3``, or ``1/3``."""
+    """Canonical text for a finite scalar: ``5``, ``-3``, or ``1/3``.
+
+    Digits come from ``Decimal``, which is exact and, unlike ``str`` of an
+    int, not capped by ``sys.get_int_max_str_digits()``.
+    """
     if isinstance(x, bool) or not isinstance(x, FINITE_TYPES):
         raise TypeError(f"cannot format {type(x).__name__} as a scalar")
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    return str(Decimal(int(x)))

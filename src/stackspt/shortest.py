@@ -13,7 +13,8 @@ One integer-key Dijkstra core runs every sweep: the composite-order sweeps
 here, the fixed-only sweeps of the preprocessing, and the model-graph sweep
 of each query.  Fractional costs and prices are brought to ints by the LCM of
 their denominators, the triple is packed into a single int key, and results
-are divided back exactly.  Packing is safe because every key a sweep stores
+are divided back exactly; only the oracle's fixed-only tables (``_fixed_sweep``)
+stay times the cost scale.  Packing is safe because every key a sweep stores
 belongs to a simple path, so the low components are bounded by the sum of
 all prices and by 2^(k+1)-2.
 """
@@ -29,7 +30,7 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import UnreachableVertexError, ValidationError
 from .instance import Fixed, Instance, Priceable, PriceFunction, as_prices
-from .rational import INF, ExtScalar, Scalar
+from .rational import INF, ExtScalar, Scalar, is_finite
 
 __all__ = [
     "CompositeWeight",
@@ -237,6 +238,16 @@ def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult
     return SptResult(source=src, dist=tuple(dist), parent_edge=parent_edge)
 
 
+def _fixed_sweep(inst: Instance, source: int) -> tuple[tuple, list]:
+    """(table, raw): the fixed-only distances from ``source`` times the cost
+    scale, exact ints with INF where no fixed-only route exists; and the raw
+    sweep, which crosses priceable slots at ``cutoff``, so INF there means no
+    route at all."""
+    starts, heads, _epos, costs, _labels, _scale, cutoff = _csr(inst)
+    dist, _parent = _dijkstra(starts, heads, costs, source, 0, inst.n)
+    return tuple(d if d < cutoff else INF for d in dist), dist
+
+
 def fixed_cost_sssp(inst: Instance, source: int) -> tuple[ExtScalar, ...]:
     """Shortest-path distances using fixed-cost edges only.
 
@@ -245,11 +256,8 @@ def fixed_cost_sssp(inst: Instance, source: int) -> tuple[ExtScalar, ...]:
     """
     if not 0 <= source < inst.n:
         raise ValidationError(f"source {source} out of range [0, {inst.n})")
-    starts, heads, _epos, costs, _labels, scale, cutoff = _csr(inst)
-    dist, _parent = _dijkstra(starts, heads, costs, source, 0, inst.n)
-    if scale == 1:
-        return tuple(d if d < cutoff else INF for d in dist)
-    return tuple(_unscaled(d, scale) if d < cutoff else INF for d in dist)
+    table, scale = _fixed_sweep(inst, source)[0], _csr(inst)[5]
+    return tuple(_unscaled(d, scale) if is_finite(d) else INF for d in table)
 
 
 def naive_revenue(inst: Instance, prices) -> Scalar:

@@ -27,7 +27,7 @@ from .instance import Fixed, Instance, PriceFunction, ensure_scalar, serialize_i
 from .model import reduced_tree_of_spt
 from .oracle import RevenueOracle, build_oracle
 from .rational import Scalar, format_scalar, is_finite, parse_scalar
-from .shortest import last_priceable_labels, lex_dijkstra, naive_revenue
+from .shortest import _unscaled, last_priceable_labels, lex_dijkstra, naive_revenue
 
 __all__ = [
     "CandidateSet",
@@ -132,7 +132,8 @@ def heuristic_candidates(oracle: RevenueOracle) -> CandidateSet:
     For edge i and vertex v the breakpoint is
     d(root, v) - d(root, tail_i) - d(head_i, v), all on fixed edges only;
     kept when finite and strictly positive, deduplicated, ascending.  The
-    distances are the oracle's own fixed-only tables.
+    distances are the oracle's own fixed-only tables, times the cost scale,
+    so each breakpoint is divided back once, to an int whenever integral.
     """
     inst = oracle.instance
     d_root = oracle.d_root
@@ -148,7 +149,7 @@ def heuristic_candidates(oracle: RevenueOracle) -> CandidateSet:
                 b = d_root[v] - d_tail - d_head[v]
                 if b > 0:
                     found.add(b)
-        per_edge.append(tuple(sorted(found)))
+        per_edge.append(tuple(_unscaled(b, oracle.model.scale) for b in sorted(found)))
     return CandidateSet(k=inst.k, per_edge=tuple(per_edge))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import lcm
 
 from stackspt.instance import Fixed, Instance, Priceable, PriceFunction
 from stackspt.rational import INF, is_finite
@@ -95,8 +94,8 @@ def reference_fixed_adjacency(mg):
 def reference_model_csr(mg):
     """``ModelGraph._csr`` built from ``reference_fixed_adjacency``.
 
-    Returns (starts, heads, tails, weights, labels, scale): each logical
-    vertex's fixed edges in adjacency order, then e_i out of s_i.
+    Returns (starts, heads, tails, weights, labels): each logical vertex's
+    fixed edges in adjacency order, then e_i out of s_i.
     """
     starts, heads, tails, weights, labels = [0], [], [], [], []
     for u, row in enumerate(reference_fixed_adjacency(mg)):
@@ -109,9 +108,7 @@ def reference_model_csr(mg):
             weights.append(w)
             labels.append(label)
         starts.append(len(heads))
-    scale = lcm(*[w.denominator for w in weights])
-    weights = [w.numerator * (scale // w.denominator) for w in weights]
-    return starts, heads, tails, weights, labels, scale
+    return starts, heads, tails, weights, labels
 
 
 def _edge_triple(edge, prices: PriceFunction):

@@ -1,6 +1,8 @@
 """End-to-end command line behavior: output, determinism, exit codes."""
 
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -207,6 +209,47 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--instance", str(path), "--prices", "9", "--naive")
         assert code == 0
         assert out == "9\nnaive 9\n"
+
+
+class TestLargeAnswers:
+    """Answers past ``sys.get_int_max_str_digits()`` (4300 by default) print
+    in full; parsing keeps the limit."""
+
+    DEMAND = 10**3000 - 1  # 3000 digits
+    DETOUR = 10**2001
+
+    def write(self, tmp_path, demand_text):
+        path = tmp_path / "big.txt"
+        path.write_text(
+            f"stackspt 1\ngraph 2 2 1\nroot 0\ndemand 1 {demand_text}\n"
+            f"edge 0 1 P 1\nedge 0 1 F {format_scalar(self.DETOUR)}\n"
+        )
+        return str(path)
+
+    def test_eval_explain_and_solve_print_exact_values(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = self.write(tmp_path, "9" * 3000)
+        price = 10**2000 - 1
+        code, out, err = run(capsys, "eval", "--instance", path, "--prices", "9" * 2000)
+        assert code == 0 and err == ""
+        assert len(out) > limit and Decimal(out) == self.DEMAND * price
+        code, out, err = run(
+            capsys, "eval", "--instance", path, "--prices", "9" * 2000, "--explain"
+        )
+        revenue, row = out.splitlines()
+        assert code == 0 and Decimal(revenue) == self.DEMAND * price
+        assert row == f"edge 1 price {'9' * 2000} served {'9' * 3000}"
+        code, out, err = run(capsys, "solve", "--instance", path)
+        prices, revenue, evaluations = out.splitlines()
+        assert code == 0 and prices == f"prices 1{'0' * 2001}"
+        assert Decimal(revenue.split()[1]) == self.DEMAND * self.DETOUR
+        assert evaluations == "evaluations 1"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_parsing_keeps_the_limit(self, capsys, tmp_path):
+        path = self.write(tmp_path, "9" * 5000)
+        code, out, err = run(capsys, "eval", "--instance", path, "--prices", "5")
+        assert code == 2 and out == "" and "line 4: bad demand" in err
 
 
 class TestSolve:

@@ -1,6 +1,7 @@
 """Model graph construction, reduced trees, and label sequences."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,12 +22,19 @@ from stackspt.model import (
     w_infinity,
 )
 from stackspt.rational import INF
-from stackspt.shortest import chi_sum, fixed_cost_sssp, last_priceable_labels, lex_dijkstra
+from stackspt.shortest import (
+    _fixed_sweep,
+    chi_sum,
+    fixed_cost_sssp,
+    last_priceable_labels,
+    lex_dijkstra,
+)
 
 
 def model_of(inst: Instance) -> ModelGraph:
-    d_root = fixed_cost_sssp(inst, inst.root)
-    d_t = [fixed_cost_sssp(inst, inst.target_of(i)) for i in range(1, inst.k + 1)]
+    """The model graph from the tables ``build_oracle`` uses: times the cost scale."""
+    d_root = _fixed_sweep(inst, inst.root)[0]
+    d_t = [_fixed_sweep(inst, inst.target_of(i))[0] for i in range(1, inst.k + 1)]
     return build_model_graph(inst, d_root, d_t)
 
 
@@ -42,6 +50,15 @@ def chain_with_bypasses() -> Instance:
         Edge(0, 4, Fixed(20)),
     )
     return Instance(n=5, root=0, edges=edges, demand=(1,) * 5)
+
+
+def thirds(inst: Instance) -> Instance:
+    """``inst`` with every fixed cost divided by 3: cost scale 3."""
+    edges = tuple(
+        Edge(e.tail, e.head, Fixed(Fraction(e.kind.cost, 3))) if isinstance(e.kind, Fixed) else e
+        for e in inst.edges
+    )
+    return Instance(n=inst.n, root=inst.root, edges=edges, demand=inst.demand)
 
 
 def shared_endpoints() -> Instance:
@@ -126,8 +143,8 @@ class TestModelGraphBuild:
         assert mg.root_w == (0, 2, 9, 10, 20)
         assert mg.t_w[0] == (INF, INF, 0, 1, INF)
         assert mg.t_w[1] == (INF, INF, INF, INF, 0)
-        starts, heads, tails, weights, labels, scale = mg._csr
-        assert scale == 1 and len(starts) == 6
+        starts, heads, tails, weights, labels = mg._csr
+        assert mg.scale == 1 and len(starts) == 6
 
         def slots(u):
             assert all(tails[j] == u for j in range(starts[u], starts[u + 1]))
@@ -147,6 +164,19 @@ class TestModelGraphBuild:
         for i in (1, 2):
             bf = bellman_ford_fixed(inst, inst.target_of(i))
             assert mg.t_w[i - 1] == tuple(bf[v] for v in mg.vertex_of)
+
+    def test_rejects_tables_in_the_wrong_unit(self):
+        inst = thirds(chain_with_bypasses())
+        d_root = fixed_cost_sssp(inst, 0)  # real units: 2/3, 10/3, ... are Fractions
+        d_t = [fixed_cost_sssp(inst, inst.target_of(i)) for i in (1, 2)]
+        assert any(type(d) is Fraction for d in d_root)
+        with pytest.raises(ValidationError, match="ints times the cost scale"):
+            build_model_graph(inst, d_root, d_t)
+        mg = model_of(inst)
+        assert mg.scale == 3 and mg.root_w == (0, 2, 9, 10, 20)
+        for bad in (Fraction(1, 2), 2.0, True, -INF, float("nan")):
+            with pytest.raises(ValidationError, match="ints times the cost scale"):
+                build_model_graph(inst, (0, bad) + mg.root_w[2:], mg.t_w)  # vertex_of is 0..4
 
     def test_rejects_mismatched_tables(self):
         inst = chain_with_bypasses()
@@ -235,9 +265,22 @@ def test_csr_matches_adjacency_reference(inst):
     mg = model_of(inst)
     csr = mg._csr
     ref = reference_model_csr(mg)
-    assert len(csr) == len(ref) == 6
+    assert len(csr) == len(ref) == 5
     for got, want in zip(csr, ref):
         assert got == want
+
+
+@settings(max_examples=100)
+@given(st.one_of(strategies.fractional_cost_instances(max_k=4), strategies.loose_instances()))
+def test_tables_are_distances_times_the_cost_scale(inst):
+    mg = model_of(inst)
+    scale = lcm(*[e.kind.cost.denominator for e in inst.edges if isinstance(e.kind, Fixed)])
+    assert mg.scale == scale
+    want = [bellman_ford_fixed(inst, inst.root)]
+    want += [bellman_ford_fixed(inst, inst.target_of(i)) for i in range(1, inst.k + 1)]
+    for got, table in zip((mg.root_w,) + mg.t_w, want):
+        assert got == tuple(table[v] * scale for v in mg.vertex_of)
+        assert all(type(w) is int or w == INF for w in got)
 
 
 @settings(max_examples=200)

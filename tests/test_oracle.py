@@ -119,6 +119,20 @@ class TestEmbedding:
             embed_points(oracle, ReducedTree((0, 0)), 2)
 
 
+@pytest.mark.parametrize("parents", [(), (0,), (0, 1, None)])
+def test_reduced_tree_with_the_wrong_k_is_rejected(parents):
+    oracle = build_oracle(chain_with_bypasses())  # k = 2
+    rt, good = ReducedTree(parents), ReducedTree((0, 1))
+    message = f"reduced tree has k = {len(parents)}, the oracle has k = 2"
+    with pytest.raises(ValidationError, match=message):
+        embed_points(oracle, rt, 1)
+    with pytest.raises(ValidationError, match=message):
+        query_intervals(oracle, rt, 1, PriceFunction((1, 1)))
+    with pytest.raises(ValidationError, match=message):
+        oracle.warm_up([good, rt])
+    assert oracle.materialized_keys == {(good, 1), (good, 2)}  # no plan for rt
+
+
 def huge_then_stranded(big) -> Instance:
     # root -big-> 1 -(e1)-> 2, root -1-> 3 -(e2)-> 4: nothing leads from 2 to 3
     edges = (
@@ -137,8 +151,9 @@ def test_huge_segment_before_a_missing_one(big):
         big + INF
     oracle = build_oracle(huge_then_stranded(big))
     mg = oracle.model
-    assert mg.root_w[mg.s_of(1)] == big and mg.t_w[0][mg.s_of(2)] == INF
-    assert w_infinity(mg, (1,)) == big
+    # model weights are times the cost scale: exact ints
+    assert mg.root_w[mg.s_of(1)] == big * mg.scale and mg.t_w[0][mg.s_of(2)] == INF
+    assert w_infinity(mg, (1,)) == big * mg.scale and type(w_infinity(mg, (1,))) is int
     assert w_infinity(mg, (1, 2)) == INF
     for label in (1, 2):
         with pytest.raises(ValidationError, match="not realizable"):
@@ -296,6 +311,8 @@ def _check_integer_cuts(inst: Instance, prices: PriceFunction) -> int:
             assert type(price) is int
         pts = embed_points(oracle, rt, label)
         rect = query_intervals(oracle, rt, label, prices)
+        # points are times the cost scale, so every finite coordinate is an int
+        assert all(type(x) is int or x == NEG_INF for point in pts.points for x in point)
         assert served == build_range_tree(pts).query(rect), (label, prices)
         on_side += sum(
             x == iv.upper[0] for point in pts.points for x, iv in zip(point, rect.intervals)
@@ -419,21 +436,34 @@ class TestDegenerate:
         ok = Instance(n=3, root=0, edges=edges, demand=(1, 1, 0))
         assert build_oracle(ok).revenue((1, 1)) == 1
 
-    def test_traversal_only_when_the_fixed_sweep_misses_a_vertex(self, monkeypatch):
-        import stackspt.oracle as mod
+    def test_demand_reachable_only_through_a_priceable_edge(self):
+        inst = priceable_chain()  # vertices 2, 3, 4 have no fixed-only route
+        oracle = build_oracle(inst)
+        assert [v for v, d in enumerate(oracle.d_root) if not is_finite(d)] == [2, 3, 4]
+        for p in ((1, 1), (3, 1), (Fraction(1, 2), 7)):
+            assert oracle.revenue(p) == naive_revenue(inst, p) > 0
 
-        calls = []
-        real = mod._reachable_from_root
-        monkeypatch.setattr(mod, "_reachable_from_root", lambda inst: calls.append(1) or real(inst))
-        # every vertex is fixed-only reachable: no traversal
-        assert build_oracle(chain_with_bypasses()).revenue((1, 1)) == naive_revenue(
-            chain_with_bypasses(), (1, 1)
-        )
-        assert calls == []
-        # s2 needs the priceable edge: the traversal runs and finds it reachable
-        inst = priceable_chain()
-        assert build_oracle(inst).revenue((1, 1)) == naive_revenue(inst, (1, 1))
-        assert calls == [1]
+    def test_unreachable_demand_raises_at_query_time(self):
+        # vertex 3 hangs below nothing: no edge enters it
+        edges = (Edge(0, 1, Fixed(1)), Edge(1, 2, Priceable(1)), Edge(3, 2, Fixed(1)))
+        inst = Instance(n=4, root=0, edges=edges, demand=(1, 1, 1, 2))
+        oracle = build_oracle(inst)  # builds; the query reports the vertex
+        message = "vertex 3 has positive demand but is unreachable from the root"
+        for p in ((1,), (Fraction(5, 2),)):
+            with pytest.raises(UnreachableVertexError, match=message):
+                oracle.revenue(p)
+            with pytest.raises(UnreachableVertexError, match=message):
+                oracle.revenue_breakdown(p)
+            with pytest.raises(UnreachableVertexError):
+                naive_revenue(inst, p)
+
+    def test_unreachable_vertex_without_demand(self):
+        edges = (Edge(0, 1, Fixed(1)), Edge(1, 2, Priceable(1)), Edge(3, 2, Fixed(1)))
+        inst = Instance(n=4, root=0, edges=edges, demand=(1, 1, 1, 0))
+        oracle = build_oracle(inst)
+        for p in ((1,), (Fraction(5, 2),), (100,)):
+            assert oracle.revenue(p) == naive_revenue(inst, p)
+        assert oracle.revenue((1,)) == 1
 
 
 class TestMemo:

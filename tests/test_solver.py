@@ -6,7 +6,10 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+import strategies
+from oracles import bellman_ford_fixed
 from stackspt.errors import ParseError, ValidationError
 from stackspt.instance import (
     Edge,
@@ -26,6 +29,7 @@ from stackspt.solver import (
     solve,
     verify_oracle,
 )
+from stackspt.rational import is_finite
 from stackspt.shortest import naive_revenue
 
 
@@ -68,6 +72,23 @@ class TestHeuristicCandidates:
             for lst in heuristic_candidates(build_oracle(inst)).per_edge:
                 assert all(c > 0 for c in lst)
                 assert list(lst) == sorted(set(lst))
+
+    @settings(max_examples=100)
+    @given(strategies.fractional_cost_instances(min_n=2, min_k=1, max_k=4))
+    def test_fractional_costs_match_bellman_ford_breakpoints(self, inst):
+        # the oracle's tables are times the cost scale; the candidates are not
+        d_root = bellman_ford_fixed(inst, inst.root)
+        want = []
+        for i in range(1, inst.k + 1):
+            d_head = bellman_ford_fixed(inst, inst.target_of(i))
+            d_tail = d_root[inst.source_of(i)]
+            found = {
+                d_root[v] - d_tail - d_head[v]
+                for v in range(inst.n)
+                if all(map(is_finite, (d_root[v], d_tail, d_head[v])))
+            }
+            want.append(tuple(sorted(b for b in found if b > 0)))
+        assert heuristic_candidates(build_oracle(inst)).per_edge == tuple(want)
 
 
 class TestCandidateSet:
