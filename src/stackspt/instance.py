@@ -123,7 +123,7 @@ class Instance:
             if isinstance(phi, bool) or not isinstance(phi, FINITE_TYPES):
                 raise ValidationError(f"demand of vertex {v} must be an exact scalar")
             if phi < 0:
-                raise ValidationError(f"demand of vertex {v} is negative: {phi}")
+                raise ValidationError(f"demand of vertex {v} is negative: {format_scalar(phi)}")
         n = self.n
         by_label: dict[int, Edge] = {}
         for pos, e in enumerate(self.edges):

@@ -2,10 +2,10 @@
 
 The pipeline: k+1 fixed-only shortest path sweeps feed the model graph; each
 price vector maps to a reduced tree via a (2k+1)-vertex Dijkstra run; for
-every edge of that tree, the vertices it can serve embed as weighted points
-whose dominance rectangle membership decides the classification; one
-memoized range tree per edge of each reduced tree met so far turns the
-revenue formula
+every edge of that tree, the vertices it can serve at some positive price
+embed as weighted points whose dominance rectangle membership decides the
+classification; one memoized range tree per edge of each reduced tree met
+so far turns the revenue formula
 
     revenue(p) = sum over tree edges e_i of  price(sigma_i) * weight(V(e_i, p))
 
@@ -15,13 +15,15 @@ per-query shortest path tree computation.
 Fixed-only distances keep the unit the sweeps compute them in, times the
 instance's cost scale (``model.scale``): the tables, model weights and
 embedded points are exact ints, so each range tree's sorted values are the
-very lists a query cuts.  A plan, built once per reduced tree, keeps each
-edge's route, signature and range tree.  A query scales the prices to ints
-once and shares them between the model-graph sweep and the cuts.  The
-sweep's parents tuple finds the plan, so a tree met before is neither
-rebuilt nor revalidated.  The query then sums each route's price once and
-turns each rectangle side into an integer rank cut with one floor division
-and one binary search; the range tree counts in rank space.
+very lists a query cuts.  A vertex whose fixed-only distance an edge's route
+does not undercut even at price 0 is never served by it and gets no point:
+most of the graph, for a shortcut to a far head.  A plan, built once per
+reduced tree, keeps each edge's route, signature and range tree.  A query
+scales the prices to ints once and shares them between the model-graph
+sweep and the cuts.  The sweep's parents tuple finds the plan, so a tree met
+before is neither rebuilt nor revalidated.  The query then sums each route's
+price once and turns each rectangle side into an integer rank cut with one
+floor division and one binary search; the range tree counts in rank space.
 """
 
 from __future__ import annotations
@@ -247,12 +249,16 @@ def embed_points(
 ) -> WeightedPointSet:
     """The point set behind the classification test for one reduced-tree edge.
 
-    One point per vertex the edge's head can reach on fixed edges, one axis
-    per edge of the reduced tree (ascending label order), with coordinates
-    times the cost scale: exact ints, or NEG_INF.  A vertex belongs to
-    V(e_label, p) exactly when its point dominates none of the query
-    rectangle's bounds.  Routes and ``w_infinity`` come from ``plan``, or
-    from the oracle's plan of ``rt``, or are computed afresh.
+    One point per vertex the edge can serve at some positive price: its head
+    reaches v on fixed edges, and the own-axis coordinate ``w_here + d_here[v]
+    - d_root[v]`` is negative or NEG_INF.  A vertex at or above 0 there lies
+    outside every rectangle, whose own-axis bound is minus the route's price,
+    so it gets no point.  One axis per edge of the reduced tree (ascending
+    label order), with coordinates times the cost scale: exact ints, or
+    NEG_INF.  A vertex belongs to V(e_label, p) exactly when it has a point
+    that dominates none of the query rectangle's bounds.  Routes and
+    ``w_infinity`` come from ``plan``, or from the oracle's plan of ``rt``,
+    or are computed afresh.
     """
     _check_k(oracle, rt)
     if label not in rt:
@@ -262,9 +268,10 @@ def embed_points(
     inst = oracle.instance
     d_here = oracle.d_t[label - 1]
     w_here = plan.w_inf[plan.labels.index(label)]
+    d_root = oracle.d_root
     # per axis: the distance table and the route cost that the point subtracts
     axes = [
-        (oracle.d_root, 0) if j == label else (oracle.d_t[j - 1], w)
+        (d_root, 0) if j == label else (oracle.d_t[j - 1], w)
         for j, w in zip(plan.labels, plan.w_inf)
     ]
     points = []
@@ -274,6 +281,8 @@ def embed_points(
         if not is_finite(dtv):
             continue
         base = w_here + dtv
+        if is_finite(d_root[v]) and base >= d_root[v]:
+            continue  # own-axis coordinate >= 0: no positive price serves v
         coords = []
         for table, w in axes:
             d = table[v]

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import UnreachableVertexError, ValidationError
 from .instance import Fixed, Instance, Priceable, PriceFunction, as_prices
-from .rational import INF, ExtScalar, Scalar, is_finite
+from .rational import INF, ExtScalar, Scalar, format_scalar, is_finite
 
 __all__ = [
     "CompositeWeight",
@@ -277,7 +277,7 @@ def naive_revenue(inst: Instance, prices) -> Scalar:
         if d is INF:
             if phi > 0:
                 raise UnreachableVertexError(
-                    f"vertex {v} has demand {phi} but no route from root {inst.root}"
+                    f"vertex {v} has demand {format_scalar(phi)} but no route from root {inst.root}"
                 )
             continue
         if phi:

@@ -5,8 +5,10 @@ shared with the package internals: Bellman-Ford instead of Dijkstra, explicit
 path enumeration instead of priority queues, linear scans instead of trees.
 The exceptions are earlier library code kept verbatim as references:
 ``tuple_heap_dijkstra``, the Dijkstra core the packed-heap core is checked
-against slot for slot, and ``reference_model_csr``, the model graph's slot
-arrays as they were built from a per-vertex fixed adjacency.
+against slot for slot, ``reference_model_csr``, the model graph's slot
+arrays as they were built from a per-vertex fixed adjacency, and
+``unpruned_embedding``, the point set of one reduced-tree edge with every
+fixed-reachable vertex in it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import heapq
 import itertools
 
 from stackspt.instance import Fixed, Instance, Priceable, PriceFunction
-from stackspt.rational import INF, is_finite
+from stackspt.model import sequence_of, w_infinity
+from stackspt.rangetree import WeightedPointSet
+from stackspt.rational import INF, NEG_INF, is_finite
 
 
 def bellman_ford_fixed(inst: Instance, source: int):
@@ -222,6 +226,35 @@ def max_spt_revenue(inst: Instance, prices: PriceFunction, cap: int = 200_000):
         if best is None or r > best:
             best = r
     return best
+
+
+# -- point embedding -----------------------------------------------------------
+
+
+def unpruned_embedding(oracle, rt, label):
+    """(vertices, point set) of one reduced-tree edge, one point per vertex
+    the edge's head reaches on fixed edges, including those no positive price
+    lets the edge serve (own-axis coordinate >= 0).
+
+    Coordinates are spelled out per axis j of ``rt.edges``: on the edge's own
+    axis w + d_here[v] - d_root[v], on another w - w_j + d_here[v] - d_j[v],
+    with w the ``w_infinity`` of a route; NEG_INF where the table reads INF.
+    """
+    w = {j: w_infinity(oracle.model, sequence_of(rt, j)) for j in rt.edges}
+    d_here = oracle.d_t[label - 1]
+    vertices, points = [], []
+    for v in range(oracle.instance.n):
+        if not is_finite(d_here[v]):
+            continue
+        coords = []
+        for j in rt.edges:
+            d = oracle.d_root[v] if j == label else oracle.d_t[j - 1][v]
+            shift = 0 if j == label else w[j]
+            coords.append(w[label] + d_here[v] - shift - d if is_finite(d) else NEG_INF)
+        vertices.append(v)
+        points.append(tuple(coords))
+    weights = tuple(oracle.instance.demand[v] for v in vertices)
+    return vertices, WeightedPointSet(dim=len(rt.edges), points=tuple(points), weights=weights)
 
 
 # -- range query scan ---------------------------------------------------------

@@ -37,6 +37,30 @@ def fractional_cost_instances(draw, **kwargs):
 
 
 @st.composite
+def nested_chains(draw, max_n=7, max_k=3):
+    """Small chain-frac shapes: a ``fractional_cost_instances`` graph plus k
+    hubs.  Edge i runs from a tail hanging off hub i-1 (the root for edge 1)
+    to hub i, which has fixed edges out to the graph, so a used edge nests
+    below the one before it and its route's ``w_infinity`` can lie far below
+    the fixed-only distance of its tail.  A hub's fixed edge from the root is
+    sometimes left out, so whatever only it reaches has no fixed-only route."""
+    base = draw(fractional_cost_instances(min_n=2, max_n=max_n, max_k=0))
+    cost = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 7)))
+    edges, n, tail = list(base.edges), base.n, base.root
+    for i in range(1, draw(st.integers(min_value=1, max_value=max_k)) + 1):
+        hub, n = n, n + 1
+        if draw(st.integers(0, 3)):
+            edges.append(Edge(base.root, hub, Fixed(draw(cost) + 4 * i)))
+        edges.append(Edge(tail, hub, Priceable(i)))
+        for v in draw(st.lists(st.integers(0, base.n - 1), min_size=1, max_size=3)):
+            edges.append(Edge(hub, v, Fixed(draw(cost))))
+        tail, n = n, n + 1
+        edges.append(Edge(hub, tail, Fixed(1)))
+    demand = base.demand + tuple(draw(st.integers(0, 3)) for _ in range(n - base.n))
+    return Instance(n=n, root=base.root, edges=tuple(edges), demand=demand)
+
+
+@st.composite
 def loose_instances(draw, max_n=6, max_m=10, max_k=4):
     """Arbitrary small edge lists with integer and Fraction costs.
 

@@ -193,6 +193,8 @@ class TestValidation:
             (dict(root=3), "root"),
             (dict(demand=(1, 1)), "demand has"),
             (dict(demand=(1, -1, 1)), "negative"),
+            (dict(demand=(1, -10**5000, 1)), "demand of vertex 1 is negative: -1000"),
+            (dict(demand=(1, Fraction(-1, 10**5000), 1)), "is negative: -1/1000"),
             (dict(demand=(1, 0.5, 1)), "exact"),
             (dict(demand=(1, INF, 1)), "demand of vertex 1 must be an exact"),
             (dict(demand=(1, float("inf"), 1)), "demand of vertex 1 must be an exact"),

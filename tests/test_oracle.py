@@ -6,17 +6,19 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
+from oracles import linear_scan, unpruned_embedding
 from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction, random_instance
 from stackspt.model import ReducedTree, reduced_tree_of_spt, sequence_of, w_infinity
 from stackspt.oracle import RevenueOracle, build_oracle, embed_points, query_intervals
-from stackspt.rangetree import build_range_tree
+from stackspt.rangetree import RangeTree, build_range_tree
 from stackspt.rational import INF, NEG_INF, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
 from stackspt.solver import heuristic_candidates
@@ -75,15 +77,43 @@ class TestBuild:
             assert a.revenue(p) == b.revenue(p)
 
 
+def servable_vertices(oracle: RevenueOracle, rt: ReducedTree, label: int) -> list:
+    """The vertices ``embed_points`` keeps for an edge: its head reaches them
+    on fixed edges, and its route's fixed part w plus that distance undercuts
+    their fixed-only distance, or they have none."""
+    w = w_infinity(oracle.model, sequence_of(rt, label))
+    d_here, d_root = oracle.d_t[label - 1], oracle.d_root
+    return [
+        v for v in range(oracle.instance.n)
+        if is_finite(d_here[v]) and not (is_finite(d_root[v]) and w + d_here[v] >= d_root[v])
+    ]
+
+
 class TestEmbedding:
-    def test_one_point_per_fixed_reachable_vertex(self):
+    def test_one_point_per_servable_vertex(self):
         inst = chain_with_bypasses()
         oracle = build_oracle(inst)
         rt = ReducedTree((0, 1))
-        # t_1 = vertex 2 reaches {2, 3} on fixed edges
+        # t_1 = vertex 2 reaches {2, 3} on fixed edges; at w = 2 the route undercuts 9 and 10
         assert len(embed_points(oracle, rt, 1)) == 2
         # t_2 = vertex 4 reaches only itself
         assert len(embed_points(oracle, rt, 2)) == 1
+        # with edge 2 off the root, w = d_root[3] = 10: only vertex 4 (20) stays
+        assert len(embed_points(oracle, ReducedTree((0, 0)), 2)) == 1
+
+    def test_vertices_no_positive_price_serves_get_no_point(self):
+        # vertex 2 costs 1 from the root, but 2 through edge 1 at any price
+        edges = (
+            Edge(0, 1, Fixed(10)),
+            Edge(0, 1, Priceable(1)),
+            Edge(1, 2, Fixed(1)),
+            Edge(0, 2, Fixed(1)),
+        )
+        oracle = build_oracle(Instance(n=3, root=0, edges=edges, demand=(1, 1, 1)))
+        rt = ReducedTree((0,))
+        assert servable_vertices(oracle, rt, 1) == [1]
+        assert embed_points(oracle, rt, 1).points == ((-10,),)
+        assert unpruned_embedding(oracle, rt, 1)[1].points == ((-10,), (0,))
 
     def test_own_axis_of_edge_head(self):
         inst = chain_with_bypasses()
@@ -94,8 +124,7 @@ class TestEmbedding:
             expect = w_infinity(oracle.model, seq) - oracle.d_root[head]
             pts = embed_points(oracle, rt, label)
             axis = rt.edges.index(label)
-            heads = [v for v in range(inst.n) if is_finite(oracle.d_t[label - 1][v])]
-            got = pts.points[heads.index(head)][axis]
+            got = pts.points[servable_vertices(oracle, rt, label).index(head)][axis]
             assert got == expect
 
     def test_unreachable_axis_is_negative_infinity(self):
@@ -213,9 +242,14 @@ def test_rectangle_membership_matches_classification(case):
     for label in rt.edges:
         pts = embed_points(oracle, rt, label)
         rect = query_intervals(oracle, rt, label, prices)
-        vertices = [v for v in range(inst.n) if is_finite(oracle.d_t[label - 1][v])]
-        for v, point in zip(vertices, pts.points):
+        kept = servable_vertices(oracle, rt, label)
+        assert len(kept) == len(pts.points)
+        vertices, full = unpruned_embedding(oracle, rt, label)
+        assert pts.points == tuple(full.points[vertices.index(v)] for v in kept)
+        for v, point in zip(kept, pts.points):
             assert rect.contains(point) == (last[v] == label), (v, label)
+        for v in set(range(inst.n)).difference(kept):
+            assert last[v] != label, (v, label)
 
 
 @settings(max_examples=150)
@@ -342,6 +376,72 @@ def test_integer_cuts_match_exact_bounds_near_breakpoints(inst, data):
     # neither divide nor are divided by them; own-axis bounds are all negative
     prices = _near_breakpoints(build_oracle(inst), lambda seq: data.draw(st.sampled_from(seq)))
     _check_integer_cuts(inst, prices)
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        strategies.fractional_cost_instances(min_n=2, max_n=8, min_k=1, max_k=4),
+        strategies.nested_chains(),
+    ),
+    st.data(),
+)
+def test_pruned_trees_count_like_unpruned_ones(inst, data):
+    oracle = build_oracle(inst)
+    prices = _near_breakpoints(oracle, lambda seq: data.draw(st.sampled_from(seq)))
+    counted = []
+    real_count = RangeTree.count
+
+    def spy(tree, cuts):
+        served = real_count(tree, cuts)
+        counted.append(served)
+        return served
+
+    with patch.object(RangeTree, "count", spy):
+        rt, rows = oracle.revenue_breakdown(prices)
+    assert counted == [served for _, _, served in rows]
+    for label, _, served in rows:
+        rect = query_intervals(oracle, rt, label, prices)
+        _, full = unpruned_embedding(oracle, rt, label)
+        assert served == build_range_tree(full).query(rect), (label, prices)
+        assert served == linear_scan(full.points, full.weights, rect)
+    assert oracle.revenue(prices) == naive_revenue(inst, prices)
+
+
+def test_tree_of_an_edge_serving_only_zero_demand():
+    # edge 1 can serve vertex 1 only (demand 0): vertex 2 is 1 from the root
+    # on fixed edges and more through edge 1; edge 2 serves vertex 3
+    edges = (
+        Edge(0, 1, Fixed(10)),
+        Edge(0, 1, Priceable(1)),
+        Edge(1, 2, Fixed(1)),
+        Edge(0, 2, Fixed(1)),
+        Edge(0, 3, Fixed(8)),
+        Edge(0, 3, Priceable(2)),
+    )
+    inst = Instance(n=4, root=0, edges=edges, demand=(1, 0, 3, 2))
+    oracle = build_oracle(inst)
+    for p in ([1, 1], [9, 7], [Fraction(19, 2), 8], [10, 8], [11, 9]):
+        rt, rows = oracle.revenue_breakdown(p)
+        assert oracle.revenue(p) == naive_revenue(inst, p) == sum(q * w for _, q, w in rows)
+        assert [served for label, _, served in rows if label == 1] in ([], [0])
+    rt, rows = oracle.revenue_breakdown([1, 1])
+    assert rows == ((1, 1, 0), (2, 1, 2))
+    tree = build_range_tree(embed_points(oracle, rt, 1))
+    assert (tree.size, tree.distinct, tree.values) == (1, 0, ([], []))
+
+
+def test_four_root_shortcut_trees_hold_the_servable_vertices():
+    inst = four_root_shortcuts()
+    oracle = build_oracle(inst)
+    rng = random.Random(11)
+    for _ in range(100):
+        oracle.revenue_breakdown(_near_breakpoints(oracle, rng.choice))
+    plans = [plan for plan in oracle._plans.values() if plan is not None]
+    assert any(len(plan.labels) == 4 for plan in plans)
+    for plan in plans:
+        for label, tree in zip(plan.labels, plan.trees):
+            assert tree.size == len(servable_vertices(oracle, plan.rt, label))
 
 
 def _divided_costs(inst: Instance, divisors) -> Instance:

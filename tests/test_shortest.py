@@ -301,6 +301,12 @@ class TestNaiveRevenue:
         with pytest.raises(UnreachableVertexError):
             naive_revenue(inst, PriceFunction(()))
 
+    def test_unreachable_huge_demand_is_named_in_full(self):
+        # past the 4300 digits that str() of an int is capped at
+        inst = Instance(n=2, root=0, edges=(), demand=(1, 10**5000))
+        with pytest.raises(UnreachableVertexError, match="vertex 1 has demand 10{5000} but"):
+            naive_revenue(inst, PriceFunction(()))
+
     def test_unreachable_zero_demand_is_fine(self):
         inst = Instance(n=2, root=0, edges=(), demand=(1, 0))
         assert naive_revenue(inst, PriceFunction(())) == 0
