@@ -3,9 +3,9 @@
 An instance is a directed graph with positive fixed costs, k priceable
 edges, and per-vertex demand routed along a composite-weight shortest path
 tree from the root.  :func:`build_oracle` preprocesses the instance so that
-the revenue of any price vector is answered from k+1 fixed-cost distance
-tables and a few layered range trees instead of a fresh Dijkstra sweep;
-:func:`naive_revenue` is the slow reference it is checked against.
+the revenue of any price vector is answered from fixed-cost distance tables
+(1 full, k bounded) and a few layered range trees instead of a fresh Dijkstra
+sweep; :func:`naive_revenue` is the slow reference it is checked against.
 """
 
 from .bench import BenchRecord, format_csv, parse_sizes, run_bench

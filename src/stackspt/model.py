@@ -113,9 +113,10 @@ class ModelGraph:
     distance root -> vertex_of(l); ``t_w[i-1][l]`` the fixed-only distance
     head(e_i) -> vertex_of(l).  Both are times ``scale``, the instance's cost
     scale (the LCM of the fixed costs' denominators): exact ints, or INF where
-    no fixed-only route exists.  Fixed model
-    edges exist wherever these values are finite: root -> every other logical
-    vertex, and head(e_i) -> both endpoints of every other priceable edge.
+    no fixed-only route exists or, in an oracle's ``t_w``, no route through e_i
+    undercuts ``root_w`` (a hop that is never tight).  Fixed model edges exist
+    wherever these values are finite: root -> every other logical vertex, and
+    head(e_i) -> both endpoints of every other priceable edge.
     """
 
     k: int
@@ -199,7 +200,7 @@ def tree_parents(mg: ModelGraph, scale: int, ps: list[int]) -> tuple[Union[int, 
     """
     starts, heads, tails, weights, labels = mg._csr
     inc, start = _lex_keys(weights, labels, scale // mg.scale, ps)[:2]
-    _dist, parent = _dijkstra(starts, heads, inc, 0, start, len(starts) - 1)
+    _dist, parent = _dijkstra(starts, heads, inc, 0, start, [INF] * (len(starts) - 1))
 
     parents: list = [None] * mg.k
     for i in range(1, mg.k + 1):

@@ -1,6 +1,6 @@
 """Fast revenue evaluation: preprocess once, answer pricing queries in polylog time.
 
-The pipeline: k+1 fixed-only shortest path sweeps feed the model graph; each
+The pipeline: 1 full + k bounded fixed-only sweeps feed the model graph; each
 price vector maps to a reduced tree via a (2k+1)-vertex Dijkstra run; for
 every edge of that tree, the vertices it can serve at some positive price
 embed as weighted points whose dominance rectangle membership decides the
@@ -15,9 +15,9 @@ per-query shortest path tree computation.
 Fixed-only distances keep the unit the sweeps compute them in, times the
 instance's cost scale (``model.scale``): the tables, model weights and
 embedded points are exact ints, so each range tree's sorted values are the
-very lists a query cuts.  A vertex whose fixed-only distance an edge's route
-does not undercut even at price 0 is never served by it and gets no point:
-most of the graph, for a shortcut to a far head.  A plan, built once per
+very lists a query cuts.  A vertex whose fixed-only distance no route through
+an edge undercuts even at price 0 is never served by it: the head's sweep
+leaves it INF, and a plan's route gives it no point.  A plan, built once per
 reduced tree, keeps each edge's route, signature and range tree.  A query
 scales the prices to ints once and shares them between the model-graph
 sweep and the cuts.  The sweep's parents tuple finds the plan, so a tree met
@@ -64,11 +64,12 @@ class RevenueOracle:
     """Preprocessed pricing-query structure for one instance.
 
     Holds the fixed-only distance tables ``d_root`` and ``d_t`` (times the
-    cost scale ``model.scale``), the model graph, and a lazily
-    populated memo from each reduced tree's parents tuple to its query plan,
-    which holds the range trees of that tree's edges, or to None for the
-    empty tree.  Concurrent queries are safe; the first query needing a given
-    plan builds it, and its trees, exactly once.
+    cost scale ``model.scale``; ``d_t[i-1]`` is INF wherever no route through
+    e_i undercuts ``d_root``), the label ``floors`` of ``build_oracle``, the
+    model graph, and a lazily populated memo from each reduced tree's parents
+    tuple to its query plan, which holds the range trees of that tree's
+    edges, or to None for the empty tree.  Concurrent queries are safe; the
+    first query needing a given plan builds it, and its trees, exactly once.
     """
 
     def __init__(
@@ -77,12 +78,14 @@ class RevenueOracle:
         mg: ModelGraph,
         d_root: tuple[ExtScalar, ...],
         d_t: tuple[tuple[ExtScalar, ...], ...],
+        floors: tuple[ExtScalar, ...],
         unreachable_demand: Optional[int],
     ):
         self.instance = inst
         self.model = mg
         self.d_root = d_root
         self.d_t = d_t
+        self.floors = floors
         self._unreachable_demand = unreachable_demand
         self._plans: dict[tuple, Optional[_Plan]] = {}
         self._lock = threading.Lock()
@@ -233,15 +236,39 @@ def _check_k(oracle: RevenueOracle, rt: ReducedTree) -> None:
 
 
 def build_oracle(inst: Instance) -> RevenueOracle:
-    """Run the one-time preprocessing: k+1 fixed-only sweeps plus the model graph."""
+    """Run the one-time preprocessing: 1 full fixed-only sweep from the root,
+    k bounded ones from the heads, and the model graph.  Label i's floor (the
+    cheapest fixed-only route to tail_i with priced edges at 0) settles in a
+    Dijkstra over the labels; each head is swept once, at the least floor of
+    its labels, settling only vertices where floor + distance < ``d_root``."""
     d_root, reached = _fixed_sweep(inst, inst.root)
-    heads = [inst.target_of(i) for i in range(1, inst.k + 1)]
-    by_vertex = {t: _fixed_sweep(inst, t)[0] for t in dict.fromkeys(heads)}  # one sweep per head
-    d_t = tuple(by_vertex[t] for t in heads)
+    k, heads = inst.k, [inst.target_of(i) for i in range(1, inst.k + 1)]
+    floors = [d_root[inst.source_of(i)] for i in range(1, k + 1)]
+    d_t: list = [None] * k
+    by_head: dict = {}
+    todo = list(range(k))
+    while todo:
+        i = min(todo, key=floors.__getitem__)
+        todo.remove(i)
+        lb, head = floors[i], heads[i]
+        table = by_head.get(head)
+        if table is None:
+            start = time.perf_counter()
+            table = _fixed_sweep(inst, head, lb, d_root)[0] if is_finite(lb) else (INF,) * inst.n
+            by_head[head] = table
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("head sweep for edges %s: head=%d floor=%s settled=%d sweep_s=%.4f",
+                           [j + 1 for j in range(k) if heads[j] == head], head, lb,
+                           sum(map(is_finite, table)), time.perf_counter() - start)
+        d_t[i] = table
+        for j in todo:
+            d = table[inst.source_of(j + 1)]
+            if is_finite(d):  # INF + a huge int would overflow
+                floors[j] = min(floors[j], lb + d)
     mg = build_model_graph(inst, d_root, d_t)
     # the raw sweep also crosses priceable slots: INF there means no route at all
     unreachable = next((v for v, d in enumerate(reached) if d is INF and inst.demand[v]), None)
-    return RevenueOracle(inst, mg, d_root, d_t, unreachable)
+    return RevenueOracle(inst, mg, d_root, tuple(d_t), tuple(floors), unreachable)
 
 
 def embed_points(

@@ -91,13 +91,12 @@ class SptResult:
 # int ``key * n + v``, ordered like (key, v) because 0 <= v < n.
 
 
-def _dijkstra(starts, heads, inc, source: int, start: int, n: int):
-    """Integer-key Dijkstra from ``source`` with key ``start``.
-
-    Returns (dist, parent_slot): v's key or INF if unreached, and the
-    slot of v's tree edge or None.  A heap entry is the single int ``key * n + v``.
-    """
-    dist: list = [INF] * n
+def _dijkstra(starts, heads, inc, source: int, start: int, dist: list):
+    """Integer-key Dijkstra from ``source`` with key ``start``, over the
+    caller's initial keys ``dist`` (INF, or a ceiling a route must go below),
+    which it updates in place.  Returns (dist, parent_slot): v's key, and the
+    slot of v's tree edge or None.  Heap entries are single ints ``key * n + v``."""
+    n = len(dist)
     parent: list = [None] * n
     dist[source] = start
     heap = [start * n + source]
@@ -206,7 +205,7 @@ def _lex_sweep(inst: Instance, prices: PriceFunction, source: int):
     starts, heads, _epos, costs, labels, cost_scale, _cutoff = _csr(inst)
     scale, ps = _scaled_prices(cost_scale, prices.values)
     inc, start, pcap, m1, m2 = _lex_keys(costs, labels, scale // cost_scale, ps)
-    dist, parent = _dijkstra(starts, heads, inc, source, start, inst.n)
+    dist, parent = _dijkstra(starts, heads, inc, source, start, [INF] * inst.n)
     return dist, parent, scale, pcap, m1, m2
 
 
@@ -238,14 +237,17 @@ def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult
     return SptResult(source=src, dist=tuple(dist), parent_edge=parent_edge)
 
 
-def _fixed_sweep(inst: Instance, source: int) -> tuple[tuple, list]:
+def _fixed_sweep(inst: Instance, source: int, floor: int = 0, ceiling=None) -> tuple[tuple, list]:
     """(table, raw): the fixed-only distances from ``source`` times the cost
     scale, exact ints with INF where no fixed-only route exists; and the raw
     sweep, which crosses priceable slots at ``cutoff``, so INF there means no
-    route at all."""
+    route at all.  A bounded sweep starts at key ``floor`` and relaxes v only
+    below ``ceiling[v]``; its table reads INF wherever it did not."""
     starts, heads, _epos, costs, _labels, _scale, cutoff = _csr(inst)
-    dist, _parent = _dijkstra(starts, heads, costs, source, 0, inst.n)
-    return tuple(d if d < cutoff else INF for d in dist), dist
+    ceiling = (INF,) * inst.n if ceiling is None else ceiling
+    dist, _parent = _dijkstra(starts, heads, costs, source, floor, list(ceiling))
+    top = floor + cutoff
+    return tuple(d - floor if d < c and d < top else INF for d, c in zip(dist, ceiling)), dist
 
 
 def fixed_cost_sssp(inst: Instance, source: int) -> tuple[ExtScalar, ...]:

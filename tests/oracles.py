@@ -5,10 +5,10 @@ shared with the package internals: Bellman-Ford instead of Dijkstra, explicit
 path enumeration instead of priority queues, linear scans instead of trees.
 The exceptions are earlier library code kept verbatim as references:
 ``tuple_heap_dijkstra``, the Dijkstra core the packed-heap core is checked
-against slot for slot, ``reference_model_csr``, the model graph's slot
-arrays as they were built from a per-vertex fixed adjacency, and
-``unpruned_embedding``, the point set of one reduced-tree edge with every
-fixed-reachable vertex in it.
+against slot for slot, and ``reference_model_csr``, the model graph's slot
+arrays as they were built from a per-vertex fixed adjacency.
+``unpruned_embedding`` is the point set of one reduced-tree edge with every
+fixed-reachable vertex in it, on distance tables of its own.
 """
 
 from __future__ import annotations
@@ -17,19 +17,23 @@ import heapq
 import itertools
 
 from stackspt.instance import Fixed, Instance, Priceable, PriceFunction
-from stackspt.model import sequence_of, w_infinity
+from stackspt.model import sequence_of
 from stackspt.rangetree import WeightedPointSet
 from stackspt.rational import INF, NEG_INF, is_finite
 
 
-def bellman_ford_fixed(inst: Instance, source: int):
-    """Fixed-edge-only shortest distances by |V|-1 rounds of relaxation."""
+def bellman_ford_fixed(inst: Instance, source: int, free_priced: bool = False):
+    """Fixed-edge-only shortest distances by |V|-1 rounds of relaxation.
+
+    With ``free_priced`` the priceable edges take part at cost 0: the metric
+    of the cheapest route on which no price is paid.
+    """
     dist = [None] * inst.n
     dist[source] = 0
     edges = [
-        (e.tail, e.head, e.kind.cost)
+        (e.tail, e.head, e.kind.cost if isinstance(e.kind, Fixed) else 0)
         for e in inst.edges
-        if isinstance(e.kind, Fixed)
+        if free_priced or isinstance(e.kind, Fixed)
     ]
     for _ in range(inst.n - 1):
         changed = False
@@ -45,16 +49,14 @@ def bellman_ford_fixed(inst: Instance, source: int):
     return [INF if d is None else d for d in dist]
 
 
-_UNREACHED = float("inf")
-
-
-def tuple_heap_dijkstra(starts, heads, inc, source: int, start: int, n: int):
+def tuple_heap_dijkstra(starts, heads, inc, source: int, start: int, dist: list):
     """Integer-key Dijkstra from ``source`` with key ``start``.
 
-    Returns (dist, parent_slot): dist[v] is v's key or float inf when v is
-    unreachable, parent_slot[v] the slot of v's tree edge or None.
+    ``dist`` holds each vertex's initial key (float inf, or a ceiling) and is
+    updated in place.  Returns (dist, parent_slot): dist[v] is v's key,
+    parent_slot[v] the slot of v's tree edge or None.
     """
-    dist: list = [_UNREACHED] * n
+    n = len(dist)
     parent: list = [None] * n
     dist[source] = start
     heap = [(start, source)]
@@ -231,29 +233,45 @@ def max_spt_revenue(inst: Instance, prices: PriceFunction, cap: int = 200_000):
 # -- point embedding -----------------------------------------------------------
 
 
+def scaled_fixed_table(inst: Instance, scale: int, source: int, free_priced: bool = False) -> list:
+    """``bellman_ford_fixed`` times ``scale``: exact ints, or INF."""
+    dist = bellman_ford_fixed(inst, source, free_priced)
+    return [int(d * scale) if is_finite(d) else INF for d in dist]
+
+
 def unpruned_embedding(oracle, rt, label):
     """(vertices, point set) of one reduced-tree edge, one point per vertex
     the edge's head reaches on fixed edges, including those no positive price
     lets the edge serve (own-axis coordinate >= 0).
 
+    The distance tables are full ones of its own (``bellman_ford_fixed``,
+    times the oracle's cost scale), and so is each route's fixed part w.
     Coordinates are spelled out per axis j of ``rt.edges``: on the edge's own
-    axis w + d_here[v] - d_root[v], on another w - w_j + d_here[v] - d_j[v],
-    with w the ``w_infinity`` of a route; NEG_INF where the table reads INF.
+    axis w + d_here[v] - d_root[v], on another w - w_j + d_here[v] - d_j[v];
+    NEG_INF where a table reads INF.
     """
-    w = {j: w_infinity(oracle.model, sequence_of(rt, j)) for j in rt.edges}
-    d_here = oracle.d_t[label - 1]
+    inst = oracle.instance
+    d_root = scaled_fixed_table(inst, oracle.model.scale, inst.root)
+    d_t = {j: scaled_fixed_table(inst, oracle.model.scale, inst.target_of(j)) for j in rt.edges}
+    w = {}
+    for j in rt.edges:
+        seq = sequence_of(rt, j)
+        segments = [d_root[inst.source_of(seq[0])]]
+        segments += [d_t[a][inst.source_of(b)] for a, b in zip(seq, seq[1:])]
+        w[j] = sum(segments) if all(map(is_finite, segments)) else INF
+    d_here = d_t[label]
     vertices, points = [], []
-    for v in range(oracle.instance.n):
+    for v in range(inst.n):
         if not is_finite(d_here[v]):
             continue
         coords = []
         for j in rt.edges:
-            d = oracle.d_root[v] if j == label else oracle.d_t[j - 1][v]
+            d = d_root[v] if j == label else d_t[j][v]
             shift = 0 if j == label else w[j]
             coords.append(w[label] + d_here[v] - shift - d if is_finite(d) else NEG_INF)
         vertices.append(v)
         points.append(tuple(coords))
-    weights = tuple(oracle.instance.demand[v] for v in vertices)
+    weights = tuple(inst.demand[v] for v in vertices)
     return vertices, WeightedPointSet(dim=len(rt.edges), points=tuple(points), weights=weights)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
-from oracles import linear_scan, unpruned_embedding
+from oracles import linear_scan, scaled_fixed_table, unpruned_embedding
 from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction, random_instance
 from stackspt.model import ReducedTree, reduced_tree_of_spt, sequence_of, w_infinity
@@ -48,6 +48,16 @@ def priceable_chain() -> Instance:
     return Instance(n=5, root=0, edges=edges, demand=(1,) * 5)
 
 
+def shared_head() -> Instance:
+    edges = (
+        Edge(0, 1, Fixed(4)),
+        Edge(0, 2, Fixed(6)),
+        Edge(1, 2, Priceable(1)),
+        Edge(0, 2, Priceable(2)),
+    )
+    return Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
+
+
 class TestBuild:
     def test_builds_for_fewer_than_two_priceable_edges(self):
         for k in (0, 1):
@@ -58,14 +68,7 @@ class TestBuild:
 
     def test_shared_distance_tables(self):
         # both priceable edges end at the same vertex: one sweep, one table
-        edges = (
-            Edge(0, 1, Fixed(4)),
-            Edge(0, 2, Fixed(6)),
-            Edge(1, 2, Priceable(1)),
-            Edge(0, 2, Priceable(2)),
-        )
-        inst = Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
-        oracle = build_oracle(inst)
+        oracle = build_oracle(shared_head())
         assert oracle.d_t[0] is oracle.d_t[1]
 
     def test_repeated_builds_agree(self):
@@ -87,6 +90,108 @@ def servable_vertices(oracle: RevenueOracle, rt: ReducedTree, label: int) -> lis
         v for v in range(oracle.instance.n)
         if is_finite(d_here[v]) and not (is_finite(d_root[v]) and w + d_here[v] >= d_root[v])
     ]
+
+
+def head_floor(oracle: RevenueOracle, label: int):
+    """The floor the table of ``label``'s head was swept at: the least floor
+    of the labels sharing that head."""
+    target = oracle.instance.target_of
+    return min(f for j, f in enumerate(oracle.floors, 1) if target(j) == target(label))
+
+
+def full_tables(oracle: RevenueOracle) -> list:
+    """Unbounded fixed-only tables from every head, times the cost scale."""
+    inst = oracle.instance
+    scale = oracle.model.scale
+    return [scaled_fixed_table(inst, scale, inst.target_of(i)) for i in range(1, inst.k + 1)]
+
+
+sweep_instances = st.one_of(
+    strategies.instances(min_n=2, max_k=4),
+    strategies.fractional_cost_instances(min_n=2, max_k=4),
+    strategies.nested_chains(max_k=4),
+    strategies.loose_instances(max_k=4),  # parallel edges: shared heads
+)
+
+
+class TestBoundedHeadSweeps:
+    """Label floors and the head tables swept bounded by them."""
+
+    @settings(max_examples=200)
+    @given(sweep_instances)
+    def test_floors_are_free_metric_distances(self, inst):
+        oracle = build_oracle(inst)
+        free = scaled_fixed_table(inst, oracle.model.scale, inst.root, free_priced=True)
+        assert oracle.floors == tuple(free[inst.source_of(i)] for i in range(1, inst.k + 1))
+
+    @settings(max_examples=200)
+    @given(sweep_instances)
+    def test_tables_hold_exactly_the_servable_vertices(self, inst):
+        oracle = build_oracle(inst)
+        d_root = scaled_fixed_table(inst, oracle.model.scale, inst.root)
+        assert list(oracle.d_root) == d_root
+        for i, full in enumerate(full_tables(oracle), start=1):
+            lb = head_floor(oracle, i)
+            servable = [
+                is_finite(lb) and is_finite(d) and not (is_finite(r) and lb + d >= r)
+                for d, r in zip(full, d_root)
+            ]
+            assert list(oracle.d_t[i - 1]) == [d if ok else INF for d, ok in zip(full, servable)]
+
+    @settings(max_examples=200)
+    @given(sweep_instances, st.data())
+    def test_pruned_oracle_matches_naive(self, inst, data):
+        oracle = build_oracle(inst)
+        prices = data.draw(st.tuples(*[strategies.scalar_prices()] * inst.k))
+        try:
+            expect = naive_revenue(inst, prices)
+        except UnreachableVertexError:
+            with pytest.raises(UnreachableVertexError):
+                oracle.revenue(prices)
+            return
+        assert oracle.revenue(prices) == expect
+        assert oracle.reduced_tree_for(prices) == reduced_tree_of_spt(inst, lex_dijkstra(inst, prices))
+
+    def test_a_never_tight_hop_is_not_realizable(self):
+        # from the root, vertex 3 costs 2 on a fixed edge, but 3 through edge 1
+        edges = (
+            Edge(0, 1, Fixed(2)),
+            Edge(1, 2, Priceable(1)),
+            Edge(2, 3, Fixed(1)),
+            Edge(3, 4, Priceable(2)),
+            Edge(0, 3, Fixed(2)),
+            Edge(0, 4, Fixed(20)),
+        )
+        inst = Instance(n=5, root=0, edges=edges, demand=(1,) * 5)
+        oracle = build_oracle(inst)
+        assert oracle.floors == (2, 2)
+        assert oracle.model.t_w[0][oracle.model.s_of(2)] == INF  # the hop e1 -> e2
+        rt = ReducedTree((0, 1))
+        with pytest.raises(ValidationError, match="not realizable"):
+            oracle.warm_up([rt])
+        for label in rt.edges:
+            with pytest.raises(ValidationError, match="not realizable"):
+                embed_points(oracle, rt, label)
+            with pytest.raises(ValidationError, match="not realizable"):
+                query_intervals(oracle, rt, label, PriceFunction((1, 1)))
+        for p in ([1, 1], [1, 17], [5, 3]):
+            assert oracle.reduced_tree_for(p) != rt
+            assert oracle.revenue(p) == naive_revenue(inst, p)
+
+    def test_debug_log_once_per_head_sweep(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="stackspt"):
+            build_oracle(chain_with_bypasses())
+        lines = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
+        # edge 2's floor is 2 + 1 through edge 1, not d_root[3] = 10
+        assert [m.split(" sweep_s=")[0] for m in lines] == [
+            "head sweep for edges [1]: head=2 floor=2 settled=2",
+            "head sweep for edges [2]: head=4 floor=3 settled=1",
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="stackspt"):
+            build_oracle(shared_head())
+        lines = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
+        assert len(lines) == 1 and lines[0].startswith("head sweep for edges [1, 2]: head=2")
 
 
 class TestEmbedding:
@@ -244,8 +349,17 @@ def test_rectangle_membership_matches_classification(case):
         rect = query_intervals(oracle, rt, label, prices)
         kept = servable_vertices(oracle, rt, label)
         assert len(kept) == len(pts.points)
+        # a coordinate is the unpruned one, or NEG_INF exactly where the
+        # other edge's route cannot undercut the fixed route at any price
         vertices, full = unpruned_embedding(oracle, rt, label)
-        assert pts.points == tuple(full.points[vertices.index(v)] for v in kept)
+        d_root, tables = oracle.d_root, full_tables(oracle)
+        for v, point in zip(kept, pts.points):
+            for j, got, want in zip(rt.edges, point, full.points[vertices.index(v)]):
+                d_j = tables[j - 1][v]
+                never_tight = j != label and is_finite(d_j) and is_finite(d_root[v]) and (
+                    head_floor(oracle, j) + d_j >= d_root[v]
+                )
+                assert got == (NEG_INF if never_tight else want), (v, label, j)
         for v, point in zip(kept, pts.points):
             assert rect.contains(point) == (last[v] == label), (v, label)
         for v in set(range(inst.n)).difference(kept):

@@ -336,11 +336,13 @@ class TestNaiveRevenue:
 
 @st.composite
 def csr_graphs(draw):
-    """``_dijkstra`` arguments (starts, heads, inc, source, start, n) of a random CSR.
+    """``_dijkstra`` arguments (starts, heads, inc, source, start, dist) of a random CSR.
 
     Increments come from a two-value set, so equal keys and therefore ties
     are common; on half the graphs that set sits above 2^200.  Vertices have
-    0..3 out-edges, so some are left unreached.
+    0..3 out-edges, so some are left unreached.  The initial ``dist`` is all
+    INF, or a ceiling: per vertex INF or ``start`` plus a few increments, so
+    some routes stop below it and some do not.
     """
     n = draw(st.integers(min_value=1, max_value=10))
     base = draw(st.sampled_from((0, 2**200)))
@@ -352,18 +354,24 @@ def csr_graphs(draw):
         starts.append(len(heads))
     source = draw(st.integers(min_value=0, max_value=n - 1))
     start = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=2**210)))
-    return starts, heads, inc, source, start, n
+    dist = [INF] * n
+    if draw(st.booleans()):
+        steps = st.integers(min_value=0, max_value=6).map(lambda x: start + x * (base + 1))
+        dist = draw(st.lists(st.one_of(st.just(INF), steps), min_size=n, max_size=n))
+    return starts, heads, inc, source, start, dist
 
 
 class TestDijkstraCore:
     """The packed-heap core against the tuple-heap core it replaced."""
 
     @given(csr_graphs())
-    @example(([0, 0], [], [], 0, 7, 1))  # n = 1
-    @example(([0, 2, 3, 4, 4, 4], [1, 2, 3, 3], [1, 1, 1, 1], 0, 3, 5))  # tie at 3, 4 unreached
+    @example(([0, 0], [], [], 0, 7, [INF]))  # n = 1
+    @example(([0, 2, 3, 4, 4, 4], [1, 2, 3, 3], [1, 1, 1, 1], 0, 3, [INF] * 5))  # tie at 3, 4 unreached
+    @example(([0, 2, 3, 4, 4, 4], [1, 2, 3, 3], [1, 1, 1, 1], 0, 3, [INF, 4, INF, 5, INF]))  # 1 and 3 capped
     @settings(max_examples=300)
     def test_same_dist_and_parents_as_tuple_heap(self, graph):
-        dist, parent = _dijkstra(*graph)
-        ref_dist, ref_parent = oracles.tuple_heap_dijkstra(*graph)
+        *csr, dist = graph
+        dist, parent = _dijkstra(*csr, list(dist))
+        ref_dist, ref_parent = oracles.tuple_heap_dijkstra(*csr, list(graph[-1]))
         assert [(type(d), d) for d in dist] == [(type(d), d) for d in ref_dist]
         assert parent == ref_parent
