@@ -137,7 +137,7 @@ class Instance:
                 if isinstance(c, bool) or not isinstance(c, FINITE_TYPES):
                     raise ValidationError(f"edge {pos} cost must be an exact scalar")
                 if c <= 0:
-                    raise ValidationError(f"edge {pos} cost must be > 0, got {c}")
+                    raise ValidationError(f"edge {pos} cost must be > 0, got {format_scalar(c)}")
             elif isinstance(kind, Priceable):
                 i = kind.index
                 if not isinstance(i, int) or isinstance(i, bool):
@@ -192,7 +192,7 @@ class PriceFunction:
             except TypeError as exc:
                 raise ValidationError(str(exc)) from None
             if p <= 0:
-                raise ValidationError(f"price {pos + 1} must be > 0, got {p}")
+                raise ValidationError(f"price {pos + 1} must be > 0, got {format_scalar(p)}")
             normalized.append(p)
         object.__setattr__(self, "values", tuple(normalized))
 

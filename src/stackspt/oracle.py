@@ -18,12 +18,14 @@ embedded points are exact ints, so each range tree's sorted values are the
 very lists a query cuts.  A vertex whose fixed-only distance no route through
 an edge undercuts even at price 0 is never served by it: the head's sweep
 leaves it INF, and a plan's route gives it no point.  A plan, built once per
-reduced tree, keeps each edge's route, signature and range tree.  A query
-scales the prices to ints once and shares them between the model-graph
-sweep and the cuts.  The sweep's parents tuple finds the plan, so a tree met
-before is neither rebuilt nor revalidated.  The query then sums each route's
-price once and turns each rectangle side into an integer rank cut with one
-floor division and one binary search; the range tree counts in rank space.
+reduced tree, keeps each edge's route, range tree and per-axis cut
+descriptors.  A query checks and scales the prices to ints once, then runs
+the one integer kernel (``_kernel``, which ``solver.solve`` calls directly on
+candidates it scaled itself): the model-graph sweep's parents tuple finds
+the plan, so a tree met before is neither rebuilt nor revalidated; each
+route's price is summed once and each rectangle side becomes an integer rank
+cut with one floor division and one binary search; the range tree counts in
+rank space.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class RevenueOracle:
 
     def _build_plan(self, rt: ReducedTree) -> _Plan:
         plan = _Plan(self.model, rt)
-        for label in rt.edges:
+        for at, label in enumerate(rt.edges):
             pts = embed_points(self, rt, label, plan)
             start = time.perf_counter()
             tree = build_range_tree(pts)
@@ -123,6 +125,7 @@ class RevenueOracle:
                 time.perf_counter() - start,
             )
             plan.trees.append(tree)
+            plan.cuts.append(tuple((vals, *ax) for vals, ax in zip(tree.values, plan.axes[at])))
         return plan
 
     def warm_up(self, trees: Iterable[ReducedTree]) -> None:
@@ -131,34 +134,40 @@ class RevenueOracle:
             _check_k(self, rt)
             self._plan_for(rt.parents)
 
-    def _rows(self, prices) -> tuple[tuple, Optional[_Plan], int, list]:
-        """The reduced tree's parents and plan, the price scale S, and per edge
-        (label, route price times S, served weight)."""
-        p = as_prices(prices, self.k)
+    def _check_served(self) -> None:
         if self._unreachable_demand is not None:
-            raise UnreachableVertexError(
-                f"vertex {self._unreachable_demand} has positive demand "
-                "but is unreachable from the root"
-            )
-        scale, ps = _scaled_prices(self.model.scale, p.values)
+            raise UnreachableVertexError(f"vertex {self._unreachable_demand} has positive "
+                                         "demand but is unreachable from the root")
+
+    def _scaled(self, prices) -> tuple[int, list[int]]:
+        """Check a price vector and scale it: (S, the prices times S)."""
+        p = as_prices(prices, self.k)
+        self._check_served()
+        return _scaled_prices(self.model.scale, p.values)
+
+    def _kernel(self, scale: int, ps) -> tuple[tuple, Optional[_Plan], list]:
+        """The one evaluation path, for checked prices ``ps`` times ``scale``
+        (a multiple of the cost scale): the reduced tree's parents, its plan,
+        and per edge (label, route price times ``scale``, served weight)."""
         parents = tree_parents(self.model, scale, ps)
         plan = self._plan_for(parents)
         if plan is None:
-            return parents, None, scale, []
+            return parents, None, []
         f = scale // self.model.scale
         totals = plan.route_prices(ps)
         rows = []
-        for at, tree in enumerate(plan.trees):
+        for label, p, tree, edge_cuts in zip(plan.labels, totals, plan.trees, plan.cuts):
             cuts = [
-                (0, bisect_right(ints, u // f if closed else (u - 1) // f))
-                for ints, (u, closed) in zip(tree.values, _uppers(totals, plan.chis, at))
+                (0, bisect_right(values, (totals[o] - p - (totals[o] + lose > p)) // f))
+                for values, o, lose in edge_cuts
             ]
-            rows.append((plan.labels[at], totals[at], tree.count(cuts)))
-        return parents, plan, scale, rows
+            rows.append((label, p, tree.count(cuts)))
+        return parents, plan, rows
 
     def revenue(self, prices: Union[PriceFunction, Sequence]) -> Scalar:
         """Exact revenue of a price vector, an int whenever it is integral."""
-        _parents, _plan, scale, rows = self._rows(prices)
+        scale, ps = self._scaled(prices)
+        rows = self._kernel(scale, ps)[2]
         if not rows:
             return 0
         return _unscaled(sum(price * served for _, price, served in rows), scale)
@@ -167,7 +176,8 @@ class RevenueOracle:
         self, prices: Union[PriceFunction, Sequence]
     ) -> tuple[ReducedTree, tuple[tuple[int, Scalar, Scalar], ...]]:
         """The reduced tree plus (label, route price, served weight) per edge."""
-        parents, plan, scale, rows = self._rows(prices)
+        scale, ps = self._scaled(prices)
+        parents, plan, rows = self._kernel(scale, ps)
         rt = ReducedTree(parents) if plan is None else plan.rt
         return rt, tuple((label, _unscaled(price, scale), served) for label, price, served in rows)
 
@@ -182,20 +192,30 @@ class _Plan:
     """What a query needs of one non-empty reduced tree, in ``rt.edges`` order.
 
     Holds the tree itself and, per present edge: its route as 0-based price
-    indices from the root down, its signature ``chi_sum``, ``w_infinity`` of
-    its route and its range tree, whose ``values`` are the sorted int (or
-    NEG_INF) coordinates a query cuts.  The oracle fills ``trees`` before it
+    indices from the root down, ``w_infinity`` of its route, its range tree,
+    and per axis a cut descriptor (o, lose).  The axis caps the point at
+    q - p, p being this route's price and q that of route o of
+    ``route_prices`` (its trailing 0 on the own axis).  The cap is closed
+    exactly when this route wins the preference order, higher price first,
+    then higher signature: open exactly when q + lose > p, with ``lose`` 1
+    when route o has the higher ``chi_sum`` (distinct routes never tie
+    there).  ``cuts`` prefixes each descriptor with the tree's sorted int
+    (or NEG_INF) ``values``; the oracle fills it and ``trees`` before it
     publishes the plan.
     """
 
-    __slots__ = ("rt", "labels", "routes", "chis", "w_inf", "trees")
+    __slots__ = ("rt", "labels", "routes", "w_inf", "axes", "trees", "cuts")
 
     def __init__(self, mg: ModelGraph, rt: ReducedTree):
         self.rt = rt
         self.labels = rt.edges
         seqs = [sequence_of(rt, j) for j in rt.edges]
         self.routes = tuple(tuple(i - 1 for i in seq) for seq in seqs)
-        self.chis = tuple(chi_sum(seq) for seq in seqs)
+        chis = [chi_sum(seq) for seq in seqs]
+        self.axes = tuple(
+            tuple((len(chis), 0) if j == at else (j, int(chi < c)) for j, c in enumerate(chis))
+            for at, chi in enumerate(chis)
+        )
         w_inf = []
         for j, seq in zip(rt.edges, seqs):
             w = w_infinity(mg, seq)
@@ -206,28 +226,11 @@ class _Plan:
             w_inf.append(w)
         self.w_inf = tuple(w_inf)
         self.trees: list[RangeTree] = []
+        self.cuts: list[tuple] = []
 
-    def route_prices(self, ps: list[int]) -> list[int]:
-        """Each route's price, from the prices ``ps`` by label - 1."""
-        return [sum(map(ps.__getitem__, route)) for route in self.routes]
-
-
-def _uppers(totals: list, chis: Sequence[int], at: int) -> list[tuple[int, bool]]:
-    """Upper bound (times the price scale) and closedness per axis of the
-    rectangle of the edge at position ``at``, from the route prices ``totals``
-    (times the same scale).
-
-    The own axis caps the point at minus the route's price; every other axis
-    caps the two routes' price difference, closed exactly when this edge's
-    route wins the preference order: higher price first, then higher
-    signature.  Distinct routes never tie, since their signatures differ.
-    """
-    p = totals[at]
-    here = (p, chis[at])
-    return [
-        (-p, True) if j == at else (q - p, here > (q, chi))
-        for j, (q, chi) in enumerate(zip(totals, chis))
-    ]
+    def route_prices(self, ps) -> list[int]:
+        """Each route's price, from the prices ``ps`` by label - 1, then 0."""
+        return [sum(map(ps.__getitem__, route)) for route in self.routes] + [0]
 
 
 def _check_k(oracle: RevenueOracle, rt: ReducedTree) -> None:
@@ -326,14 +329,18 @@ def query_intervals(
 ) -> QueryRect:
     """Dominance rectangle whose member points form V(e_label, p).
 
-    Axis order and unit match embed_points: the bounds are the ones a query
-    cuts the range tree at (``_uppers``), times the cost scale, exact scalars.
+    Axis order and unit match embed_points: the bounds are the caps a query
+    cuts the range tree at (``_Plan``'s descriptors), times the cost scale,
+    exact scalars.
     """
     _check_k(oracle, rt)
     if label not in rt:
         raise ValidationError(f"edge {label} is not in the reduced tree")
     plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
     scale, ps = _scaled_prices(oracle.model.scale, as_prices(prices, oracle.k).values)
-    uppers = _uppers(plan.route_prices(ps), plan.chis, plan.labels.index(label))
-    f = scale // oracle.model.scale
-    return QueryRect.dominance([(_unscaled(u, f), closed) for u, closed in uppers])
+    totals = plan.route_prices(ps)
+    at = plan.labels.index(label)
+    p, f = totals[at], scale // oracle.model.scale
+    return QueryRect.dominance([
+        (_unscaled(totals[o] - p, f), not totals[o] + lose > p) for o, lose in plan.axes[at]
+    ])

@@ -39,7 +39,7 @@ from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
-from .rational import FINITE_TYPES, INF, ExtScalar, Scalar
+from .rational import FINITE_TYPES, INF, ExtScalar, Scalar, format_scalar
 
 __all__ = [
     "Interval",
@@ -140,7 +140,7 @@ class WeightedPointSet:
             if not isinstance(w, FINITE_TYPES) or isinstance(w, bool):
                 raise ValidationError(f"weight {w!r} is not an exact finite scalar")
             if w < 0:
-                raise ValidationError(f"weights must be nonnegative, got {w!r}")
+                raise ValidationError(f"weights must be nonnegative, got {format_scalar(w)}")
 
     def __len__(self) -> int:
         return len(self.points)

@@ -3,7 +3,8 @@
 The solver evaluates every vector in a candidate cross product (or an
 explicit vector list) through the fast oracle and keeps the best, breaking
 revenue ties toward the lexicographically smallest vector so results are
-reproducible.
+reproducible.  The candidates are scaled to ints once, by one common scale,
+and every vector goes through the oracle's integer query kernel.
 
 Candidate generation ships as a breakpoint heuristic: for each priceable
 edge, the prices at which routing some vertex through that edge exactly ties
@@ -16,18 +17,20 @@ optimality.
 from __future__ import annotations
 
 import itertools
+import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Optional, Union
 
 from .errors import ParseError, ValidationError
-from .instance import Fixed, Instance, PriceFunction, ensure_scalar, serialize_instance
+from .instance import Instance, PriceFunction, ensure_scalar, serialize_instance
 from .model import reduced_tree_of_spt
 from .oracle import RevenueOracle, build_oracle
 from .rational import Scalar, format_scalar, is_finite, parse_scalar
-from .shortest import _unscaled, last_priceable_labels, lex_dijkstra, naive_revenue
+from .shortest import _csr, _unscaled, last_priceable_labels, lex_dijkstra, naive_revenue
 
 __all__ = [
     "CandidateSet",
@@ -42,6 +45,8 @@ __all__ = [
     "verify_oracle",
 ]
 
+_log = logging.getLogger("stackspt")
+
 
 def _exact_positive(v, what: str) -> Scalar:
     try:
@@ -49,7 +54,7 @@ def _exact_positive(v, what: str) -> Scalar:
     except TypeError as exc:
         raise ValidationError(str(exc)) from exc
     if v <= 0:
-        raise ValidationError(f"{what} must be strictly positive, got {v}")
+        raise ValidationError(f"{what} must be strictly positive, got {format_scalar(v)}")
     return v
 
 
@@ -119,11 +124,8 @@ def fallback_price(inst: Instance) -> Scalar:
     Used for edges with no candidates; any such edge is effectively switched
     off (or serves only vertices with no priceable-free alternative).
     """
-    total: Scalar = 1
-    for e in inst.edges:
-        if isinstance(e.kind, Fixed):
-            total = total + e.kind.cost
-    return total
+    _starts, _heads, _epos, _costs, _labels, scale, cutoff = _csr(inst)
+    return _unscaled(cutoff - 1, scale) + 1  # cutoff is 1 + the scaled fixed total
 
 
 def heuristic_candidates(oracle: RevenueOracle) -> CandidateSet:
@@ -199,6 +201,10 @@ def solve(inst: Instance, cands: Union[CandidateSet, None] = None) -> SolveResul
 
     Without candidates, the breakpoint heuristic runs on the oracle's own
     distance tables.  Revenue ties go to the lexicographically smallest vector.
+    The candidates were checked when the set was built, so they are scaled
+    once, by the LCM S of the cost scale and every candidate denominator, and
+    each vector goes straight to the oracle's integer kernel; revenues and
+    vectors compare as ints times S, and only the winner is divided back.
     """
     t0 = time.perf_counter()
     if inst.k < 1:
@@ -211,26 +217,31 @@ def solve(inst: Instance, cands: Union[CandidateSet, None] = None) -> SolveResul
     if cands.vectors is not None:
         if not cands.vectors:
             raise ValidationError("empty candidate space")
-        vectors = cands.vectors
+        grid = cands.vectors
     else:
-        lists = [lst if lst else (fallback_price(inst),) for lst in cands.per_edge]
-        vectors = itertools.product(*lists)
+        grid = [lst if lst else (fallback_price(inst),) for lst in cands.per_edge]
+    oracle._check_served()
+    scale = lcm(oracle.model.scale, *{p.denominator for row in grid for p in row})
+    scaled = [tuple(p.numerator * (scale // p.denominator) for p in row) for row in grid]
+    vectors = scaled if cands.vectors is not None else itertools.product(*scaled)
 
-    best_vec = None
-    best_rev: Optional[Scalar] = None
-    count = 0
-    for vec in vectors:
-        rev = oracle.revenue(vec)
+    kernel = oracle._kernel
+    best_vec, best_rev, count = None, -1, 0  # every revenue is >= 0
+    for ps in vectors:
+        rev = sum(price * served for _, price, served in kernel(scale, ps)[2])
         count += 1
-        if best_rev is None or rev > best_rev or (rev == best_rev and vec < best_vec):
-            best_rev = rev
-            best_vec = vec
+        if rev > best_rev or (rev == best_rev and ps < best_vec):
+            best_rev, best_vec = rev, ps
 
+    wall = time.perf_counter() - t0
+    if _log.isEnabledFor(logging.DEBUG):
+        shape = f"{len(grid)} vectors" if cands.vectors else "x".join(str(len(r)) for r in grid)
+        _log.debug("solve: grid=%s scale=%d evaluations=%d solve_s=%.4f", shape, scale, count, wall)
     return SolveResult(
-        best_price=PriceFunction(tuple(best_vec)),
-        best_revenue=best_rev,
+        best_price=PriceFunction(tuple(_unscaled(p, scale) for p in best_vec)),
+        best_revenue=_unscaled(best_rev, scale),
         evaluations=count,
-        wall_time=time.perf_counter() - t0,
+        wall_time=wall,
     )
 
 

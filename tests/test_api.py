@@ -7,10 +7,12 @@ import pytest
 
 import stackspt
 from stackspt.errors import ValidationError
-from stackspt.instance import Edge, Fixed, Instance, Priceable
+from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction
 from stackspt.model import reduced_tree
 from stackspt.oracle import build_oracle
+from stackspt.rangetree import WeightedPointSet
 from stackspt.shortest import lex_dijkstra, naive_revenue
+from stackspt.solver import CandidateSet
 
 
 def two_edge_instance() -> Instance:
@@ -62,3 +64,29 @@ def test_bad_prices_raise_validation_error(entry, prices, message):
     with pytest.raises(ValidationError) as info:
         ENTRY_POINTS[entry](inst, oracle, prices)
     assert str(info.value) == message
+
+
+HUGE = -(10**5000)  # past the 4300 digits that str() of an int is capped at
+HUGE_VALUES = {
+    "price": (lambda: PriceFunction((1, HUGE)), "price 2 must be > 0, got "),
+    "candidate": (
+        lambda: CandidateSet(k=1, per_edge=((HUGE,),)),
+        "candidate price must be strictly positive, got ",
+    ),
+    "edge cost": (
+        lambda: Instance(n=2, root=0, edges=(Edge(0, 1, Fixed(HUGE)),), demand=(0, 1)),
+        "edge 0 cost must be > 0, got ",
+    ),
+    "point weight": (
+        lambda: WeightedPointSet(dim=1, points=((0,),), weights=(HUGE,)),
+        "weights must be nonnegative, got ",
+    ),
+}
+
+
+@pytest.mark.parametrize("what", HUGE_VALUES)
+def test_huge_value_is_named_in_full(what):
+    build, prefix = HUGE_VALUES[what]
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == prefix + "-1" + "0" * 5000

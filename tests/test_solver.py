@@ -1,16 +1,18 @@
 """Candidate generation, the sweep solver, and the verification driver."""
 
 import itertools
+import logging
 import random
 import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from oracles import bellman_ford_fixed
-from stackspt.errors import ParseError, ValidationError
+from stackspt.errors import ParseError, UnreachableVertexError, ValidationError
 from stackspt.instance import (
     Edge,
     Fixed,
@@ -223,6 +225,99 @@ class TestSolve:
             for _ in range(800):
                 sample = [Fraction(rng.randint(1, 400), rng.randint(1, 10))]
                 assert naive_revenue(inst, sample) <= best
+
+    def test_fallback_price_on_fractional_costs(self):
+        edges = (
+            Edge(0, 1, Fixed(Fraction(1, 2))),
+            Edge(1, 2, Priceable(1)),
+            Edge(0, 2, Fixed(Fraction(7, 3))),
+        )
+        inst = Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
+        assert fallback_price(inst) == Fraction(23, 6)  # 1 + 1/2 + 7/3
+        halves = Instance(n=3, root=0, edges=edges[:2] + (Edge(0, 2, Fixed(Fraction(3, 2))),),
+                          demand=(1, 1, 1))
+        assert fallback_price(halves) == 3 and type(fallback_price(halves)) is int
+
+    @settings(max_examples=60)
+    @given(strategies.fractional_cost_instances(max_n=8))
+    def test_fallback_price_is_one_above_all_fixed_costs(self, inst):
+        want = 1 + sum(e.kind.cost for e in inst.edges if isinstance(e.kind, Fixed))
+        got = fallback_price(inst)
+        assert got == want and (type(got) is int) == (want.denominator == 1)
+
+    def test_stranded_demand_raises(self):
+        edges = (Edge(0, 1, Priceable(1)), Edge(0, 1, Fixed(4)))
+        inst = Instance(n=3, root=0, edges=edges, demand=(0, 1, 1))
+        for cands in (None, CandidateSet(k=1, per_edge=((2, Fraction(5, 2)),)),
+                      CandidateSet.from_vectors(1, [(3,)])):
+            with pytest.raises(UnreachableVertexError, match="vertex 2"):
+                solve(inst, cands)
+
+    def test_debug_log_once_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="stackspt"):
+            solve(priceable_chain(), CandidateSet(k=2, per_edge=((1, Fraction(1, 2)), (Fraction(2, 3),))))
+        lines = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
+        solves = [m for m in lines if m.startswith("solve:")]
+        assert len(solves) == 1
+        assert solves[0].startswith("solve: grid=2x1 scale=6 evaluations=2 solve_s=")
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="stackspt"):
+            solve(priceable_chain(), CandidateSet.from_vectors(2, [(1, 1), (2, Fraction(1, 5))]))
+        lines = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
+        assert [m.split(" solve_s=")[0] for m in lines if m.startswith("solve:")] == [
+            "solve: grid=2 vectors scale=5 evaluations=2"
+        ]
+
+
+def _brute_force_solve(inst: Instance, cands: CandidateSet):
+    """``solve``'s answer from ``naive_revenue`` over the same candidate space."""
+    if cands.vectors is not None:
+        space = cands.vectors
+    else:
+        big = 1 + sum(e.kind.cost for e in inst.edges if isinstance(e.kind, Fixed))
+        space = itertools.product(*[lst or (big,) for lst in cands.per_edge])
+    best, count = None, 0
+    for vec in space:
+        rev = naive_revenue(inst, vec)
+        count += 1
+        if best is None or rev > best[0] or (rev == best[0] and vec < best[1]):
+            best = (rev, vec)
+    return repr(PriceFunction(best[1])), best[0], count
+
+
+@st.composite
+def solve_cases(draw):
+    """An instance with 1..3 priceable edges (fixed costs sometimes
+    fractional) and a candidate set over it: per-edge lists or explicit
+    vectors of Fractions with denominators 1..7.  Prices at or above every
+    fixed cost combined serve only vertices no fixed route reaches, so
+    vectors drawn from them tie, often at 0."""
+    kind = draw(st.sampled_from((strategies.instances, strategies.fractional_cost_instances)))
+    inst = draw(kind(min_n=2, max_n=7, min_k=1, max_k=3))
+    big = 1 + sum(e.kind.cost for e in inst.edges if isinstance(e.kind, Fixed))
+    price = st.one_of(
+        st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
+        st.sampled_from((big, big + Fraction(1, 3))),
+    )
+    if draw(st.booleans()):
+        vectors = draw(st.lists(st.tuples(*[price] * inst.k), min_size=1, max_size=8))
+        return inst, CandidateSet.from_vectors(inst.k, vectors)
+    lists = draw(st.tuples(*[st.lists(price, max_size=3)] * inst.k))
+    return inst, CandidateSet(k=inst.k, per_edge=lists)
+
+
+@settings(max_examples=150, deadline=None)
+@given(solve_cases())
+def test_solve_equals_naive_sweep_over_the_grid(case):
+    inst, cands = case
+    try:
+        want = _brute_force_solve(inst, cands)
+    except UnreachableVertexError:
+        with pytest.raises(UnreachableVertexError):
+            solve(inst, cands)
+        return
+    got = solve(inst, cands)
+    assert (repr(got.best_price), got.best_revenue, got.evaluations) == want
 
 
 class TestVerifyOracle:
