@@ -2,10 +2,10 @@
 
 The pipeline: 1 full + k bounded fixed-only sweeps feed the model graph; each
 price vector maps to a reduced tree via a (2k+1)-vertex Dijkstra run; for
-every edge of that tree, the vertices it can serve at some positive price
-embed as weighted points whose dominance rectangle membership decides the
-classification; one memoized range tree per edge of each reduced tree met
-so far turns the revenue formula
+every edge of that tree, the vertices it can serve embed as weighted points
+whose dominance rectangle membership decides the classification; at most k
+range trees, one per priceable edge and built the first time a reduced tree
+holds that edge, turn the revenue formula
 
     revenue(p) = sum over tree edges e_i of  price(sigma_i) * weight(V(e_i, p))
 
@@ -17,15 +17,16 @@ instance's cost scale (``model.scale``): the tables, model weights and
 embedded points are exact ints, so each range tree's sorted values are the
 very lists a query cuts.  A vertex whose fixed-only distance no route through
 an edge undercuts even at price 0 is never served by it: the head's sweep
-leaves it INF, and a plan's route gives it no point.  A plan, built once per
-reduced tree, keeps each edge's route, range tree and per-axis cut
-descriptors.  A query checks and scales the prices to ints once, then runs
-the one integer kernel (``_kernel``, which ``solver.solve`` calls directly on
-candidates it scaled itself): the model-graph sweep's parents tuple finds
-the plan, so a tree met before is neither rebuilt nor revalidated; each
-route's price is summed once and each rectangle side becomes an integer rank
-cut with one floor division and one binary search; the range tree counts in
-rank space.
+leaves it INF, and it gets no point.  A point depends on its edge alone;
+the reduced tree only moves each cut by an int, its routes' fixed parts.  A
+plan, built once per reduced tree, keeps each edge's route, its label's range
+tree and per-axis cut descriptors.  A query checks and scales the prices to
+ints once, then runs the one integer kernel (``_kernel``, which
+``solver.solve`` calls directly on candidates it scaled itself): the
+model-graph sweep's parents tuple finds the plan, so a tree met before is
+neither rebuilt nor revalidated; each route's price is summed once and each
+rectangle side becomes an integer rank cut with one floor division and one
+binary search; the range tree counts in rank space.
 """
 
 from __future__ import annotations
@@ -68,10 +69,11 @@ class RevenueOracle:
     Holds the fixed-only distance tables ``d_root`` and ``d_t`` (times the
     cost scale ``model.scale``; ``d_t[i-1]`` is INF wherever no route through
     e_i undercuts ``d_root``), the label ``floors`` of ``build_oracle``, the
-    model graph, and a lazily populated memo from each reduced tree's parents
-    tuple to its query plan, which holds the range trees of that tree's
-    edges, or to None for the empty tree.  Concurrent queries are safe; the
-    first query needing a given plan builds it, and its trees, exactly once.
+    model graph, at most k range trees, one per label, and a lazily populated
+    memo from each reduced tree's parents tuple to its query plan, or to None
+    for the empty tree.  Label i's tree is built with the first plan that
+    holds e_i.  Concurrent queries are safe; the first query needing a given
+    plan builds it, and any tree it lacks, exactly once.
     """
 
     def __init__(
@@ -90,6 +92,7 @@ class RevenueOracle:
         self.floors = floors
         self._unreachable_demand = unreachable_demand
         self._plans: dict[tuple, Optional[_Plan]] = {}
+        self._trees: dict[int, tuple[ReducedTree, RangeTree]] = {}  # label: (first rt, its tree)
         self._lock = threading.Lock()
 
     @property
@@ -101,35 +104,35 @@ class RevenueOracle:
 
     def _plan_for(self, parents: tuple) -> Optional[_Plan]:
         """The memoized plan of the reduced tree with these parents, None when
-        the tree is empty.  A miss validates the tree and builds its range trees."""
+        the tree is empty.  A miss validates the tree and builds the range
+        trees of its labels that have none yet."""
         plan = self._plans.get(parents, _UNBUILT)
         if plan is _UNBUILT:
             with self._lock:
                 plan = self._plans.get(parents, _UNBUILT)
                 if plan is _UNBUILT:
                     rt = ReducedTree(parents)
-                    plan = self._build_plan(rt) if rt.edges else None
+                    trees = [self._tree(rt, j) for j in rt.edges]
+                    plan = _Plan(self.model, rt, trees) if trees else None
                     self._plans[parents] = plan
         return plan
 
-    def _build_plan(self, rt: ReducedTree) -> _Plan:
-        plan = _Plan(self.model, rt)
-        for at, label in enumerate(rt.edges):
-            pts = embed_points(self, rt, label, plan)
+    def _tree(self, rt: ReducedTree, label: int) -> RangeTree:
+        """Label's range tree, built from ``embed_points`` (which validates
+        ``rt``) when no plan has needed it yet.  Called under the lock."""
+        if label not in self._trees:
+            pts = embed_points(self, rt, label)
             start = time.perf_counter()
             tree = build_range_tree(pts)
             _log.debug(
-                "range tree for edge %d of reduced tree %s: dim=%d points=%d "
-                "distinct=%d build_s=%.4f",
-                label, rt.parents, tree.dim, tree.size, tree.distinct,
-                time.perf_counter() - start,
+                "range tree for edge %d: dim=%d points=%d distinct=%d build_s=%.4f",
+                label, tree.dim, tree.size, tree.distinct, time.perf_counter() - start,
             )
-            plan.trees.append(tree)
-            plan.cuts.append(tuple((vals, *ax) for vals, ax in zip(tree.values, plan.axes[at])))
-        return plan
+            self._trees[label] = (rt, tree)
+        return self._trees[label][1]
 
     def warm_up(self, trees: Iterable[ReducedTree]) -> None:
-        """Build the plan, and so every range tree, of each given reduced tree."""
+        """Build the plan of each given reduced tree, and the range trees it needs."""
         for rt in trees:
             _check_k(self, rt)
             self._plan_for(rt.parents)
@@ -158,8 +161,9 @@ class RevenueOracle:
         rows = []
         for label, p, tree, edge_cuts in zip(plan.labels, totals, plan.trees, plan.cuts):
             cuts = [
-                (0, bisect_right(values, (totals[o] - p - (totals[o] + lose > p)) // f))
-                for values, o, lose in edge_cuts
+                (0, len(values) if o is None else
+                    bisect_right(values, (totals[o] - p - (totals[o] + lose > p)) // f - shift))
+                for values, o, lose, shift in edge_cuts
             ]
             rows.append((label, p, tree.count(cuts)))
         return parents, plan, rows
@@ -183,50 +187,60 @@ class RevenueOracle:
 
     @property
     def materialized_keys(self) -> frozenset:
-        """(reduced tree, label) for every range tree built so far."""
-        plans = [plan for plan in list(self._plans.values()) if plan is not None]  # a copy
-        return frozenset((plan.rt, label) for plan in plans for label in plan.labels)
+        """(reduced tree, label) per range tree built so far, at most k: the
+        label's tree and the first reduced tree that needed it."""
+        return frozenset((rt, label) for label, (rt, _) in list(self._trees.items()))  # a copy
 
 
 class _Plan:
     """What a query needs of one non-empty reduced tree, in ``rt.edges`` order.
 
     Holds the tree itself and, per present edge: its route as 0-based price
-    indices from the root down, ``w_infinity`` of its route, its range tree,
-    and per axis a cut descriptor (o, lose).  The axis caps the point at
-    q - p, p being this route's price and q that of route o of
-    ``route_prices`` (its trailing 0 on the own axis).  The cap is closed
-    exactly when this route wins the preference order, higher price first,
-    then higher signature: open exactly when q + lose > p, with ``lose`` 1
-    when route o has the higher ``chi_sum`` (distinct routes never tie
-    there).  ``cuts`` prefixes each descriptor with the tree's sorted int
-    (or NEG_INF) ``values``; the oracle fills it and ``trees`` before it
-    publishes the plan.
+    indices from the root down, its label's range tree (the oracle's, which
+    every plan holding that label shares), and per axis j = 1..k a cut
+    descriptor (values, o, lose, shift).  ``values`` is the range tree's
+    sorted int (or NEG_INF) values on axis j.  When e_j is absent from the
+    tree, o is None and the axis is left uncut.  Otherwise the axis caps the
+    point at q - p - shift, p being this route's price and q that of route o
+    of ``route_prices`` (its trailing 0 on the own axis, where o is the route
+    count).  ``shift`` is this route's ``w_infinity`` minus route o's (0 for
+    the trailing entry): an int, by which the reduced tree moves the cut.  The
+    cap is closed exactly when this route wins the preference order, higher
+    price first, then higher signature: open exactly when q + lose > p, with
+    ``lose`` 1 when route o has the higher ``chi_sum`` (distinct routes never
+    tie there).  A plan made without trees, which only validates ``rt`` and
+    gives ``query_intervals`` its bounds, has None for ``values``.
     """
 
-    __slots__ = ("rt", "labels", "routes", "w_inf", "axes", "trees", "cuts")
+    __slots__ = ("rt", "labels", "routes", "trees", "cuts")
 
-    def __init__(self, mg: ModelGraph, rt: ReducedTree):
+    def __init__(self, mg: ModelGraph, rt: ReducedTree, trees: Sequence[RangeTree] = ()):
         self.rt = rt
         self.labels = rt.edges
         seqs = [sequence_of(rt, j) for j in rt.edges]
         self.routes = tuple(tuple(i - 1 for i in seq) for seq in seqs)
-        chis = [chi_sum(seq) for seq in seqs]
-        self.axes = tuple(
-            tuple((len(chis), 0) if j == at else (j, int(chi < c)) for j, c in enumerate(chis))
-            for at, chi in enumerate(chis)
-        )
-        w_inf = []
-        for j, seq in zip(rt.edges, seqs):
-            w = w_infinity(mg, seq)
-            if not is_finite(w):
+        w = [w_infinity(mg, seq) for seq in seqs]
+        for j, x in zip(rt.edges, w):
+            if not is_finite(x):
                 raise ValidationError(
                     f"reduced tree is not realizable: route to edge {j} has no fixed path"
                 )
-            w_inf.append(w)
-        self.w_inf = tuple(w_inf)
-        self.trees: list[RangeTree] = []
-        self.cuts: list[tuple] = []
+        # per route o its w_infinity and chi_sum; last the trailing 0, which never wins a tie
+        w.append(0)
+        chis = [chi_sum(seq) for seq in seqs] + [-1]
+        route_of = dict(zip(rt.edges, range(len(seqs))))
+        self.trees = tuple(trees)
+        self.cuts = []
+        values = [tree.values for tree in trees] or [(None,) * mg.k] * len(seqs)
+        for at, (i, vals) in enumerate(zip(rt.edges, values)):
+            row = []
+            for j, v in enumerate(vals, 1):
+                o = len(seqs) if j == i else route_of.get(j)
+                if o is None:
+                    row.append((v, None, 0, 0))
+                else:
+                    row.append((v, o, int(chis[at] < chis[o]), w[at] - w[o]))
+            self.cuts.append(tuple(row))
 
     def route_prices(self, ps) -> list[int]:
         """Each route's price, from the prices ``ps`` by label - 1, then 0."""
@@ -236,6 +250,15 @@ class _Plan:
 def _check_k(oracle: RevenueOracle, rt: ReducedTree) -> None:
     if rt.k != oracle.k:
         raise ValidationError(f"reduced tree has k = {rt.k}, the oracle has k = {oracle.k}")
+
+
+def _plan_of(oracle: RevenueOracle, rt: ReducedTree, label: int) -> _Plan:
+    """The plan of ``rt``, memoized or made afresh (which checks that ``rt``
+    is realizable), once ``rt`` has the oracle's k and holds ``label``."""
+    _check_k(oracle, rt)
+    if label not in rt:
+        raise ValidationError(f"edge {label} is not in the reduced tree")
+    return oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
 
 
 def build_oracle(inst: Instance) -> RevenueOracle:
@@ -274,54 +297,28 @@ def build_oracle(inst: Instance) -> RevenueOracle:
     return RevenueOracle(inst, mg, d_root, tuple(d_t), tuple(floors), unreachable)
 
 
-def embed_points(
-    oracle: RevenueOracle, rt: ReducedTree, label: int, plan: Optional[_Plan] = None
-) -> WeightedPointSet:
-    """The point set behind the classification test for one reduced-tree edge.
+def embed_points(oracle: RevenueOracle, rt: ReducedTree, label: int) -> WeightedPointSet:
+    """The point set of label's range tree, once ``rt`` is checked to have
+    the oracle's k, to hold ``label`` and to be realizable.
 
-    One point per vertex the edge can serve at some positive price: its head
-    reaches v on fixed edges, and the own-axis coordinate ``w_here + d_here[v]
-    - d_root[v]`` is negative or NEG_INF.  A vertex at or above 0 there lies
-    outside every rectangle, whose own-axis bound is minus the route's price,
-    so it gets no point.  One axis per edge of the reduced tree (ascending
-    label order), with coordinates times the cost scale: exact ints, or
-    NEG_INF.  A vertex belongs to V(e_label, p) exactly when it has a point
-    that dominates none of the query rectangle's bounds.  Routes and
-    ``w_infinity`` come from ``plan``, or from the oracle's plan of ``rt``,
-    or are computed afresh.
+    One point per vertex v the head of e_label reaches on fixed edges under
+    its sweep's floor (``d_t[label-1][v]`` finite), with k axes, times the
+    cost scale: d_label[v] - d_root[v] on axis label, d_label[v] - d_j[v] on
+    axis j, NEG_INF where a table reads INF.  No route enters a point, so the
+    set is the same for every reduced tree.  v belongs to V(e_label, p) under
+    the reduced tree ``rt`` exactly when its point dominates none of the
+    bounds of ``query_intervals``.
     """
-    _check_k(oracle, rt)
-    if label not in rt:
-        raise ValidationError(f"edge {label} is not in the reduced tree")
-    if plan is None:
-        plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
-    inst = oracle.instance
+    _plan_of(oracle, rt, label)
     d_here = oracle.d_t[label - 1]
-    w_here = plan.w_inf[plan.labels.index(label)]
-    d_root = oracle.d_root
-    # per axis: the distance table and the route cost that the point subtracts
-    axes = [
-        (d_root, 0) if j == label else (oracle.d_t[j - 1], w)
-        for j, w in zip(plan.labels, plan.w_inf)
-    ]
-    points = []
-    weights = []
-    for v in range(inst.n):
-        dtv = d_here[v]
-        if not is_finite(dtv):
-            continue
-        base = w_here + dtv
-        if is_finite(d_root[v]) and base >= d_root[v]:
-            continue  # own-axis coordinate >= 0: no positive price serves v
-        coords = []
-        for table, w in axes:
-            d = table[v]
-            coords.append(base - w - d if is_finite(d) else NEG_INF)
-        points.append(tuple(coords))
-        weights.append(inst.demand[v])
-    return WeightedPointSet(
-        dim=len(plan.labels), points=tuple(points), weights=tuple(weights)
-    )
+    tables = [oracle.d_root if j == label else table for j, table in enumerate(oracle.d_t, 1)]
+    demand = oracle.instance.demand
+    points, weights = [], []
+    for v, dv in enumerate(d_here):
+        if is_finite(dv):
+            points.append(tuple(dv - t[v] if is_finite(t[v]) else NEG_INF for t in tables))
+            weights.append(demand[v])
+    return WeightedPointSet(dim=oracle.k, points=tuple(points), weights=tuple(weights))
 
 
 def query_intervals(
@@ -330,17 +327,16 @@ def query_intervals(
     """Dominance rectangle whose member points form V(e_label, p).
 
     Axis order and unit match embed_points: the bounds are the caps a query
-    cuts the range tree at (``_Plan``'s descriptors), times the cost scale,
-    exact scalars.
+    cuts the range tree at, less each axis's shift (``_Plan``'s descriptors),
+    times the cost scale, exact scalars; None on the axis of an edge absent
+    from ``rt``.
     """
-    _check_k(oracle, rt)
-    if label not in rt:
-        raise ValidationError(f"edge {label} is not in the reduced tree")
-    plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
+    plan = _plan_of(oracle, rt, label)
     scale, ps = _scaled_prices(oracle.model.scale, as_prices(prices, oracle.k).values)
     totals = plan.route_prices(ps)
     at = plan.labels.index(label)
     p, f = totals[at], scale // oracle.model.scale
     return QueryRect.dominance([
-        (_unscaled(totals[o] - p, f), not totals[o] + lose > p) for o, lose in plan.axes[at]
+        None if o is None else (_unscaled(totals[o] - p, f) - shift, not totals[o] + lose > p)
+        for _, o, lose, shift in plan.cuts[at]
     ])

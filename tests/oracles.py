@@ -8,7 +8,8 @@ The exceptions are earlier library code kept verbatim as references:
 against slot for slot, and ``reference_model_csr``, the model graph's slot
 arrays as they were built from a per-vertex fixed adjacency.
 ``unpruned_embedding`` is the point set of one reduced-tree edge with every
-fixed-reachable vertex in it, on distance tables of its own.
+fixed-reachable vertex in it, on distance tables of its own, in the frame of
+that tree's routes (``route_costs``).
 """
 
 from __future__ import annotations
@@ -239,26 +240,37 @@ def scaled_fixed_table(inst: Instance, scale: int, source: int, free_priced: boo
     return [int(d * scale) if is_finite(d) else INF for d in dist]
 
 
+def route_costs(oracle, rt) -> dict:
+    """Per edge j of ``rt``, the fixed part w of its route (up to tail_j),
+    times the oracle's cost scale, on full tables of its own; INF when some
+    segment has no fixed path."""
+    inst = oracle.instance
+    tables = {v: scaled_fixed_table(inst, oracle.model.scale, v)
+              for v in {inst.root, *map(inst.target_of, rt.edges)}}
+    w = {}
+    for j in rt.edges:
+        seq = sequence_of(rt, j)
+        segments = [tables[inst.root][inst.source_of(seq[0])]]
+        segments += [tables[inst.target_of(a)][inst.source_of(b)] for a, b in zip(seq, seq[1:])]
+        w[j] = sum(segments) if all(map(is_finite, segments)) else INF
+    return w
+
+
 def unpruned_embedding(oracle, rt, label):
     """(vertices, point set) of one reduced-tree edge, one point per vertex
     the edge's head reaches on fixed edges, including those no positive price
     lets the edge serve (own-axis coordinate >= 0).
 
     The distance tables are full ones of its own (``bellman_ford_fixed``,
-    times the oracle's cost scale), and so is each route's fixed part w.
-    Coordinates are spelled out per axis j of ``rt.edges``: on the edge's own
-    axis w + d_here[v] - d_root[v], on another w - w_j + d_here[v] - d_j[v];
-    NEG_INF where a table reads INF.
+    times the oracle's cost scale), and so is each route's fixed part w
+    (``route_costs``).  Coordinates are spelled out per axis j of
+    ``rt.edges``: on the edge's own axis w + d_here[v] - d_root[v], on
+    another w - w_j + d_here[v] - d_j[v]; NEG_INF where a table reads INF.
     """
     inst = oracle.instance
     d_root = scaled_fixed_table(inst, oracle.model.scale, inst.root)
     d_t = {j: scaled_fixed_table(inst, oracle.model.scale, inst.target_of(j)) for j in rt.edges}
-    w = {}
-    for j in rt.edges:
-        seq = sequence_of(rt, j)
-        segments = [d_root[inst.source_of(seq[0])]]
-        segments += [d_t[a][inst.source_of(b)] for a, b in zip(seq, seq[1:])]
-        w[j] = sum(segments) if all(map(is_finite, segments)) else INF
+    w = route_costs(oracle, rt)
     d_here = d_t[label]
     vertices, points = [], []
     for v in range(inst.n):

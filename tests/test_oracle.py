@@ -4,6 +4,7 @@ import logging
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest.mock import patch
@@ -13,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
-from oracles import linear_scan, scaled_fixed_table, unpruned_embedding
+from oracles import linear_scan, route_costs, scaled_fixed_table, unpruned_embedding
 from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction, random_instance
 from stackspt.model import ReducedTree, reduced_tree_of_spt, sequence_of, w_infinity
 from stackspt.oracle import RevenueOracle, build_oracle, embed_points, query_intervals
-from stackspt.rangetree import RangeTree, build_range_tree
+from stackspt.rangetree import Interval, QueryRect, RangeTree, build_range_tree
 from stackspt.rational import INF, NEG_INF, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
 from stackspt.solver import heuristic_candidates
@@ -80,16 +81,25 @@ class TestBuild:
             assert a.revenue(p) == b.revenue(p)
 
 
-def servable_vertices(oracle: RevenueOracle, rt: ReducedTree, label: int) -> list:
-    """The vertices ``embed_points`` keeps for an edge: its head reaches them
-    on fixed edges, and its route's fixed part w plus that distance undercuts
-    their fixed-only distance, or they have none."""
-    w = w_infinity(oracle.model, sequence_of(rt, label))
-    d_here, d_root = oracle.d_t[label - 1], oracle.d_root
-    return [
-        v for v in range(oracle.instance.n)
-        if is_finite(d_here[v]) and not (is_finite(d_root[v]) and w + d_here[v] >= d_root[v])
-    ]
+def servable_vertices(oracle: RevenueOracle, label: int) -> list:
+    """The vertices ``embed_points`` keeps for an edge, whatever the reduced
+    tree: those its head's bounded sweep settled (``TestBoundedHeadSweeps``
+    checks which)."""
+    return [v for v, d in enumerate(oracle.d_t[label - 1]) if is_finite(d)]
+
+
+def unshifted(oracle: RevenueOracle, rt: ReducedTree, label: int, rect: QueryRect) -> QueryRect:
+    """``query_intervals``' rectangle in the frame of ``unpruned_embedding``:
+    one axis per edge of ``rt``, each bound plus that axis's shift, the
+    route costs w of ``route_costs`` (w_label on the own axis, w_label - w_j
+    on axis j).  The axes of absent edges must be unbounded."""
+    w = route_costs(oracle, rt)
+    assert all(rect.intervals[j - 1] == Interval() for j in range(1, oracle.k + 1) if j not in rt)
+    bounds = []
+    for j in rt.edges:
+        bound, closed = rect.intervals[j - 1].upper
+        bounds.append((bound + w[label] - (0 if j == label else w[j]), closed))
+    return QueryRect.dominance(bounds)
 
 
 def head_floor(oracle: RevenueOracle, label: int):
@@ -199,12 +209,14 @@ class TestEmbedding:
         inst = chain_with_bypasses()
         oracle = build_oracle(inst)
         rt = ReducedTree((0, 1))
-        # t_1 = vertex 2 reaches {2, 3} on fixed edges; at w = 2 the route undercuts 9 and 10
+        # t_1 = vertex 2 reaches {2, 3} on fixed edges; from its floor 2 it undercuts 9 and 10
         assert len(embed_points(oracle, rt, 1)) == 2
         # t_2 = vertex 4 reaches only itself
         assert len(embed_points(oracle, rt, 2)) == 1
-        # with edge 2 off the root, w = d_root[3] = 10: only vertex 4 (20) stays
-        assert len(embed_points(oracle, ReducedTree((0, 0)), 2)) == 1
+        # a label's points do not depend on the reduced tree
+        assert embed_points(oracle, ReducedTree((0, 0)), 2) == embed_points(oracle, rt, 2)
+        assert embed_points(oracle, ReducedTree((0, None)), 1) == embed_points(oracle, rt, 1)
+        assert embed_points(oracle, rt, 1).dim == 2
 
     def test_vertices_no_positive_price_serves_get_no_point(self):
         # vertex 2 costs 1 from the root, but 2 through edge 1 at any price
@@ -216,7 +228,7 @@ class TestEmbedding:
         )
         oracle = build_oracle(Instance(n=3, root=0, edges=edges, demand=(1, 1, 1)))
         rt = ReducedTree((0,))
-        assert servable_vertices(oracle, rt, 1) == [1]
+        assert servable_vertices(oracle, 1) == [1]
         assert embed_points(oracle, rt, 1).points == ((-10,),)
         assert unpruned_embedding(oracle, rt, 1)[1].points == ((-10,), (0,))
 
@@ -224,22 +236,24 @@ class TestEmbedding:
         inst = chain_with_bypasses()
         oracle = build_oracle(inst)
         rt = ReducedTree((0, 1))
+        p = PriceFunction((3, 4))
         for label, head in ((1, 2), (2, 4)):
-            seq = sequence_of(rt, label)
-            expect = w_infinity(oracle.model, seq) - oracle.d_root[head]
             pts = embed_points(oracle, rt, label)
-            axis = rt.edges.index(label)
-            got = pts.points[servable_vertices(oracle, rt, label).index(head)][axis]
-            assert got == expect
+            got = pts.points[servable_vertices(oracle, label).index(head)][label - 1]
+            assert got == -oracle.d_root[head]
+            # the route's fixed part moves the cut, not the point
+            w = w_infinity(oracle.model, sequence_of(rt, label))
+            price = sum(p.values[:label])
+            rect = query_intervals(oracle, rt, label, p)
+            assert rect.intervals[label - 1].upper == (-price - w, True)
 
     def test_unreachable_axis_is_negative_infinity(self):
         inst = chain_with_bypasses()
         oracle = build_oracle(inst)
         rt = ReducedTree((0, 1))
         pts = embed_points(oracle, rt, 2)  # single point, for vertex 4
-        axis_1 = rt.edges.index(1)
         # t_1 = vertex 2 cannot reach vertex 4 on fixed edges
-        assert pts.points[0][axis_1] == NEG_INF
+        assert pts.points[0][0] == NEG_INF
 
     def test_rejects_absent_label(self):
         oracle = build_oracle(chain_with_bypasses())
@@ -295,26 +309,32 @@ def test_huge_segment_before_a_missing_one(big):
 
 
 class TestIntervals:
+    # chain_with_bypasses under (0, 1): sigma_1 = (1) with fixed part w_1 = 2
+    # (root to tail 1), sigma_2 = (1, 2) with w_2 = 2 + 1 (head 2 to tail 3)
+
     def test_own_axis_closed_at_negated_price(self):
         oracle = build_oracle(chain_with_bypasses())
         rt = ReducedTree((0, 1))
         p = PriceFunction.parse("3 4", 2)
         rect = query_intervals(oracle, rt, 1, p)
-        axis = rt.edges.index(1)
-        assert rect.intervals[axis].upper == (-3, True)
-        assert rect.intervals[axis].lower is None
+        assert rect.intervals[0].upper == (-3 - 2, True)  # minus the shift w_1
+        assert rect.intervals[0].lower is None
 
     def test_cross_axis_bound_and_openness(self):
         oracle = build_oracle(chain_with_bypasses())
         rt = ReducedTree((0, 1))
         p = PriceFunction.parse("3 4", 2)
-        # sigma_1 = (1) price 3; sigma_2 = (1,2) price 7; difference 4
+        # sigma_1 price 3; sigma_2 price 7; difference 4, less the shift w_i - w_j
         rect1 = query_intervals(oracle, rt, 1, p)
-        axis2 = rt.edges.index(2)
-        assert rect1.intervals[axis2].upper == (4, False)  # 3 < 7: sigma_1 loses
+        assert rect1.intervals[1].upper == (4 - (2 - 3), False)  # 3 < 7: sigma_1 loses
         rect2 = query_intervals(oracle, rt, 2, p)
-        axis1 = rt.edges.index(1)
-        assert rect2.intervals[axis1].upper == (-4, True)  # sigma_2 wins
+        assert rect2.intervals[0].upper == (-4 - (3 - 2), True)  # sigma_2 wins
+
+    def test_absent_edge_axis_is_unbounded(self):
+        oracle = build_oracle(chain_with_bypasses())
+        rt = ReducedTree((0, None))
+        rect = query_intervals(oracle, rt, 1, PriceFunction.parse("3 4", 2))
+        assert rect.intervals == (Interval(upper=(-3 - 2, True)), Interval())
 
     def test_equal_prices_decided_by_signature(self):
         # parallel priceable edges: sequences (1) and (2) can tie on price
@@ -344,24 +364,30 @@ def test_rectangle_membership_matches_classification(case):
     spt = lex_dijkstra(inst, prices)
     assert rt == reduced_tree_of_spt(inst, spt)
     last = last_priceable_labels(inst, spt)
+    w = route_costs(oracle, rt)
     for label in rt.edges:
         pts = embed_points(oracle, rt, label)
         rect = query_intervals(oracle, rt, label, prices)
-        kept = servable_vertices(oracle, rt, label)
-        assert len(kept) == len(pts.points)
-        # a coordinate is the unpruned one, or NEG_INF exactly where the
-        # other edge's route cannot undercut the fixed route at any price
+        kept = servable_vertices(oracle, label)
+        assert len(kept) == len(pts.points) and pts.dim == inst.k
+        # on a present axis, a coordinate plus the shift is the unpruned one,
+        # or NEG_INF exactly where the other edge's route cannot undercut the
+        # fixed route at any price
         vertices, full = unpruned_embedding(oracle, rt, label)
+        full_rect = unshifted(oracle, rt, label, rect)
         d_root, tables = oracle.d_root, full_tables(oracle)
         for v, point in zip(kept, pts.points):
-            for j, got, want in zip(rt.edges, point, full.points[vertices.index(v)]):
+            for j, want in zip(rt.edges, full.points[vertices.index(v)]):
+                got = point[j - 1] + w[label] - (0 if j == label else w[j])
                 d_j = tables[j - 1][v]
                 never_tight = j != label and is_finite(d_j) and is_finite(d_root[v]) and (
                     head_floor(oracle, j) + d_j >= d_root[v]
                 )
                 assert got == (NEG_INF if never_tight else want), (v, label, j)
-        for v, point in zip(kept, pts.points):
             assert rect.contains(point) == (last[v] == label), (v, label)
+        # every vertex the head reaches, kept or not, in the unpruned frame
+        for v, point in zip(vertices, full.points):
+            assert full_rect.contains(point) == (last[v] == label), (v, label)
         for v in set(range(inst.n)).difference(kept):
             assert last[v] != label, (v, label)
 
@@ -436,9 +462,10 @@ def test_four_edge_trees_match_naive_at_breakpoints():
         four_edge += len(oracle.reduced_tree_for(p).edges) == 4
         assert oracle.revenue(p) == naive_revenue(inst, p), p
     assert four_edge >= 30
-    deep = [(rt, label) for rt, label in oracle.materialized_keys if len(rt.edges) == 4]
+    keys = oracle.materialized_keys
+    assert sorted(label for _, label in keys) == [1, 2, 3, 4]
     assert any(
-        NEG_INF in point for rt, label in deep for point in embed_points(oracle, rt, label).points
+        NEG_INF in point for rt, label in keys for point in embed_points(oracle, rt, label).points
     )
 
 
@@ -463,7 +490,10 @@ def _check_integer_cuts(inst: Instance, prices: PriceFunction) -> int:
         assert all(type(x) is int or x == NEG_INF for point in pts.points for x in point)
         assert served == build_range_tree(pts).query(rect), (label, prices)
         on_side += sum(
-            x == iv.upper[0] for point in pts.points for x, iv in zip(point, rect.intervals)
+            x == iv.upper[0]
+            for point in pts.points
+            for x, iv in zip(point, rect.intervals)
+            if iv.upper is not None
         )
     return on_side
 
@@ -515,7 +545,7 @@ def test_pruned_trees_count_like_unpruned_ones(inst, data):
         rt, rows = oracle.revenue_breakdown(prices)
     assert counted == [served for _, _, served in rows]
     for label, _, served in rows:
-        rect = query_intervals(oracle, rt, label, prices)
+        rect = unshifted(oracle, rt, label, query_intervals(oracle, rt, label, prices))
         _, full = unpruned_embedding(oracle, rt, label)
         assert served == build_range_tree(full).query(rect), (label, prices)
         assert served == linear_scan(full.points, full.weights, rect)
@@ -555,7 +585,7 @@ def test_four_root_shortcut_trees_hold_the_servable_vertices():
     assert any(len(plan.labels) == 4 for plan in plans)
     for plan in plans:
         for label, tree in zip(plan.labels, plan.trees):
-            assert tree.size == len(servable_vertices(oracle, plan.rt, label))
+            assert (tree.dim, tree.size) == (4, len(servable_vertices(oracle, label)))
 
 
 def _divided_costs(inst: Instance, divisors) -> Instance:
@@ -680,22 +710,39 @@ class TestDegenerate:
         assert oracle.revenue((1,)) == 1
 
 
+def counting_plans(monkeypatch, mod, plans: list) -> None:
+    """Record the reduced tree of every plan the oracle memoizes: those made
+    with their trees, not the tree-less ones that only validate."""
+    real = mod._Plan
+
+    def plan(mg, rt, trees=()):
+        if trees:
+            plans.append(rt)
+        return real(mg, rt, trees)
+
+    monkeypatch.setattr(mod, "_Plan", plan)
+
+
 class TestMemo:
-    def test_single_construction_per_key(self, monkeypatch):
+    def test_single_construction_per_label(self, monkeypatch):
         import stackspt.oracle as mod
 
         calls = []
         real = mod.build_range_tree
         monkeypatch.setattr(mod, "build_range_tree", lambda pts: calls.append(1) or real(pts))
-        oracle = build_oracle(chain_with_bypasses())
+        inst = chain_with_bypasses()
+        oracle = build_oracle(inst)
         p = PriceFunction.parse("1 1", 2)
         first = oracle.revenue(p)
         built = len(calls)
-        assert built == len(oracle.reduced_tree_for(p).edges)
+        assert built == len(oracle.reduced_tree_for(p).edges) == 2
         assert oracle.revenue(p) == first
-        assert len(calls) == built  # second query reuses everything
+        # a second query, and other reduced trees holding the same labels, reuse every tree
+        for q in ((1, 1), (7, 11), (8, 1)):
+            assert oracle.revenue(q) == naive_revenue(inst, q)
+        assert len(calls) == built
         keys = oracle.materialized_keys
-        assert all(label in rt for rt, label in keys)
+        assert keys == {(oracle.reduced_tree_for(p), 1), (oracle.reduced_tree_for(p), 2)}
 
     def test_warm_up_prematerializes(self, monkeypatch):
         import stackspt.oracle as mod
@@ -716,9 +763,11 @@ class TestMemo:
         import stackspt.oracle as mod
 
         plans, trees = [], []
-        real_plan, real_tree = mod._Plan, mod.build_range_tree
-        monkeypatch.setattr(mod, "_Plan", lambda mg, rt: plans.append(rt) or real_plan(mg, rt))
-        monkeypatch.setattr(mod, "build_range_tree", lambda pts: trees.append(1) or real_tree(pts))
+        real_tree = mod.build_range_tree
+        counting_plans(monkeypatch, mod, plans)
+        monkeypatch.setattr(
+            mod, "build_range_tree", lambda pts: trees.append(pts.dim) or real_tree(pts)
+        )
         inst = chain_with_bypasses()
         oracle = build_oracle(inst)
         empty = oracle.reduced_tree_for((100, 100))
@@ -735,8 +784,11 @@ class TestMemo:
             for p in vectors:
                 assert oracle.revenue(p) == naive_revenue(inst, p)
         assert sorted(plans, key=repr) == sorted(seen, key=repr)  # once each
-        assert len(trees) == sum(len(rt.edges) for rt in seen)
-        assert oracle.materialized_keys == {(rt, label) for rt in seen for label in rt.edges}
+        labels = {label for rt in seen for label in rt.edges}
+        assert trees == [inst.k] * len(labels)  # once per label, every tree k-dimensional
+        keys = oracle.materialized_keys
+        assert sorted(label for _, label in keys) == sorted(labels)
+        assert all(rt in seen and label in rt for rt, label in keys)
 
     def test_memoized_query_builds_nothing_and_scales_once(self, monkeypatch):
         import stackspt.model
@@ -781,53 +833,79 @@ class TestMemo:
         calls = []
         plans = []
         real = mod.build_range_tree
-        real_plan = mod._Plan
 
         def counting(pts):
             with lock:
                 calls.append(1)
+            time.sleep(0.002)  # let the other threads reach the memo while this build runs
             return real(pts)
 
-        def counting_plan(mg, rt):
-            with lock:
-                plans.append(rt)
-            return real_plan(mg, rt)
-
         monkeypatch.setattr(mod, "build_range_tree", counting)
-        monkeypatch.setattr(mod, "_Plan", counting_plan)
-        inst = random_instance(16, 40, 3, seed=77, cost_max=9)
+        counting_plans(monkeypatch, mod, plans)  # list.append is atomic
+        inst = random_instance(16, 40, 3, seed=79, cost_max=9)
+        probe = build_oracle(inst)
+        # distinct reduced trees that share labels, so threads race for one label's tree
+        vectors = {}
+        for p in [(a, b, c) for a in (1, 2, 7) for b in (1, 2) for c in (1, 2, 9)]:
+            rt = probe.reduced_tree_for(p)
+            if len(rt.edges) >= 1:
+                vectors.setdefault(rt, p)
+        trees, vectors = list(vectors), list(vectors.values())
+        assert len(trees) >= 6 and len({label for rt in trees for label in rt.edges}) == 3
+        expect = [naive_revenue(inst, p) for p in vectors]
+        calls.clear()
+        plans.clear()
         oracle = build_oracle(inst)
-        p = PriceFunction.parse("2 3 4", 3)
-        expect = naive_revenue(inst, p)
 
-        def worker():
+        def worker(shift):
             gate.wait(timeout=60)
-            return oracle.revenue(p)
+            order = vectors[shift:] + vectors[:shift]
+            return [oracle.revenue(p) for p in order], shift
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, inside the memo's check-then-build
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(worker) for _ in range(8)]
+                futures = [pool.submit(worker, s % len(vectors)) for s in range(8)]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(switch)
-        assert all(r == expect for r in results)
-        rt = oracle.reduced_tree_for(p)
-        assert len(calls) == len(rt.edges) >= 1
-        assert plans == [rt]
+        for got, shift in results:
+            assert got == expect[shift:] + expect[:shift]
+        assert len(calls) == inst.k  # one tree per label, never two
+        assert sorted(plans, key=repr) == sorted(trees, key=repr)
 
 
 def test_debug_log_once_per_materialized_tree(caplog):
     oracle = build_oracle(chain_with_bypasses())
     p = PriceFunction.parse("1 1", 2)
-    rt = oracle.reduced_tree_for(p)
     with caplog.at_level(logging.DEBUG, logger="stackspt"):
         oracle.revenue(p)
         built = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
-        assert len(built) == len(rt.edges) == 2
-        assert all(f"{rt.parents}" in m and "dim=2" in m and "build_s=" in m for m in built)
-        assert any("points=2 distinct=1" in m for m in built)  # two equal points merged
+        assert [m.split(":")[0] for m in built] == [f"range tree for edge {i}" for i in (1, 2)]
+        assert all("dim=2" in m and "build_s=" in m for m in built)
+        assert "points=2 distinct=1" in built[0]  # two equal points merged
         caplog.clear()
-        oracle.revenue(p)
+        for q in ((1, 1), (7, 11), (8, 1)):  # the same tree, then others with the same labels
+            oracle.revenue(q)
         assert not [r for r in caplog.records if r.name == "stackspt"]
+
+
+@settings(max_examples=60)
+@given(strategies.nested_chains(max_k=4), st.data())
+def test_plans_share_one_tree_per_label(inst, data):
+    import stackspt.oracle as mod
+
+    calls = []
+    counting = lambda pts: calls.append(1) or build_range_tree(pts)  # noqa: E731
+    with patch.object(mod, "build_range_tree", counting):
+        oracle = build_oracle(inst)
+        for _ in range(12):
+            prices = _near_breakpoints(oracle, lambda seq: data.draw(st.sampled_from(seq)))
+            assert oracle.revenue(prices) == naive_revenue(inst, prices)
+    shared = {}
+    for plan in filter(None, oracle._plans.values()):
+        for label, tree in zip(plan.labels, plan.trees):
+            assert shared.setdefault(label, tree) is tree, label
+    assert len(calls) == len(shared) <= inst.k
+    assert {label for _, label in oracle.materialized_keys} == set(shared)

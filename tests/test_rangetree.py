@@ -14,6 +14,7 @@ from stackspt.rangetree import (
     QueryRect,
     RangeTree,
     WeightedPointSet,
+    _rank_cut,
     build_range_tree,
 )
 from stackspt.rational import INF, NEG_INF
@@ -286,3 +287,25 @@ def test_rank_cuts_on_exact_coordinates(dim, weight_pool):
                 tuple(Interval(lower=exact_bound(rng), upper=exact_bound(rng)) for _ in range(dim))
             )
             assert rt.query(rect) == linear_scan(points, weights, rect)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_count_with_uncut_axes_matches_linear_scan(data):
+    # the oracle leaves the axis of every edge absent from a reduced tree
+    # uncut at (0, len(values)); the other axes are cut as ``query`` cuts them
+    dim = data.draw(st.integers(1, 4), label="dim")
+    point = st.tuples(*[st.sampled_from(EXACT_VALUES)] * dim)
+    points = data.draw(st.lists(point, max_size=40), label="points")
+    weight = st.sampled_from((0, 1, 3, Fraction(1, 3), Fraction(5, 7)))
+    n = len(points)
+    weights = data.draw(st.lists(weight, min_size=n, max_size=n), label="weights")
+    rt = build_range_tree(pts(dim, points, weights))
+    uncut = data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim), label="uncut")
+    bound = st.none() | st.tuples(st.sampled_from(EXACT_VALUES + [INF]), st.booleans())
+    ivs = [Interval() if u else Interval(data.draw(bound), data.draw(bound)) for u in uncut]
+    cuts = [
+        (0, len(values)) if u else _rank_cut(iv, values)
+        for u, iv, values in zip(uncut, ivs, rt.values)
+    ]
+    assert rt.count(cuts) == linear_scan(points, weights, QueryRect(tuple(ivs)))
