@@ -65,6 +65,8 @@ def parse_sizes(text: str) -> list[int]:
         # checked before the power is taken: b^e grows without bound in e
         if exp > cap.bit_length() or abs(base) > cap:
             raise ValidationError(f"size {token!r} is above the cap {cap}")
+        if base < 0:  # an even power would turn it positive
+            raise ValidationError(f"bad size {token!r}")
         value = base ** exp
         if value < 2:
             raise ValidationError(f"sizes must be >= 2, got {value}")

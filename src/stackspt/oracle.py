@@ -19,14 +19,15 @@ very lists a query cuts.  A vertex whose fixed-only distance no route through
 an edge undercuts even at price 0 is never served by it: the head's sweep
 leaves it INF, and it gets no point.  A point depends on its edge alone;
 the reduced tree only moves each cut by an int, its routes' fixed parts.  A
-plan, built once per reduced tree, keeps each edge's route, its label's range
-tree and per-axis cut descriptors.  A query checks and scales the prices to
-ints once, then runs the one integer kernel (``_kernel``, which
-``solver.solve`` calls directly on candidates it scaled itself): the
-model-graph sweep's parents tuple finds the plan, so a tree met before is
-neither rebuilt nor revalidated; each route's price is summed once and each
-rectangle side becomes an integer rank cut with one floor division and one
-binary search; the range tree counts in rank space.
+plan, built once per reduced tree after one check of the whole tree
+(``_checked_routes``), keeps each edge's route, its label's range tree and
+per axis a cut descriptor of ints, which cuts that tree's sorted values.  A
+query checks and scales the prices to ints once, then runs the one integer
+kernel (``_kernel``, which ``solver.solve`` calls directly on candidates it
+scaled itself): the model-graph sweep's parents tuple finds the plan, so a
+tree met before is neither rebuilt nor revalidated; each route's price is
+summed once and each rectangle side becomes an integer rank cut with one
+floor division and one binary search; the range tree counts in rank space.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ class RevenueOracle:
                 plan = self._plans.get(parents, _UNBUILT)
                 if plan is _UNBUILT:
                     rt = ReducedTree(parents)
-                    trees = [self._tree(rt, j) for j in rt.edges]
-                    plan = _Plan(self.model, rt, trees) if trees else None
+                    plan = _Plan(self.model, rt) if rt.edges else None
+                    if plan:
+                        plan.trees = tuple(self._tree(rt, j) for j in rt.edges)
                     self._plans[parents] = plan
         return plan
 
@@ -134,7 +136,7 @@ class RevenueOracle:
     def warm_up(self, trees: Iterable[ReducedTree]) -> None:
         """Build the plan of each given reduced tree, and the range trees it needs."""
         for rt in trees:
-            _check_k(self, rt)
+            _checked_routes(self.model, rt)
             self._plan_for(rt.parents)
 
     def _check_served(self) -> None:
@@ -163,7 +165,7 @@ class RevenueOracle:
             cuts = [
                 (0, len(values) if o is None else
                     bisect_right(values, (totals[o] - p - (totals[o] + lose > p)) // f - shift))
-                for values, o, lose, shift in edge_cuts
+                for values, (o, lose, shift) in zip(tree.values, edge_cuts)
             ]
             rows.append((label, p, tree.count(cuts)))
         return parents, plan, rows
@@ -197,49 +199,37 @@ class _Plan:
 
     Holds the tree itself and, per present edge: its route as 0-based price
     indices from the root down, its label's range tree (the oracle's, which
-    every plan holding that label shares), and per axis j = 1..k a cut
-    descriptor (values, o, lose, shift).  ``values`` is the range tree's
-    sorted int (or NEG_INF) values on axis j.  When e_j is absent from the
-    tree, o is None and the axis is left uncut.  Otherwise the axis caps the
-    point at q - p - shift, p being this route's price and q that of route o
-    of ``route_prices`` (its trailing 0 on the own axis, where o is the route
-    count).  ``shift`` is this route's ``w_infinity`` minus route o's (0 for
-    the trailing entry): an int, by which the reduced tree moves the cut.  The
-    cap is closed exactly when this route wins the preference order, higher
-    price first, then higher signature: open exactly when q + lose > p, with
-    ``lose`` 1 when route o has the higher ``chi_sum`` (distinct routes never
-    tie there).  A plan made without trees, which only validates ``rt`` and
-    gives ``query_intervals`` its bounds, has None for ``values``.
+    every plan holding that label shares, set in ``trees`` before the oracle
+    publishes the plan), and per axis j = 1..k a cut descriptor (o, lose,
+    shift) on that tree's sorted values of axis j.  When e_j is absent from
+    the tree, o is None and the axis is left uncut.  Otherwise the axis caps
+    the point at q - p - shift, p being this route's price and q that of
+    route o of ``route_prices`` (its trailing 0 on the own axis, where o is
+    the route count).  ``shift`` is this route's ``w_infinity`` minus route
+    o's (0 for the trailing entry): an int, by which the reduced tree moves
+    the cut.  The cap is closed exactly when this route wins the preference
+    order, higher price first, then higher signature: open exactly when
+    q + lose > p, with ``lose`` 1 when route o has the higher ``chi_sum``
+    (distinct routes never tie there).
     """
 
     __slots__ = ("rt", "labels", "routes", "trees", "cuts")
 
-    def __init__(self, mg: ModelGraph, rt: ReducedTree, trees: Sequence[RangeTree] = ()):
+    def __init__(self, mg: ModelGraph, rt: ReducedTree):
         self.rt = rt
         self.labels = rt.edges
-        seqs = [sequence_of(rt, j) for j in rt.edges]
+        seqs, w = _checked_routes(mg, rt)
         self.routes = tuple(tuple(i - 1 for i in seq) for seq in seqs)
-        w = [w_infinity(mg, seq) for seq in seqs]
-        for j, x in zip(rt.edges, w):
-            if not is_finite(x):
-                raise ValidationError(
-                    f"reduced tree is not realizable: route to edge {j} has no fixed path"
-                )
         # per route o its w_infinity and chi_sum; last the trailing 0, which never wins a tie
         w.append(0)
         chis = [chi_sum(seq) for seq in seqs] + [-1]
         route_of = dict(zip(rt.edges, range(len(seqs))))
-        self.trees = tuple(trees)
         self.cuts = []
-        values = [tree.values for tree in trees] or [(None,) * mg.k] * len(seqs)
-        for at, (i, vals) in enumerate(zip(rt.edges, values)):
+        for at, i in enumerate(rt.edges):
             row = []
-            for j, v in enumerate(vals, 1):
+            for j in range(1, mg.k + 1):
                 o = len(seqs) if j == i else route_of.get(j)
-                if o is None:
-                    row.append((v, None, 0, 0))
-                else:
-                    row.append((v, o, int(chis[at] < chis[o]), w[at] - w[o]))
+                row.append((None, 0, 0) if o is None else (o, int(chis[at] < chis[o]), w[at] - w[o]))
             self.cuts.append(tuple(row))
 
     def route_prices(self, ps) -> list[int]:
@@ -247,18 +237,22 @@ class _Plan:
         return [sum(map(ps.__getitem__, route)) for route in self.routes] + [0]
 
 
-def _check_k(oracle: RevenueOracle, rt: ReducedTree) -> None:
-    if rt.k != oracle.k:
-        raise ValidationError(f"reduced tree has k = {rt.k}, the oracle has k = {oracle.k}")
-
-
-def _plan_of(oracle: RevenueOracle, rt: ReducedTree, label: int) -> _Plan:
-    """The plan of ``rt``, memoized or made afresh (which checks that ``rt``
-    is realizable), once ``rt`` has the oracle's k and holds ``label``."""
-    _check_k(oracle, rt)
-    if label not in rt:
+def _checked_routes(mg: ModelGraph, rt: ReducedTree, label: Optional[int] = None) -> tuple:
+    """The routes of ``rt`` in ``rt.edges`` order and each one's ``w_infinity``,
+    once ``rt`` is checked: it has the oracle's k, holds ``label`` (when one
+    is given) and is realizable, every route having a fixed path."""
+    if rt.k != mg.k:
+        raise ValidationError(f"reduced tree has k = {rt.k}, the oracle has k = {mg.k}")
+    if label is not None and label not in rt:
         raise ValidationError(f"edge {label} is not in the reduced tree")
-    return oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
+    seqs = [sequence_of(rt, j) for j in rt.edges]
+    w = [w_infinity(mg, seq) for seq in seqs]
+    for j, x in zip(rt.edges, w):
+        if not is_finite(x):
+            raise ValidationError(
+                f"reduced tree is not realizable: route to edge {j} has no fixed path"
+            )
+    return seqs, w
 
 
 def build_oracle(inst: Instance) -> RevenueOracle:
@@ -309,7 +303,7 @@ def embed_points(oracle: RevenueOracle, rt: ReducedTree, label: int) -> Weighted
     the reduced tree ``rt`` exactly when its point dominates none of the
     bounds of ``query_intervals``.
     """
-    _plan_of(oracle, rt, label)
+    _checked_routes(oracle.model, rt, label)
     d_here = oracle.d_t[label - 1]
     tables = [oracle.d_root if j == label else table for j, table in enumerate(oracle.d_t, 1)]
     demand = oracle.instance.demand
@@ -331,12 +325,13 @@ def query_intervals(
     times the cost scale, exact scalars; None on the axis of an edge absent
     from ``rt``.
     """
-    plan = _plan_of(oracle, rt, label)
+    _checked_routes(oracle.model, rt, label)
+    plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
     scale, ps = _scaled_prices(oracle.model.scale, as_prices(prices, oracle.k).values)
     totals = plan.route_prices(ps)
     at = plan.labels.index(label)
     p, f = totals[at], scale // oracle.model.scale
     return QueryRect.dominance([
         None if o is None else (_unscaled(totals[o] - p, f) - shift, not totals[o] + lose > p)
-        for _, o, lose, shift in plan.cuts[at]
+        for o, lose, shift in plan.cuts[at]
     ])

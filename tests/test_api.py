@@ -8,8 +8,8 @@ import pytest
 import stackspt
 from stackspt.errors import ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction
-from stackspt.model import reduced_tree
-from stackspt.oracle import build_oracle
+from stackspt.model import ReducedTree, reduced_tree
+from stackspt.oracle import build_oracle, query_intervals
 from stackspt.rangetree import WeightedPointSet
 from stackspt.shortest import lex_dijkstra, naive_revenue
 from stackspt.solver import CandidateSet
@@ -53,6 +53,7 @@ ENTRY_POINTS = {
     "naive_revenue": lambda inst, oracle, p: naive_revenue(inst, p),
     "lex_dijkstra": lambda inst, oracle, p: lex_dijkstra(inst, p),
     "model.reduced_tree": lambda inst, oracle, p: reduced_tree(oracle.model, p),
+    "query_intervals": lambda inst, oracle, p: query_intervals(oracle, ReducedTree((0, 1)), 1, p),
 }
 
 

@@ -12,7 +12,7 @@ class TestParseSizes:
         assert parse_sizes("1024 2048") == [1024, 2048]
         assert parse_sizes("2^3, 10,12") == [8, 10, 12]
 
-    @pytest.mark.parametrize("bad", ["", "abc", "2^", "^4", "1", "0", "-8", "2^-1"])
+    @pytest.mark.parametrize("bad", ["", "abc", "2^", "^4", "1", "0", "-8", "2^-1", "-2^2", "-4^2"])
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):
             parse_sizes(bad)

@@ -263,8 +263,35 @@ class TestEmbedding:
     def test_rejects_unrealizable_tree(self):
         oracle = build_oracle(priceable_chain())
         # hanging edge 2 directly off the root needs a fixed route to its tail
-        with pytest.raises(ValidationError):
-            embed_points(oracle, ReducedTree((0, 0)), 2)
+        rt, message = ReducedTree((0, 0)), "route to edge 2 has no fixed path"
+        with pytest.raises(ValidationError, match=message):
+            embed_points(oracle, rt, 2)
+        # edge 1's own route is realizable: the whole tree is checked all the same
+        with pytest.raises(ValidationError, match=message):
+            embed_points(oracle, rt, 1)
+        with pytest.raises(ValidationError, match=message):
+            query_intervals(oracle, rt, 1, PriceFunction((1, 1)))
+        with pytest.raises(ValidationError, match=message):
+            oracle.warm_up([rt])
+        assert oracle._plans == {} and oracle.materialized_keys == frozenset()
+
+    def test_unmet_tree_is_answered_without_building(self, monkeypatch):
+        import stackspt.oracle as mod
+
+        calls = []
+        real = mod.build_range_tree
+        monkeypatch.setattr(mod, "build_range_tree", lambda pts: calls.append(1) or real(pts))
+        oracle = build_oracle(chain_with_bypasses())
+        for warm in ([], [ReducedTree((0, 1))]):
+            oracle.warm_up(warm)
+            plans, keys, built = dict(oracle._plans), oracle.materialized_keys, len(calls)
+            for rt in (ReducedTree((0, None)), ReducedTree((0, 0))):
+                assert rt.parents not in plans
+                for label in rt.edges:
+                    embed_points(oracle, rt, label)
+                    query_intervals(oracle, rt, label, PriceFunction((3, 4)))
+            assert len(calls) == built and oracle._plans == plans
+            assert oracle.materialized_keys == keys
 
 
 @pytest.mark.parametrize("parents", [(), (0,), (0, 1, None)])
@@ -711,16 +738,9 @@ class TestDegenerate:
 
 
 def counting_plans(monkeypatch, mod, plans: list) -> None:
-    """Record the reduced tree of every plan the oracle memoizes: those made
-    with their trees, not the tree-less ones that only validate."""
+    """Record the reduced tree of every plan constructed."""
     real = mod._Plan
-
-    def plan(mg, rt, trees=()):
-        if trees:
-            plans.append(rt)
-        return real(mg, rt, trees)
-
-    monkeypatch.setattr(mod, "_Plan", plan)
+    monkeypatch.setattr(mod, "_Plan", lambda mg, rt: plans.append(rt) or real(mg, rt))
 
 
 class TestMemo:
