@@ -3,9 +3,9 @@
 The pipeline: 1 full + k bounded fixed-only sweeps feed the model graph; each
 price vector maps to a reduced tree via a (2k+1)-vertex Dijkstra run; for
 every edge of that tree, the vertices it can serve embed as weighted points
-whose dominance rectangle membership decides the classification; at most k
-range trees, one per priceable edge and built the first time a reduced tree
-holds that edge, turn the revenue formula
+whose dominance rectangle membership decides the classification; one range
+tree per (edge, edge set), built the first time a reduced tree with that edge
+set holds that edge, turns the revenue formula
 
     revenue(p) = sum over tree edges e_i of  price(sigma_i) * weight(V(e_i, p))
 
@@ -17,11 +17,12 @@ instance's cost scale (``model.scale``): the tables, model weights and
 embedded points are exact ints, so each range tree's sorted values are the
 very lists a query cuts.  A vertex whose fixed-only distance no route through
 an edge undercuts even at price 0 is never served by it: the head's sweep
-leaves it INF, and it gets no point.  A point depends on its edge alone;
-the reduced tree only moves each cut by an int, its routes' fixed parts.  A
-plan, built once per reduced tree after one check of the whole tree
-(``_checked_routes``), keeps each edge's route, its label's range tree and
-per axis a cut descriptor of ints, which cuts that tree's sorted values.  A
+leaves it INF, and it gets no point.  A point has one axis per edge of the
+reduced tree, so it depends on its edge and the tree's edge set alone; the
+nesting only moves each cut by an int, its routes' fixed parts.  A plan,
+built once per reduced tree after one check of the whole tree
+(``_checked_routes``), keeps each edge's route, its range tree and per axis
+a cut descriptor of ints, which cuts that tree's sorted values.  A
 query checks and scales the prices to ints once, then runs the one integer
 kernel (``_kernel``, which ``solver.solve`` calls directly on candidates it
 scaled itself): the model-graph sweep's parents tuple finds the plan, so a
@@ -70,11 +71,12 @@ class RevenueOracle:
     Holds the fixed-only distance tables ``d_root`` and ``d_t`` (times the
     cost scale ``model.scale``; ``d_t[i-1]`` is INF wherever no route through
     e_i undercuts ``d_root``), the label ``floors`` of ``build_oracle``, the
-    model graph, at most k range trees, one per label, and a lazily populated
-    memo from each reduced tree's parents tuple to its query plan, or to None
-    for the empty tree.  Label i's tree is built with the first plan that
-    holds e_i.  Concurrent queries are safe; the first query needing a given
-    plan builds it, and any tree it lacks, exactly once.
+    model graph, one range tree per (label, edge set) that a plan has met (at
+    most k * 2^(k-1)), and a lazily populated memo from each reduced tree's
+    parents tuple to its query plan, or to None for the empty tree.  The tree
+    of label i over an edge set is built with the first plan that holds e_i
+    and has that edge set.  Concurrent queries are safe; the first query
+    needing a given plan builds it, and any tree it lacks, exactly once.
     """
 
     def __init__(
@@ -93,7 +95,7 @@ class RevenueOracle:
         self.floors = floors
         self._unreachable_demand = unreachable_demand
         self._plans: dict[tuple, Optional[_Plan]] = {}
-        self._trees: dict[int, tuple[ReducedTree, RangeTree]] = {}  # label: (first rt, its tree)
+        self._trees: dict[tuple, tuple] = {}  # (label, rt.edges): (first rt, its tree)
         self._lock = threading.Lock()
 
     @property
@@ -120,18 +122,19 @@ class RevenueOracle:
         return plan
 
     def _tree(self, rt: ReducedTree, label: int) -> RangeTree:
-        """Label's range tree, built from ``embed_points`` (which validates
-        ``rt``) when no plan has needed it yet.  Called under the lock."""
-        if label not in self._trees:
+        """Label's tree over ``rt.edges``, built from ``embed_points`` (which
+        validates ``rt``) when no plan has needed it yet.  Called under the lock."""
+        key = (label, rt.edges)
+        if key not in self._trees:
             pts = embed_points(self, rt, label)
             start = time.perf_counter()
             tree = build_range_tree(pts)
             _log.debug(
-                "range tree for edge %d: dim=%d points=%d distinct=%d build_s=%.4f",
-                label, tree.dim, tree.size, tree.distinct, time.perf_counter() - start,
+                "range tree for edge %d over %s: dim=%d points=%d distinct=%d build_s=%.4f",
+                label, rt.edges, tree.dim, tree.size, tree.distinct, time.perf_counter() - start,
             )
-            self._trees[label] = (rt, tree)
-        return self._trees[label][1]
+            self._trees[key] = (rt, tree)
+        return self._trees[key][1]
 
     def warm_up(self, trees: Iterable[ReducedTree]) -> None:
         """Build the plan of each given reduced tree, and the range trees it needs."""
@@ -161,10 +164,9 @@ class RevenueOracle:
         f = scale // self.model.scale
         totals = plan.route_prices(ps)
         rows = []
-        for label, p, tree, edge_cuts in zip(plan.labels, totals, plan.trees, plan.cuts):
+        for label, p, tree, edge_cuts in zip(plan.rt.edges, totals, plan.trees, plan.cuts):
             cuts = [
-                (0, len(values) if o is None else
-                    bisect_right(values, (totals[o] - p - (totals[o] + lose > p)) // f - shift))
+                (0, bisect_right(values, (totals[o] - p - (totals[o] + lose > p)) // f - shift))
                 for values, (o, lose, shift) in zip(tree.values, edge_cuts)
             ]
             rows.append((label, p, tree.count(cuts)))
@@ -189,48 +191,46 @@ class RevenueOracle:
 
     @property
     def materialized_keys(self) -> frozenset:
-        """(reduced tree, label) per range tree built so far, at most k: the
-        label's tree and the first reduced tree that needed it."""
-        return frozenset((rt, label) for label, (rt, _) in list(self._trees.items()))  # a copy
+        """(reduced tree, label) per range tree built so far: the first
+        reduced tree that needed the tree of that label over its edge set."""
+        return frozenset((rt, label) for (label, _), (rt, _) in list(self._trees.items()))  # a copy
 
 
 class _Plan:
     """What a query needs of one non-empty reduced tree, in ``rt.edges`` order.
 
-    Holds the tree itself and, per present edge: its route as 0-based price
-    indices from the root down, its label's range tree (the oracle's, which
-    every plan holding that label shares, set in ``trees`` before the oracle
-    publishes the plan), and per axis j = 1..k a cut descriptor (o, lose,
-    shift) on that tree's sorted values of axis j.  When e_j is absent from
-    the tree, o is None and the axis is left uncut.  Otherwise the axis caps
-    the point at q - p - shift, p being this route's price and q that of
-    route o of ``route_prices`` (its trailing 0 on the own axis, where o is
-    the route count).  ``shift`` is this route's ``w_infinity`` minus route
-    o's (0 for the trailing entry): an int, by which the reduced tree moves
-    the cut.  The cap is closed exactly when this route wins the preference
-    order, higher price first, then higher signature: open exactly when
-    q + lose > p, with ``lose`` 1 when route o has the higher ``chi_sum``
-    (distinct routes never tie there).
+    Holds the tree itself and, per edge: its route as 0-based price indices
+    from the root down, its range tree (the oracle's tree of that label over
+    ``rt.edges``, which every plan with that edge set shares, set in
+    ``trees`` before the oracle publishes the plan), and per axis, one for
+    each edge of ``rt``, a cut descriptor (o, lose, shift) on that tree's
+    sorted values of the axis.  The axis caps the point at q - p - shift, p
+    being this route's price and q that of route o of ``route_prices``: the
+    axis's own route, or the trailing 0 on the own axis, where o is the route
+    count.  ``shift`` is this route's ``w_infinity`` minus route o's (0 for
+    the trailing entry): an int, by which the reduced tree moves the cut.
+    The cap is closed exactly when this route wins the preference order,
+    higher price first, then higher signature: open exactly when q + lose > p,
+    with ``lose`` 1 when route o has the higher ``chi_sum`` (distinct routes
+    never tie there).
     """
 
-    __slots__ = ("rt", "labels", "routes", "trees", "cuts")
+    __slots__ = ("rt", "routes", "trees", "cuts")
 
     def __init__(self, mg: ModelGraph, rt: ReducedTree):
         self.rt = rt
-        self.labels = rt.edges
         seqs, w = _checked_routes(mg, rt)
         self.routes = tuple(tuple(i - 1 for i in seq) for seq in seqs)
-        # per route o its w_infinity and chi_sum; last the trailing 0, which never wins a tie
+        # per route its w_infinity and chi_sum, then route n, the trailing 0, which never wins
+        # a tie; the axis of the edge at position j cuts against route j, the own axis route n
         w.append(0)
         chis = [chi_sum(seq) for seq in seqs] + [-1]
-        route_of = dict(zip(rt.edges, range(len(seqs))))
-        self.cuts = []
-        for at, i in enumerate(rt.edges):
-            row = []
-            for j in range(1, mg.k + 1):
-                o = len(seqs) if j == i else route_of.get(j)
-                row.append((None, 0, 0) if o is None else (o, int(chis[at] < chis[o]), w[at] - w[o]))
-            self.cuts.append(tuple(row))
+        n = len(seqs)
+        self.cuts = [
+            tuple((o, int(chis[at] < chis[o]), w[at] - w[o])
+                  for o in (n if j == at else j for j in range(n)))
+            for at in range(n)
+        ]
 
     def route_prices(self, ps) -> list[int]:
         """Each route's price, from the prices ``ps`` by label - 1, then 0."""
@@ -292,27 +292,28 @@ def build_oracle(inst: Instance) -> RevenueOracle:
 
 
 def embed_points(oracle: RevenueOracle, rt: ReducedTree, label: int) -> WeightedPointSet:
-    """The point set of label's range tree, once ``rt`` is checked to have
-    the oracle's k, to hold ``label`` and to be realizable.
+    """The point set of label's range tree over ``rt.edges``, once ``rt`` is
+    checked to have the oracle's k, to hold ``label`` and to be realizable.
 
     One point per vertex v the head of e_label reaches on fixed edges under
-    its sweep's floor (``d_t[label-1][v]`` finite), with k axes, times the
-    cost scale: d_label[v] - d_root[v] on axis label, d_label[v] - d_j[v] on
-    axis j, NEG_INF where a table reads INF.  No route enters a point, so the
-    set is the same for every reduced tree.  v belongs to V(e_label, p) under
-    the reduced tree ``rt`` exactly when its point dominates none of the
+    its sweep's floor (``d_t[label-1][v]`` finite), with one axis per edge
+    of ``rt`` in ``rt.edges`` order, times the cost scale: d_label[v] -
+    d_root[v] on the own axis, d_label[v] - d_j[v] on the axis of e_j,
+    NEG_INF where a table reads INF.  No route enters a point, so the set is
+    the same for every reduced tree with these edges.  v belongs to
+    V(e_label, p) under ``rt`` exactly when its point dominates none of the
     bounds of ``query_intervals``.
     """
     _checked_routes(oracle.model, rt, label)
     d_here = oracle.d_t[label - 1]
-    tables = [oracle.d_root if j == label else table for j, table in enumerate(oracle.d_t, 1)]
+    tables = [oracle.d_root if j == label else oracle.d_t[j - 1] for j in rt.edges]
     demand = oracle.instance.demand
     points, weights = [], []
     for v, dv in enumerate(d_here):
         if is_finite(dv):
             points.append(tuple(dv - t[v] if is_finite(t[v]) else NEG_INF for t in tables))
             weights.append(demand[v])
-    return WeightedPointSet(dim=oracle.k, points=tuple(points), weights=tuple(weights))
+    return WeightedPointSet(dim=len(rt.edges), points=tuple(points), weights=tuple(weights))
 
 
 def query_intervals(
@@ -320,18 +321,17 @@ def query_intervals(
 ) -> QueryRect:
     """Dominance rectangle whose member points form V(e_label, p).
 
-    Axis order and unit match embed_points: the bounds are the caps a query
-    cuts the range tree at, less each axis's shift (``_Plan``'s descriptors),
-    times the cost scale, exact scalars; None on the axis of an edge absent
-    from ``rt``.
+    Axis order and unit match embed_points, one axis per edge of ``rt``:
+    the bounds are the caps a query cuts the range tree at, less each axis's
+    shift (``_Plan``'s descriptors), times the cost scale, exact scalars.
     """
     _checked_routes(oracle.model, rt, label)
     plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
     scale, ps = _scaled_prices(oracle.model.scale, as_prices(prices, oracle.k).values)
     totals = plan.route_prices(ps)
-    at = plan.labels.index(label)
+    at = rt.edges.index(label)
     p, f = totals[at], scale // oracle.model.scale
     return QueryRect.dominance([
-        None if o is None else (_unscaled(totals[o] - p, f) - shift, not totals[o] + lose > p)
+        (_unscaled(totals[o] - p, f) - shift, not totals[o] + lose > p)
         for o, lose, shift in plan.cuts[at]
     ])

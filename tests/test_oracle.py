@@ -1,5 +1,6 @@
 """Revenue oracle: embeddings, dominance rectangles, and naive agreement."""
 
+import itertools
 import logging
 import random
 import sys
@@ -22,7 +23,7 @@ from stackspt.oracle import RevenueOracle, build_oracle, embed_points, query_int
 from stackspt.rangetree import Interval, QueryRect, RangeTree, build_range_tree
 from stackspt.rational import INF, NEG_INF, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
-from stackspt.solver import heuristic_candidates
+from stackspt.solver import fallback_price, heuristic_candidates
 
 
 def chain_with_bypasses() -> Instance:
@@ -92,12 +93,12 @@ def unshifted(oracle: RevenueOracle, rt: ReducedTree, label: int, rect: QueryRec
     """``query_intervals``' rectangle in the frame of ``unpruned_embedding``:
     one axis per edge of ``rt``, each bound plus that axis's shift, the
     route costs w of ``route_costs`` (w_label on the own axis, w_label - w_j
-    on axis j).  The axes of absent edges must be unbounded."""
+    on the axis of e_j)."""
     w = route_costs(oracle, rt)
-    assert all(rect.intervals[j - 1] == Interval() for j in range(1, oracle.k + 1) if j not in rt)
+    assert rect.dim == len(rt.edges)
     bounds = []
-    for j in rt.edges:
-        bound, closed = rect.intervals[j - 1].upper
+    for j, interval in zip(rt.edges, rect.intervals):
+        bound, closed = interval.upper
         bounds.append((bound + w[label] - (0 if j == label else w[j]), closed))
     return QueryRect.dominance(bounds)
 
@@ -213,10 +214,14 @@ class TestEmbedding:
         assert len(embed_points(oracle, rt, 1)) == 2
         # t_2 = vertex 4 reaches only itself
         assert len(embed_points(oracle, rt, 2)) == 1
-        # a label's points do not depend on the reduced tree
-        assert embed_points(oracle, ReducedTree((0, 0)), 2) == embed_points(oracle, rt, 2)
-        assert embed_points(oracle, ReducedTree((0, None)), 1) == embed_points(oracle, rt, 1)
+        # a label's points depend on the reduced tree's edges alone, one axis per edge
+        nested = ReducedTree((0, 0))
+        assert embed_points(oracle, nested, 2) == embed_points(oracle, rt, 2)
+        assert embed_points(oracle, nested, 1) == embed_points(oracle, rt, 1)
         assert embed_points(oracle, rt, 1).dim == 2
+        alone, both = embed_points(oracle, ReducedTree((0, None)), 1), embed_points(oracle, rt, 1)
+        assert alone.dim == 1 and alone.weights == both.weights
+        assert alone.points == tuple(point[:1] for point in both.points)
 
     def test_vertices_no_positive_price_serves_get_no_point(self):
         # vertex 2 costs 1 from the root, but 2 through edge 1 at any price
@@ -357,11 +362,13 @@ class TestIntervals:
         rect2 = query_intervals(oracle, rt, 2, p)
         assert rect2.intervals[0].upper == (-4 - (3 - 2), True)  # sigma_2 wins
 
-    def test_absent_edge_axis_is_unbounded(self):
+    def test_one_axis_per_edge_of_the_tree(self):
         oracle = build_oracle(chain_with_bypasses())
-        rt = ReducedTree((0, None))
-        rect = query_intervals(oracle, rt, 1, PriceFunction.parse("3 4", 2))
-        assert rect.intervals == (Interval(upper=(-3 - 2, True)), Interval())
+        p = PriceFunction.parse("3 4", 2)
+        rect = query_intervals(oracle, ReducedTree((0, None)), 1, p)
+        assert rect.intervals == (Interval(upper=(-3 - 2, True)),)
+        rect = query_intervals(oracle, ReducedTree((0, 1)), 1, p)
+        assert rect.dim == 2 and all(iv.lower is None and iv.upper for iv in rect.intervals)
 
     def test_equal_prices_decided_by_signature(self):
         # parallel priceable edges: sequences (1) and (2) can tie on price
@@ -396,16 +403,16 @@ def test_rectangle_membership_matches_classification(case):
         pts = embed_points(oracle, rt, label)
         rect = query_intervals(oracle, rt, label, prices)
         kept = servable_vertices(oracle, label)
-        assert len(kept) == len(pts.points) and pts.dim == inst.k
-        # on a present axis, a coordinate plus the shift is the unpruned one,
-        # or NEG_INF exactly where the other edge's route cannot undercut the
-        # fixed route at any price
+        assert len(kept) == len(pts.points) and pts.dim == rect.dim == len(rt.edges)
+        # a coordinate plus its axis's shift is the unpruned one, or NEG_INF
+        # exactly where the other edge's route cannot undercut the fixed
+        # route at any price
         vertices, full = unpruned_embedding(oracle, rt, label)
         full_rect = unshifted(oracle, rt, label, rect)
         d_root, tables = oracle.d_root, full_tables(oracle)
         for v, point in zip(kept, pts.points):
-            for j, want in zip(rt.edges, full.points[vertices.index(v)]):
-                got = point[j - 1] + w[label] - (0 if j == label else w[j])
+            for j, x, want in zip(rt.edges, point, full.points[vertices.index(v)], strict=True):
+                got = x + w[label] - (0 if j == label else w[j])
                 d_j = tables[j - 1][v]
                 never_tight = j != label and is_finite(d_j) and is_finite(d_root[v]) and (
                     head_floor(oracle, j) + d_j >= d_root[v]
@@ -489,11 +496,15 @@ def test_four_edge_trees_match_naive_at_breakpoints():
         four_edge += len(oracle.reduced_tree_for(p).edges) == 4
         assert oracle.revenue(p) == naive_revenue(inst, p), p
     assert four_edge >= 30
+    # one tree per (label, edge set) that a plan met, with one axis per edge
+    met = {(label, plan.rt.edges) for plan in filter(None, oracle._plans.values())
+           for label in plan.rt.edges}
     keys = oracle.materialized_keys
-    assert sorted(label for _, label in keys) == [1, 2, 3, 4]
-    assert any(
-        NEG_INF in point for rt, label in keys for point in embed_points(oracle, rt, label).points
-    )
+    assert sorted((label, rt.edges) for rt, label in keys) == sorted(met)
+    assert {label for label, _ in met} == {1, 2, 3, 4}
+    pts = {(rt, label): embed_points(oracle, rt, label) for rt, label in keys}
+    assert all(p.dim == len(rt.edges) for (rt, _), p in pts.items())
+    assert any(NEG_INF in point for p in pts.values() for point in p.points)
 
 
 def _check_integer_cuts(inst: Instance, prices: PriceFunction) -> int:
@@ -528,11 +539,15 @@ def _check_integer_cuts(inst: Instance, prices: PriceFunction) -> int:
 def _near_breakpoints(oracle: RevenueOracle, pick, qs=(1, 2, 3, 4, 5, 7, 9)) -> PriceFunction:
     """Per edge a breakpoint, or a small int when it has none, moved by 0 or
     +-1/q, or now and then the previous edge's price, so that routes tie on
-    price; ``pick(seq)`` chooses."""
+    price, or ``fallback_price``, so that plans hold a strict subset of the
+    edges; ``pick(seq)`` chooses."""
     prices = []
     for bps in heuristic_candidates(oracle).per_edge:
         if prices and pick((False, False, True)):
             prices.append(prices[-1])
+            continue
+        if pick((False, False, False, False, False, True)):
+            prices.append(fallback_price(oracle.instance))
             continue
         base = pick(bps) if bps else pick(range(1, 13))
         price = base + pick((0, 1, -1)) * Fraction(1, pick(qs))
@@ -609,10 +624,31 @@ def test_four_root_shortcut_trees_hold_the_servable_vertices():
     for _ in range(100):
         oracle.revenue_breakdown(_near_breakpoints(oracle, rng.choice))
     plans = [plan for plan in oracle._plans.values() if plan is not None]
-    assert any(len(plan.labels) == 4 for plan in plans)
+    assert any(len(plan.rt.edges) == 4 for plan in plans)
     for plan in plans:
-        for label, tree in zip(plan.labels, plan.trees):
-            assert (tree.dim, tree.size) == (4, len(servable_vertices(oracle, label)))
+        dim = len(plan.rt.edges)
+        for label, tree in zip(plan.rt.edges, plan.trees, strict=True):
+            assert (tree.dim, tree.size) == (dim, len(servable_vertices(oracle, label)))
+
+
+def test_two_edge_plan_builds_two_axis_trees():
+    # edges 3 and 4 priced out of use: the plan's trees cut only the axes of edges 1 and 2
+    inst = four_root_shortcuts()
+    oracle = build_oracle(inst)
+    out = fallback_price(inst)
+    full = next(
+        p for p in itertools.product(*heuristic_candidates(oracle).per_edge)
+        if len(oracle.reduced_tree_for(p).edges) == 4
+    )
+    partial = full[:2] + (out, out)
+    for p in (partial, full):
+        assert oracle.revenue(p) == naive_revenue(inst, p), p
+    two = oracle._plans[oracle.reduced_tree_for(partial).parents]
+    four = oracle._plans[oracle.reduced_tree_for(full).parents]
+    assert two.rt.edges == (1, 2) and [tree.dim for tree in two.trees] == [2, 2]
+    assert [tree.dim for tree in four.trees] == [4] * 4
+    for small, big in zip(two.trees, four.trees):
+        assert small.distinct <= big.distinct
 
 
 def _divided_costs(inst: Instance, divisors) -> Instance:
@@ -653,7 +689,7 @@ def test_integer_cuts_meet_points_on_the_sides(make, divisors):
     inst = _divided_costs(make(), divisors)
     oracle = build_oracle(inst)
     on_side = deep = 0
-    for _ in range(60):
+    for _ in range(120):
         prices = _near_breakpoints(oracle, rng.choice)
         on_side += _check_integer_cuts(inst, prices)
         deep += len(oracle.reduced_tree_for(prices).edges) >= 3
@@ -744,25 +780,29 @@ def counting_plans(monkeypatch, mod, plans: list) -> None:
 
 
 class TestMemo:
-    def test_single_construction_per_label(self, monkeypatch):
+    def test_single_construction_per_edge_set(self, monkeypatch):
         import stackspt.oracle as mod
 
         calls = []
         real = mod.build_range_tree
-        monkeypatch.setattr(mod, "build_range_tree", lambda pts: calls.append(1) or real(pts))
+        monkeypatch.setattr(mod, "build_range_tree", lambda pts: calls.append(pts.dim) or real(pts))
         inst = chain_with_bypasses()
         oracle = build_oracle(inst)
         p = PriceFunction.parse("1 1", 2)
         first = oracle.revenue(p)
-        built = len(calls)
-        assert built == len(oracle.reduced_tree_for(p).edges) == 2
+        rt = oracle.reduced_tree_for(p)
+        assert rt.parents == (0, 1) and calls == [2, 2]
         assert oracle.revenue(p) == first
-        # a second query, and other reduced trees holding the same labels, reuse every tree
-        for q in ((1, 1), (7, 11), (8, 1)):
+        # a second query, and another nesting of the same edges, reuse every tree
+        oracle.warm_up([ReducedTree((0, 0))])
+        assert calls == [2, 2]
+        # each other edge set builds its own tree, once
+        for q in ((1, 1), (7, 11), (8, 1), (7, 11), (8, 1)):
             assert oracle.revenue(q) == naive_revenue(inst, q)
-        assert len(calls) == built
-        keys = oracle.materialized_keys
-        assert keys == {(oracle.reduced_tree_for(p), 1), (oracle.reduced_tree_for(p), 2)}
+        assert calls == [2, 2, 1, 1]
+        assert oracle.materialized_keys == {
+            (rt, 1), (rt, 2), (ReducedTree((0, None)), 1), (ReducedTree((None, 0)), 2)
+        }
 
     def test_warm_up_prematerializes(self, monkeypatch):
         import stackspt.oracle as mod
@@ -804,10 +844,11 @@ class TestMemo:
             for p in vectors:
                 assert oracle.revenue(p) == naive_revenue(inst, p)
         assert sorted(plans, key=repr) == sorted(seen, key=repr)  # once each
-        labels = {label for rt in seen for label in rt.edges}
-        assert trees == [inst.k] * len(labels)  # once per label, every tree k-dimensional
+        met = {(label, rt.edges) for rt in seen for label in rt.edges}
+        # once per (label, edge set), with one axis per edge of the set
+        assert sorted(trees) == sorted(len(edges) for _, edges in met)
         keys = oracle.materialized_keys
-        assert sorted(label for _, label in keys) == sorted(labels)
+        assert sorted((label, rt.edges) for rt, label in keys) == sorted(met)
         assert all(rt in seen and label in rt for rt, label in keys)
 
     def test_memoized_query_builds_nothing_and_scales_once(self, monkeypatch):
@@ -862,16 +903,20 @@ class TestMemo:
 
         monkeypatch.setattr(mod, "build_range_tree", counting)
         counting_plans(monkeypatch, mod, plans)  # list.append is atomic
-        inst = random_instance(16, 40, 3, seed=79, cost_max=9)
+        inst = diamond()
         probe = build_oracle(inst)
-        # distinct reduced trees that share labels, so threads race for one label's tree
+        # distinct reduced trees, two of them nestings of one edge set, so
+        # threads race for the trees that those two plans share
         vectors = {}
-        for p in [(a, b, c) for a in (1, 2, 7) for b in (1, 2) for c in (1, 2, 9)]:
+        prices = (Fraction(1, 2), 1, 2, 4, 7)
+        for p in [(a, b, c) for a in prices for b in prices for c in (1, 2, 5, 9)]:
             rt = probe.reduced_tree_for(p)
             if len(rt.edges) >= 1:
                 vectors.setdefault(rt, p)
         trees, vectors = list(vectors), list(vectors.values())
         assert len(trees) >= 6 and len({label for rt in trees for label in rt.edges}) == 3
+        met = {(label, rt.edges) for rt in trees for label in rt.edges}
+        assert len(met) < sum(len(rt.edges) for rt in trees)
         expect = [naive_revenue(inst, p) for p in vectors]
         calls.clear()
         plans.clear()
@@ -892,7 +937,7 @@ class TestMemo:
             sys.setswitchinterval(switch)
         for got, shift in results:
             assert got == expect[shift:] + expect[:shift]
-        assert len(calls) == inst.k  # one tree per label, never two
+        assert len(calls) == len(met)  # one tree per (label, edge set), never two
         assert sorted(plans, key=repr) == sorted(trees, key=repr)
 
 
@@ -902,18 +947,27 @@ def test_debug_log_once_per_materialized_tree(caplog):
     with caplog.at_level(logging.DEBUG, logger="stackspt"):
         oracle.revenue(p)
         built = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
-        assert [m.split(":")[0] for m in built] == [f"range tree for edge {i}" for i in (1, 2)]
+        assert [m.split(":")[0] for m in built] == [
+            f"range tree for edge {i} over (1, 2)" for i in (1, 2)
+        ]
         assert all("dim=2" in m and "build_s=" in m for m in built)
         assert "points=2 distinct=1" in built[0]  # two equal points merged
         caplog.clear()
-        for q in ((1, 1), (7, 11), (8, 1)):  # the same tree, then others with the same labels
-            oracle.revenue(q)
+        oracle.revenue(p)
+        oracle.warm_up([ReducedTree((0, 0))])  # the same tree, then another nesting of its edges
         assert not [r for r in caplog.records if r.name == "stackspt"]
+        for q in ((7, 11), (8, 1), (7, 11), (8, 1)):  # two other edge sets, twice each
+            oracle.revenue(q)
+        built = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
+        assert [m.split(":")[0] for m in built] == [
+            "range tree for edge 1 over (1,)", "range tree for edge 2 over (2,)"
+        ]
+        assert all("dim=1" in m for m in built)
 
 
 @settings(max_examples=60)
 @given(strategies.nested_chains(max_k=4), st.data())
-def test_plans_share_one_tree_per_label(inst, data):
+def test_plans_share_one_tree_per_edge_set(inst, data):
     import stackspt.oracle as mod
 
     calls = []
@@ -925,7 +979,11 @@ def test_plans_share_one_tree_per_label(inst, data):
             assert oracle.revenue(prices) == naive_revenue(inst, prices)
     shared = {}
     for plan in filter(None, oracle._plans.values()):
-        for label, tree in zip(plan.labels, plan.trees):
-            assert shared.setdefault(label, tree) is tree, label
-    assert len(calls) == len(shared) <= inst.k
-    assert {label for _, label in oracle.materialized_keys} == set(shared)
+        for label, tree in zip(plan.rt.edges, plan.trees, strict=True):
+            assert shared.setdefault((label, plan.rt.edges), tree) is tree, label
+            assert tree.dim == len(plan.rt.edges)
+    # plans with the same edge set share a tree object, and plans with different ones do not
+    assert len({id(tree) for tree in shared.values()}) == len(shared)
+    assert len(calls) == len(shared) <= inst.k * 2 ** (inst.k - 1)
+    keys = oracle.materialized_keys
+    assert len(keys) == len(shared) and {(label, rt.edges) for rt, label in keys} == set(shared)
