@@ -14,21 +14,21 @@ per-query shortest path tree computation.
 
 Fixed-only distances keep the unit the sweeps compute them in, times the
 instance's cost scale (``model.scale``): the tables, model weights and
-embedded points are exact ints, so each range tree's sorted values are the
-very lists a query cuts.  A vertex whose fixed-only distance no route through
-an edge undercuts even at price 0 is never served by it: the head's sweep
+embedded points are exact ints, and so are the caps a query puts on each
+range tree's axes.  A vertex whose fixed-only distance no route through an
+edge undercuts even at price 0 is never served by it: the head's sweep
 leaves it INF, and it gets no point.  A point has one axis per edge of the
 reduced tree, so it depends on its edge and the tree's edge set alone; the
 nesting only moves each cut by an int, its routes' fixed parts.  A plan,
 built once per reduced tree after one check of the whole tree
 (``_checked_routes``), keeps each edge's route, its range tree and per axis
-a cut descriptor of ints, which cuts that tree's sorted values.  A
+a cut descriptor of ints, from which a query makes that axis's cap.  A
 query checks and scales the prices to ints once, then runs the one integer
 kernel (``_kernel``, which ``solver.solve`` calls directly on candidates it
 scaled itself): the model-graph sweep's parents tuple finds the plan, so a
 tree met before is neither rebuilt nor revalidated; each route's price is
-summed once and each rectangle side becomes an integer rank cut with one
-floor division and one binary search; the range tree counts in rank space.
+summed once and each rectangle side becomes an int cap with one floor
+division, which the range tree's ``count`` bisects once and counts below.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from bisect import bisect_right
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import UnreachableVertexError, ValidationError
@@ -165,11 +164,9 @@ class RevenueOracle:
         totals = plan.route_prices(ps)
         rows = []
         for label, p, tree, edge_cuts in zip(plan.rt.edges, totals, plan.trees, plan.cuts):
-            cuts = [
-                (0, bisect_right(values, (totals[o] - p - (totals[o] + lose > p)) // f - shift))
-                for values, (o, lose, shift) in zip(tree.values, edge_cuts)
-            ]
-            rows.append((label, p, tree.count(cuts)))
+            caps = [(totals[o] - p - (totals[o] + lose > p)) // f - shift
+                    for o, lose, shift in edge_cuts]
+            rows.append((label, p, tree.count(caps)))
         return parents, plan, rows
 
     def revenue(self, prices: Union[PriceFunction, Sequence]) -> Scalar:
@@ -203,16 +200,17 @@ class _Plan:
     from the root down, its range tree (the oracle's tree of that label over
     ``rt.edges``, which every plan with that edge set shares, set in
     ``trees`` before the oracle publishes the plan), and per axis, one for
-    each edge of ``rt``, a cut descriptor (o, lose, shift) on that tree's
-    sorted values of the axis.  The axis caps the point at q - p - shift, p
-    being this route's price and q that of route o of ``route_prices``: the
-    axis's own route, or the trailing 0 on the own axis, where o is the route
-    count.  ``shift`` is this route's ``w_infinity`` minus route o's (0 for
-    the trailing entry): an int, by which the reduced tree moves the cut.
-    The cap is closed exactly when this route wins the preference order,
-    higher price first, then higher signature: open exactly when q + lose > p,
-    with ``lose`` 1 when route o has the higher ``chi_sum`` (distinct routes
-    never tie there).
+    each edge of ``rt``, a cut descriptor (o, lose, shift) of the axis's cap.
+    The axis caps the point at q - p - shift, p being this route's price and
+    q that of route o of ``route_prices``: the axis's own route, or the
+    trailing 0 on the own axis, where o is the route count.  ``shift`` is
+    this route's ``w_infinity`` minus route o's (0 for the trailing entry):
+    an int, by which the reduced tree moves the cut.  The cap is closed
+    exactly when this route wins the preference order, higher price first,
+    then higher signature: open exactly when q + lose > p, with ``lose`` 1
+    when route o has the higher ``chi_sum`` (distinct routes never tie
+    there).  ``_kernel`` gives ``RangeTree.count`` the closed int cap
+    (q - p - (q + lose > p)) // f - shift, prices being f times the cost scale.
     """
 
     __slots__ = ("rt", "routes", "trees", "cuts")

@@ -2,12 +2,11 @@
 
 A layered range tree in rank space.  Equal points are merged (weights summed,
 zero weights dropped) and each axis is mapped once to integer ranks against
-one sorted list of its distinct exact values.  A query turns every interval
-end into a rank cut with one binary search against that list; everything
-below compares machine ints.  ``RangeTree.count`` takes the rank cuts
-themselves, which is where ``query`` ends too, so a caller that can find the
-cuts more cheaply (the revenue oracle does, on the lists themselves, whose
-values it keeps as ints) shares the one counting routine.
+one sorted list of its distinct exact values.  ``RangeTree.count`` takes
+one closed cap per axis, the revenue oracle's dominance query, and one binary
+search against that list makes each cap a rank prefix; everything below
+compares machine ints.  ``RangeTree.query`` takes any rectangle and counts
+it through the same prefixes, by inclusion-exclusion over its lower ends.
 
 The points are sorted once, by their rank on the last axis.  Every other axis
 is a wavelet matrix over that sequence: per bit of the axis's ranks, from the
@@ -16,11 +15,10 @@ top, the sequence is stably partitioned (0 bits first) and a flat
 node map to those of its two children with two lookups.  The nodes of one
 level are the rank intervals of that depth of a balanced tree on the axis.
 Each level also holds the next axis's structure over its own sequence, and
-the last axis keeps running weight sums.  Positions found once at the root
-are carried exactly into every node, whatever mix of open and closed ends
-produced them.  With at most R distinct values per axis, a d-dimensional
-build takes O(n log^(d-1) R) time and space, and a query O(log^(d-1) R)
-steps after its 2d binary searches.
+the last axis keeps running weight sums.  With at most R distinct values
+per axis, a d-dimensional build takes O(n log^(d-1) R) time and space, and
+a prefix walk O(log^(d-1) R) steps: ``count`` makes one after its d binary
+searches, ``query`` up to 2^j, j being the axes before the last with a lower end.
 
 Coordinates and query bounds are exact rationals, with ``NEG_INF`` and ``INF``
 (float -inf and +inf) usable as sentinels; finite floats, nan and bools are
@@ -171,33 +169,28 @@ def _layer(seq: list, axes: list, ws: list, sums):
     return levels
 
 
-def _cover(layer, a: int, b: int, ranges: list) -> Scalar:
+def _cover(layer, a: int, b: int, his: list) -> Scalar:
     """Weight at the slots [a, b) of one node of ``layer`` whose points' ranks
-    on the axes before the last lie in ``ranges``: (low, high, 2 ** bits)
-    per axis, ``high`` raised to 2 ** bits when no value lies above it."""
-    (lo, hi, width), rest = ranges[0], ranges[1:]
+    on the axes before the last lie below ``his``, (hi, 2 ** bits) per axis:
+    the walk towards each ``hi`` counts the 0 child it leaves at each 1 bit."""
+    (hi, width), rest = his[0], his[1:]
+    if hi == width:
+        sub = layer[0][2]
+        return _cover(sub, a, b, rest) if rest else sub[b] - sub[a]
     total: Scalar = 0
-    todo = [(0, 0, width, a, b)]
-    while todo:
-        t, rl, w, a, b = todo.pop()
-        while a < b:
-            zeros, z, sub = layer[t]
-            if lo <= rl and rl + w <= hi:
-                total += _cover(sub, a, b, rest) if rest else sub[b] - sub[a]
-                break
-            za, zb = zeros[a], zeros[b]
-            w >>= 1
-            t += 1
-            if rl + w < hi:  # the upper half meets the range
-                if lo <= rl:  # and covers the lower half
-                    if za < zb:
-                        sub = layer[t][2]
-                        total += _cover(sub, za, zb, rest) if rest else sub[zb] - sub[za]
-                elif lo < rl + w:
-                    todo.append((t, rl, w, za, zb))
-                rl, a, b = rl + w, z + a - za, z + b - zb
-            else:
-                a, b = za, zb
+    t = 0
+    while a < b and width > 1:
+        zeros, z, _ = layer[t]
+        za, zb = zeros[a], zeros[b]
+        width >>= 1
+        t += 1
+        if hi & width:
+            if za < zb:
+                sub = layer[t][2]
+                total += _cover(sub, za, zb, rest) if rest else sub[zb] - sub[za]
+            a, b = z + a - za, z + b - zb
+        else:
+            a, b = za, zb
     return total
 
 
@@ -210,7 +203,7 @@ def _rank_cut(iv: Interval, values: list) -> tuple[int, int]:
     if iv.upper is not None:
         v, closed = iv.upper
         hi = bisect_right(values, v) if closed else bisect_left(values, v)
-    return lo, hi
+    return lo, max(lo, hi)
 
 
 class RangeTree:
@@ -219,7 +212,7 @@ class RangeTree:
     ``size`` and ``total_weight`` count the points as supplied; ``distinct``
     the points stored, once equal points are merged and zero weights dropped.
     ``values[axis]`` is the sorted list of that axis's distinct coordinates,
-    the rank space ``count`` works in.
+    whose ranks ``count`` and ``query`` count in.
     """
 
     __slots__ = ("dim", "size", "distinct", "total_weight", "values", "_widths", "_cut", "_layer")
@@ -261,26 +254,33 @@ class RangeTree:
         )
 
     def query(self, rect: Union[QueryRect, Sequence[Interval]]) -> Scalar:
+        """Weight of the points inside ``rect``, ends open, closed or absent: a
+        lower end off the last axis counts the prefix below hi less that below lo."""
         ivs = rect.intervals if isinstance(rect, QueryRect) else tuple(rect)
         if len(ivs) != self.dim:
-            raise ValidationError(
-                f"rectangle has {len(ivs)} axes, tree has {self.dim}"
-            )
-        return self.count([_rank_cut(iv, values) for iv, values in zip(ivs, self.values)])
+            raise ValidationError(f"rectangle has {len(ivs)} axes, tree has {self.dim}")
+        cuts = [_rank_cut(iv, values) for iv, values in zip(ivs, self.values)]
+        a, b = (self._cut[r] for r in cuts.pop())
+        terms = [(1, [])]  # (sign, prefix ends) by inclusion-exclusion over the lower ends
+        for lo, hi in cuts:
+            terms = [(s, his + [hi]) for s, his in terms] + [
+                (-s, his + [lo]) for s, his in terms if lo]
+        return sum(s * self._below(a, b, his) for s, his in terms)
 
-    def count(self, cuts: Sequence[tuple[int, int]]) -> Scalar:
-        """Weight of the points whose rank on every axis lies in its [lo, hi)."""
-        lo, hi = cuts[-1]
-        if hi <= lo:
+    def count(self, caps: Sequence[ExtScalar]) -> Scalar:
+        """Weight of the points at or below ``caps``, one closed cap per axis (INF: uncut)."""
+        if len(caps) != self.dim:
+            raise ValidationError(f"{len(caps)} caps given, tree has {self.dim} axes")
+        his = [bisect_right(values, cap) for values, cap in zip(self.values, caps)]
+        return self._below(0, self._cut[his.pop()], his)
+
+    def _below(self, a: int, b: int, his: list) -> Scalar:
+        """Weight at the slots [a, b) whose ranks lie below ``his`` on the axes before the last."""
+        if a >= b or not all(his):
             return 0
-        a, b = self._cut[lo], self._cut[hi]
         if not self._widths:
             return self._layer[b] - self._layer[a]
-        ranges = []
-        for (lo, hi), values, width in zip(cuts, self.values, self._widths):
-            if hi <= lo:
-                return 0
-            ranges.append((lo, hi if hi < len(values) else width, width))
+        ranges = [(hi if hi < len(v) else w, w) for hi, v, w in zip(his, self.values, self._widths)]
         return _cover(self._layer, a, b, ranges)
 
 

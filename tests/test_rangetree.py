@@ -14,7 +14,6 @@ from stackspt.rangetree import (
     QueryRect,
     RangeTree,
     WeightedPointSet,
-    _rank_cut,
     build_range_tree,
 )
 from stackspt.rational import INF, NEG_INF
@@ -83,6 +82,14 @@ class TestValidation:
             rt.query(everywhere(3))
         with pytest.raises(ValidationError):
             rt.query(everywhere(1))
+
+    def test_count_dimension_mismatch(self):
+        rt = build_range_tree(pts(2, [(1, 5), (2, 1)]))
+        assert rt.count([2, 1]) == 1
+        with pytest.raises(ValidationError):
+            rt.count([1])
+        with pytest.raises(ValidationError):
+            rt.count([2, 2, 1])
 
 
 class TestTrivial:
@@ -291,9 +298,9 @@ def test_rank_cuts_on_exact_coordinates(dim, weight_pool):
 
 @settings(max_examples=200)
 @given(st.data())
-def test_count_with_uncut_axes_matches_linear_scan(data):
-    # the oracle leaves the axis of every edge absent from a reduced tree
-    # uncut at (0, len(values)); the other axes are cut as ``query`` cuts them
+def test_count_at_caps_matches_linear_scan(data):
+    # the oracle caps every axis at a closed value; caps land on points, and
+    # an INF cap leaves its axis uncut
     dim = data.draw(st.integers(1, 4), label="dim")
     point = st.tuples(*[st.sampled_from(EXACT_VALUES)] * dim)
     points = data.draw(st.lists(point, max_size=40), label="points")
@@ -301,11 +308,7 @@ def test_count_with_uncut_axes_matches_linear_scan(data):
     n = len(points)
     weights = data.draw(st.lists(weight, min_size=n, max_size=n), label="weights")
     rt = build_range_tree(pts(dim, points, weights))
-    uncut = data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim), label="uncut")
-    bound = st.none() | st.tuples(st.sampled_from(EXACT_VALUES + [INF]), st.booleans())
-    ivs = [Interval() if u else Interval(data.draw(bound), data.draw(bound)) for u in uncut]
-    cuts = [
-        (0, len(values)) if u else _rank_cut(iv, values)
-        for u, iv, values in zip(uncut, ivs, rt.values)
-    ]
-    assert rt.count(cuts) == linear_scan(points, weights, QueryRect(tuple(ivs)))
+    cap = st.sampled_from(EXACT_VALUES + [INF])
+    caps = data.draw(st.lists(cap, min_size=dim, max_size=dim), label="caps")
+    rect = QueryRect.dominance([(c, True) for c in caps])
+    assert rt.count(caps) == rt.query(rect) == linear_scan(points, weights, rect)
