@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, ValidationError
 from .rational import FINITE_TYPES, Scalar, ensure_scalar, format_scalar, parse_scalar
@@ -179,22 +179,14 @@ class Instance:
 class PriceFunction:
     """Strictly positive exact prices for the k priceable edges.
 
-    ``values[i-1]`` is the price of the edge labeled i.
+    ``values[i-1]`` is the price of the edge labeled i, checked by
+    ``_checked_prices``, the one price check of the package.
     """
 
     values: tuple[Scalar, ...]
 
     def __post_init__(self):
-        normalized = []
-        for pos, p in enumerate(self.values):
-            try:
-                p = ensure_scalar(p, f"price {pos + 1}")
-            except TypeError as exc:
-                raise ValidationError(str(exc)) from None
-            if p <= 0:
-                raise ValidationError(f"price {pos + 1} must be > 0, got {format_scalar(p)}")
-            normalized.append(p)
-        object.__setattr__(self, "values", tuple(normalized))
+        object.__setattr__(self, "values", _checked_prices(self.values))
 
     @classmethod
     def parse(cls, text: str, k: int | None = None) -> "PriceFunction":
@@ -220,11 +212,34 @@ class PriceFunction:
         return " ".join(format_scalar(p) for p in self.values)
 
 
+def _checked_prices(prices: Union[PriceFunction, Iterable], k: int | None = None) -> tuple:
+    """The values of a price vector, each an exact scalar > 0, and ``k`` of them
+    when ``k`` is given.  A ``PriceFunction``'s values were checked when it was
+    made; of others, an int needs only be > 0, anything else passes
+    ``ensure_scalar`` first (a Fraction of denominator 1 becomes an int)."""
+    if isinstance(prices, PriceFunction):
+        values = prices.values
+    else:
+        checked = []
+        for pos, p in enumerate(prices):
+            if type(p) is not int:
+                try:
+                    p = ensure_scalar(p, f"price {pos + 1}")
+                except TypeError as exc:
+                    raise ValidationError(str(exc)) from None
+            if p <= 0:
+                raise ValidationError(f"price {pos + 1} must be > 0, got {format_scalar(p)}")
+            checked.append(p)
+        values = tuple(checked)
+    if k is not None and len(values) != k:
+        raise ValidationError(f"expected {k} prices, got {len(values)}")
+    return values
+
+
 def as_prices(prices: Union[PriceFunction, Sequence], k: int) -> PriceFunction:
-    """``prices`` as a validated ``PriceFunction`` of exactly ``k`` prices."""
-    p = prices if isinstance(prices, PriceFunction) else PriceFunction(tuple(prices))
-    if len(p) != k:
-        raise ValidationError(f"expected {k} prices, got {len(p)}")
+    """``prices`` as a ``PriceFunction`` of exactly ``k`` prices (``_checked_prices``)."""
+    p = prices if isinstance(prices, PriceFunction) else PriceFunction(prices)
+    _checked_prices(p, k)  # the count alone: p's values are checked
     return p
 
 

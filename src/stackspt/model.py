@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import ValidationError
-from .instance import Instance, Priceable, PriceFunction, as_prices
+from .instance import Instance, Priceable, PriceFunction, _checked_prices
 from .rational import INF, ExtScalar, is_finite
 from .shortest import SptResult, _csr, _dijkstra, _lex_keys, _scaled_prices, last_priceable_labels
 
@@ -187,7 +187,7 @@ def build_model_graph(
 
 def reduced_tree(mg: ModelGraph, prices: Union[PriceFunction, Sequence]) -> ReducedTree:
     """Reduced tree of the model graph under the given prices."""
-    scale, ps = _scaled_prices(mg.scale, as_prices(prices, mg.k).values)
+    scale, ps = _scaled_prices(mg.scale, _checked_prices(prices, mg.k))
     return ReducedTree(tree_parents(mg, scale, ps))
 
 
@@ -199,15 +199,15 @@ def tree_parents(mg: ModelGraph, scale: int, ps: list[int]) -> tuple[Union[int, 
     logical vertices and contracts the fixed edges of the resulting tree.
     """
     starts, heads, tails, weights, labels = mg._csr
-    inc, start = _lex_keys(weights, labels, scale // mg.scale, ps)[:2]
+    inc, start, _pcap, _m1, _m2 = _lex_keys(weights, labels, scale // mg.scale, ps)
     _dist, parent = _dijkstra(starts, heads, inc, 0, start, [INF] * (len(starts) - 1))
 
     parents: list = [None] * mg.k
     for i in range(1, mg.k + 1):
-        j = parent[mg.t_of(i)]
+        j = parent[2 * i]  # t_i
         if j is None or labels[j] != i:
             continue  # e_i is not a tree edge
-        cur = mg.s_of(i)
+        cur = 2 * i - 1  # s_i
         found = ROOT
         while cur != 0:
             j = parent[cur]

@@ -23,12 +23,14 @@ nesting only moves each cut by an int, its routes' fixed parts.  A plan,
 built once per reduced tree after one check of the whole tree
 (``_checked_routes``), keeps each edge's route, its range tree and per axis
 a cut descriptor of ints, from which a query makes that axis's cap.  A
-query checks and scales the prices to ints once, then runs the one integer
-kernel (``_kernel``, which ``solver.solve`` calls directly on candidates it
-scaled itself): the model-graph sweep's parents tuple finds the plan, so a
-tree met before is neither rebuilt nor revalidated; each route's price is
-summed once and each rectangle side becomes an int cap with one floor
-division, which the range tree's ``count`` bisects once and counts below.
+query checks its prices with the package's one check (``_checked_prices``,
+no ``PriceFunction`` made) and scales them to ints once, then runs the one
+integer kernel (``_kernel``, which ``solver.solve`` calls directly on
+candidates it scaled itself): the model-graph sweep's parents tuple finds
+the plan, so a tree met before is neither rebuilt nor revalidated; each
+route costs its parent route plus one price, and each rectangle side
+becomes an int cap with one floor division, which ``RangeTree.count``
+bisects and hands to its rank walk.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ import time
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import UnreachableVertexError, ValidationError
-from .instance import Instance, PriceFunction, as_prices
+from .instance import Instance, PriceFunction, _checked_prices
 from .model import (
+    ROOT,
     ModelGraph,
     ReducedTree,
     build_model_graph,
@@ -148,9 +151,9 @@ class RevenueOracle:
 
     def _scaled(self, prices) -> tuple[int, list[int]]:
         """Check a price vector and scale it: (S, the prices times S)."""
-        p = as_prices(prices, self.k)
+        pvals = _checked_prices(prices, self.model.k)
         self._check_served()
-        return _scaled_prices(self.model.scale, p.values)
+        return _scaled_prices(self.model.scale, pvals)
 
     def _kernel(self, scale: int, ps) -> tuple[tuple, Optional[_Plan], list]:
         """The one evaluation path, for checked prices ``ps`` times ``scale``
@@ -161,7 +164,9 @@ class RevenueOracle:
         if plan is None:
             return parents, None, []
         f = scale // self.model.scale
-        totals = plan.route_prices(ps)
+        totals = [0] * (len(plan.steps) + 1)  # route prices, then the trailing 0
+        for at, up, i in plan.steps:
+            totals[at] = totals[up] + ps[i]
         rows = []
         for label, p, tree, edge_cuts in zip(plan.rt.edges, totals, plan.trees, plan.cuts):
             caps = [(totals[o] - p - (totals[o] + lose > p)) // f - shift
@@ -196,15 +201,16 @@ class RevenueOracle:
 class _Plan:
     """What a query needs of one non-empty reduced tree, in ``rt.edges`` order.
 
-    Holds the tree itself and, per edge: its route as 0-based price indices
-    from the root down, its range tree (the oracle's tree of that label over
-    ``rt.edges``, which every plan with that edge set shares, set in
-    ``trees`` before the oracle publishes the plan), and per axis, one for
-    each edge of ``rt``, a cut descriptor (o, lose, shift) of the axis's cap.
+    Holds the tree itself, ``steps``, and per edge its range tree (the
+    oracle's tree of that label over ``rt.edges``, which every plan with that
+    edge set shares, set in ``trees`` before the oracle publishes the plan)
+    and per axis, one for each edge of ``rt``, a cut descriptor (o, lose,
+    shift) of the axis's cap.  A step (at, up, i), parents first, prices the
+    route at position ``at`` as the route at ``up`` plus price i (0-based),
+    ``up`` being n, the route count, for a top-level edge: route n stays 0.
     The axis caps the point at q - p - shift, p being this route's price and
-    q that of route o of ``route_prices``: the axis's own route, or the
-    trailing 0 on the own axis, where o is the route count.  ``shift`` is
-    this route's ``w_infinity`` minus route o's (0 for the trailing entry):
+    q that of route o: the axis's own route, or route n on the own axis.
+    ``shift`` is this route's ``w_infinity`` minus route o's (0 for route n):
     an int, by which the reduced tree moves the cut.  The cap is closed
     exactly when this route wins the preference order, higher price first,
     then higher signature: open exactly when q + lose > p, with ``lose`` 1
@@ -213,26 +219,24 @@ class _Plan:
     (q - p - (q + lose > p)) // f - shift, prices being f times the cost scale.
     """
 
-    __slots__ = ("rt", "routes", "trees", "cuts")
+    __slots__ = ("rt", "steps", "trees", "cuts")
 
     def __init__(self, mg: ModelGraph, rt: ReducedTree):
         self.rt = rt
         seqs, w = _checked_routes(mg, rt)
-        self.routes = tuple(tuple(i - 1 for i in seq) for seq in seqs)
+        n = len(seqs)
+        at = {ROOT: n, **{label: j for j, label in enumerate(rt.edges)}}
+        steps = [(len(seq), at[j], at[rt.parents[j - 1]], j - 1) for seq, j in zip(seqs, rt.edges)]
+        self.steps = tuple(step[1:] for step in sorted(steps))  # shorter routes, so parents, first
         # per route its w_infinity and chi_sum, then route n, the trailing 0, which never wins
         # a tie; the axis of the edge at position j cuts against route j, the own axis route n
         w.append(0)
         chis = [chi_sum(seq) for seq in seqs] + [-1]
-        n = len(seqs)
         self.cuts = [
             tuple((o, int(chis[at] < chis[o]), w[at] - w[o])
                   for o in (n if j == at else j for j in range(n)))
             for at in range(n)
         ]
-
-    def route_prices(self, ps) -> list[int]:
-        """Each route's price, from the prices ``ps`` by label - 1, then 0."""
-        return [sum(map(ps.__getitem__, route)) for route in self.routes] + [0]
 
 
 def _checked_routes(mg: ModelGraph, rt: ReducedTree, label: Optional[int] = None) -> tuple:
@@ -323,10 +327,10 @@ def query_intervals(
     the bounds are the caps a query cuts the range tree at, less each axis's
     shift (``_Plan``'s descriptors), times the cost scale, exact scalars.
     """
-    _checked_routes(oracle.model, rt, label)
+    seqs = _checked_routes(oracle.model, rt, label)[0]
     plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
-    scale, ps = _scaled_prices(oracle.model.scale, as_prices(prices, oracle.k).values)
-    totals = plan.route_prices(ps)
+    scale, ps = _scaled_prices(oracle.model.scale, _checked_prices(prices, oracle.k))
+    totals = [sum(ps[i - 1] for i in seq) for seq in seqs] + [0]
     at = rt.edges.index(label)
     p, f = totals[at], scale // oracle.model.scale
     return QueryRect.dominance([

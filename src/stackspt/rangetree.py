@@ -4,16 +4,17 @@ A layered range tree in rank space.  Equal points are merged (weights summed,
 zero weights dropped) and each axis is mapped once to integer ranks against
 one sorted list of its distinct exact values.  ``RangeTree.count`` takes
 one closed cap per axis, the revenue oracle's dominance query, and one binary
-search against that list makes each cap a rank prefix; everything below
-compares machine ints.  ``RangeTree.query`` takes any rectangle and counts
-it through the same prefixes, by inclusion-exclusion over its lower ends.
+search per cap makes it a rank prefix, which goes straight to the rank walk
+(``_cover``); everything after the searches compares machine ints.
+``RangeTree.query`` takes any rectangle and counts it through the same
+walk, by inclusion-exclusion over its lower ends.
 
 The points are sorted once, by their rank on the last axis.  Every other axis
 is a wavelet matrix over that sequence: per bit of the axis's ranks, from the
-top, the sequence is stably partitioned (0 bits first) and a flat
-``array('q')`` keeps the running count of 0 bits, so the slots [a, b) of a
-node map to those of its two children with two lookups.  The nodes of one
-level are the rank intervals of that depth of a balanced tree on the axis.
+top, the sequence is stably partitioned (0 bits first) and a flat array keeps
+the running count of 0 bits (16-bit below 65 536 points), so the slots
+[a, b) of a node map to those of its two children with two lookups.  The
+nodes of one level are the rank intervals of that depth of a balanced tree.
 Each level also holds the next axis's structure over its own sequence, and
 the last axis keeps running weight sums.  With at most R distinct values
 per axis, a d-dimensional build takes O(n log^(d-1) R) time and space, and
@@ -154,15 +155,17 @@ def _layer(seq: list, axes: list, ws: list, sums):
     over ``seq``.  Otherwise it is a wavelet matrix on the first axis's ranks:
     per rank bit, from the top, the running count of ids whose bit is 0,
     their total, and the next axis's structure over this ``seq``, which is
-    then stably partitioned, 0 bits first, for the next bit.
+    then stably partitioned, 0 bits first, for the next bit.  The counts are
+    ``array('H')`` when ``seq`` has fewer than 65 536 ids, else ``array('q')``.
     """
     if not axes:
         return sums(accumulate([ws[i] for i in seq], initial=0))
     (rank, bits), deeper = axes[0], axes[1:]
+    typecode = "H" if len(seq) < 1 << 16 else "q"
     levels = []
     for shift in reversed(range(bits)):
         zero = [not rank[i] >> shift & 1 for i in seq]
-        zeros = array("q", accumulate(zero, initial=0))
+        zeros = array(typecode, accumulate(zero, initial=0))
         levels.append((zeros, zeros[-1], _layer(seq, deeper, ws, sums)))
         seq = [i for i, f in zip(seq, zero) if f] + [i for i, f in zip(seq, zero) if not f]
     levels.append((None, 0, _layer(seq, deeper, ws, sums)))
@@ -170,16 +173,18 @@ def _layer(seq: list, axes: list, ws: list, sums):
 
 
 def _cover(layer, a: int, b: int, his: list) -> Scalar:
-    """Weight at the slots [a, b) of one node of ``layer`` whose points' ranks
-    on the axes before the last lie below ``his``, (hi, 2 ** bits) per axis:
-    the walk towards each ``hi`` counts the 0 child it leaves at each 1 bit."""
-    (hi, width), rest = his[0], his[1:]
-    if hi == width:
-        sub = layer[0][2]
-        return _cover(sub, a, b, rest) if rest else sub[b] - sub[a]
+    """Weight at the slots [a, b) of one node of ``layer`` whose ranks on the axes
+    before the last lie below ``his`` (a whole axis at its width).  The walk towards each
+    ``hi`` counts the 0 child it leaves at each 1 bit, until ``hi`` has none left."""
+    if not his:
+        return layer[b] - layer[a]
+    hi, rest = his[0], his[1:]
+    width = 1 << (len(layer) - 1)
+    if hi >= width:
+        return _cover(layer[0][2], a, b, rest)
     total: Scalar = 0
     t = 0
-    while a < b and width > 1:
+    while a < b and hi & (width - 1):
         zeros, z, _ = layer[t]
         za, zb = zeros[a], zeros[b]
         width >>= 1
@@ -195,7 +200,7 @@ def _cover(layer, a: int, b: int, his: list) -> Scalar:
 
 
 def _rank_cut(iv: Interval, values: list) -> tuple[int, int]:
-    """The ranks [lo, hi) of the sorted distinct ``values`` inside ``iv``."""
+    """The ranks [lo, hi) of the sorted ``values`` (an axis's ``_bounds``) inside ``iv``."""
     lo, hi = 0, len(values)
     if iv.lower is not None:
         v, closed = iv.lower
@@ -212,10 +217,13 @@ class RangeTree:
     ``size`` and ``total_weight`` count the points as supplied; ``distinct``
     the points stored, once equal points are merged and zero weights dropped.
     ``values[axis]`` is the sorted list of that axis's distinct coordinates,
-    whose ranks ``count`` and ``query`` count in.
+    whose ranks ``count`` and ``query`` count in.  They bisect ``_bounds``: the
+    same lists, but each one before the last padded with its largest value to
+    the axis's rank-space width, so that a bound past every value bisects to
+    the width, which ``_cover`` reads as the whole axis without a walk.
     """
 
-    __slots__ = ("dim", "size", "distinct", "total_weight", "values", "_widths", "_cut", "_layer")
+    __slots__ = ("dim", "size", "distinct", "total_weight", "values", "_bounds", "_cut", "_layer")
 
     def __init__(self, pts: WeightedPointSet):
         self.dim = pts.dim
@@ -238,7 +246,9 @@ class RangeTree:
             values.append(vals)
             widths.append(1 << (len(vals) - 1).bit_length())
             ranks.append([rank_of[x] for x in col])
-        self.values, self._widths = tuple(values), tuple(widths[:-1])
+        self.values = tuple(values)
+        self._bounds = tuple(v + v[-1:] * (w - len(v)) for v, w in zip(values, widths[:-1]))
+        self._bounds += (values[-1],)
         last = ranks.pop()
         per_rank = [0] * (len(values[-1]) + 1)
         for r in last:
@@ -259,29 +269,20 @@ class RangeTree:
         ivs = rect.intervals if isinstance(rect, QueryRect) else tuple(rect)
         if len(ivs) != self.dim:
             raise ValidationError(f"rectangle has {len(ivs)} axes, tree has {self.dim}")
-        cuts = [_rank_cut(iv, values) for iv, values in zip(ivs, self.values)]
+        cuts = [_rank_cut(iv, bounds) for iv, bounds in zip(ivs, self._bounds)]
         a, b = (self._cut[r] for r in cuts.pop())
         terms = [(1, [])]  # (sign, prefix ends) by inclusion-exclusion over the lower ends
         for lo, hi in cuts:
             terms = [(s, his + [hi]) for s, his in terms] + [
                 (-s, his + [lo]) for s, his in terms if lo]
-        return sum(s * self._below(a, b, his) for s, his in terms)
+        return sum(s * _cover(self._layer, a, b, his) for s, his in terms)
 
     def count(self, caps: Sequence[ExtScalar]) -> Scalar:
         """Weight of the points at or below ``caps``, one closed cap per axis (INF: uncut)."""
         if len(caps) != self.dim:
             raise ValidationError(f"{len(caps)} caps given, tree has {self.dim} axes")
-        his = [bisect_right(values, cap) for values, cap in zip(self.values, caps)]
-        return self._below(0, self._cut[his.pop()], his)
-
-    def _below(self, a: int, b: int, his: list) -> Scalar:
-        """Weight at the slots [a, b) whose ranks lie below ``his`` on the axes before the last."""
-        if a >= b or not all(his):
-            return 0
-        if not self._widths:
-            return self._layer[b] - self._layer[a]
-        ranges = [(hi if hi < len(v) else w, w) for hi, v, w in zip(his, self.values, self._widths)]
-        return _cover(self._layer, a, b, ranges)
+        his = list(map(bisect_right, self._bounds, caps))
+        return _cover(self._layer, 0, self._cut[his.pop()], his)
 
 
 def build_range_tree(pts: WeightedPointSet) -> RangeTree:

@@ -29,7 +29,7 @@ from math import lcm
 from typing import Iterable, NamedTuple, Union
 
 from .errors import UnreachableVertexError, ValidationError
-from .instance import Fixed, Instance, Priceable, PriceFunction, as_prices
+from .instance import Fixed, Instance, Priceable, _checked_prices
 from .rational import INF, ExtScalar, Scalar, format_scalar, is_finite
 
 __all__ = [
@@ -200,10 +200,11 @@ def _csr(inst: Instance):
     return cached
 
 
-def _lex_sweep(inst: Instance, prices: PriceFunction, source: int):
-    """Composite-order sweep: (dist keys, parent slots, scale, pcap, m1, m2)."""
+def _lex_sweep(inst: Instance, pvals: tuple, source: int):
+    """Composite-order sweep under the checked prices ``pvals``:
+    (dist keys, parent slots, scale, pcap, m1, m2)."""
     starts, heads, _epos, costs, labels, cost_scale, _cutoff = _csr(inst)
-    scale, ps = _scaled_prices(cost_scale, prices.values)
+    scale, ps = _scaled_prices(cost_scale, pvals)
     inc, start, pcap, m1, m2 = _lex_keys(costs, labels, scale // cost_scale, ps)
     dist, parent = _dijkstra(starts, heads, inc, source, start, [INF] * inst.n)
     return dist, parent, scale, pcap, m1, m2
@@ -216,12 +217,12 @@ def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult
     routes; the parent choices realize one shortest path tree.  Which parents
     are reported may depend on edge order, the distances never do.
     """
-    pf = as_prices(prices, inst.k)
+    pvals = _checked_prices(prices, inst.k)
     src = inst.root if source is None else source
     if not 0 <= src < inst.n:
         raise ValidationError(f"source {src} out of range [0, {inst.n})")
 
-    dist_raw, parent, scale, pcap, m1, m2 = _lex_sweep(inst, pf, src)
+    dist_raw, parent, scale, pcap, m1, m2 = _lex_sweep(inst, pvals, src)
     chicap = m2 - 1
     dist = []
     for d in dist_raw:
@@ -270,8 +271,8 @@ def naive_revenue(inst: Instance, prices) -> Scalar:
     ``UnreachableVertexError`` if a vertex with positive demand has no route
     from the root.
     """
-    pf = as_prices(prices, inst.k)
-    dist, _parent, scale, pcap, m1, m2 = _lex_sweep(inst, pf, inst.root)
+    pvals = _checked_prices(prices, inst.k)
+    dist, _parent, scale, pcap, m1, m2 = _lex_sweep(inst, pvals, inst.root)
     demand = inst.demand
     revenue: Scalar = 0
     for v, d in enumerate(dist):

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,11 @@ BAD_PRICES = [
     ((1, True), "price 2 must be an int or Fraction, got bool"),
     ((0, 1), "price 1 must be > 0, got 0"),
     ((1, -2), "price 2 must be > 0, got -2"),
+    ((Fraction(-1, 2), 1), "price 1 must be > 0, got -1/2"),
+    ((1, Fraction(0, 3)), "price 2 must be > 0, got 0"),
+    (("3", 1), "price 1 must be an int or Fraction, got str"),
+    ((None, 1), "price 1 must be an int or Fraction, got NoneType"),
+    ((False, 1), "price 1 must be an int or Fraction, got bool"),
 ]
 
 ENTRY_POINTS = {

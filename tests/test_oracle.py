@@ -452,6 +452,31 @@ def test_fractional_costs_match_naive_and_contraction(case):
     assert oracle.reduced_tree_for(prices) == reduced_tree_of_spt(inst, lex_dijkstra(inst, prices))
 
 
+@settings(max_examples=100)
+@given(
+    st.one_of(
+        strategies.instances(min_n=2, max_n=8, min_k=1, max_k=4),
+        strategies.fractional_cost_instances(min_n=2, max_n=8, min_k=1, max_k=4),
+    ),
+    st.data(),
+)
+def test_every_spelling_of_a_price_vector_answers_alike(inst, data):
+    oracle = build_oracle(inst)
+    values = data.draw(st.tuples(*[strategies.scalar_prices()] * inst.k))
+    # ints as ints, every price as a Fraction (Fraction(n, 1) for an int), and a mix
+    as_fractions = tuple(Fraction(p) for p in values)
+    mixed = tuple(data.draw(st.sampled_from((p, Fraction(p)))) for p in values)
+    naive = naive_revenue(inst, values)
+    answers = set()
+    for vector in (values, as_fractions, mixed):
+        for spelling in (vector, list(vector), PriceFunction(vector)):
+            revenue = oracle.revenue(spelling)
+            assert revenue == naive
+            assert type(revenue) is (int if revenue.denominator == 1 else Fraction)
+            answers.add((repr(revenue), repr(oracle.revenue_breakdown(spelling))))
+    assert len(answers) == 1
+
+
 def test_revenue_matches_naive_on_larger_instances():
     rng = random.Random(424)
     for trial in range(15):
@@ -885,6 +910,41 @@ class TestMemo:
             assert calls == [] and len(scalings) == len(vectors)
             assert again == first == [naive_revenue(inst, p) for p in vectors]
             monkeypatch.undo()
+
+    def test_warm_query_makes_no_price_function_and_scales_once(self, monkeypatch):
+        import stackspt.instance
+        import stackspt.model
+        import stackspt.oracle as mod
+        import stackspt.shortest
+
+        inst = chain_with_bypasses()
+        oracle = build_oracle(inst)
+        vectors = [(a, b) for a in (1, 3, 100) for b in (2, 5, 100)]
+        first = [(oracle.revenue(p), oracle.revenue_breakdown(p)) for p in vectors]  # warm
+        built, scalings, checks = [], [], []
+        real_init = PriceFunction.__post_init__
+        monkeypatch.setattr(PriceFunction, "__post_init__", lambda pf: built.append(pf) or real_init(pf))
+        real_scale = stackspt.shortest._scaled_prices
+        for owner in (stackspt.shortest, stackspt.model, mod):
+            monkeypatch.setattr(owner, "_scaled_prices", lambda *a: scalings.append(1) or real_scale(*a))
+        real_check = stackspt.instance.ensure_scalar
+        monkeypatch.setattr(stackspt.instance, "ensure_scalar", lambda *a: checks.append(a) or real_check(*a))
+        for p, want in zip(vectors, first):
+            for spelling in (p, list(p)):
+                before = len(scalings)
+                assert (oracle.revenue(spelling), oracle.revenue_breakdown(spelling)) == want
+                assert len(scalings) == before + 2  # once per query
+        assert built == [] and checks == []  # an int price needs no ensure_scalar either
+        # a PriceFunction's values were checked when it was made, and are not again
+        pfs = [PriceFunction(p) for p in vectors]
+        pfs += [PriceFunction((Fraction(2 * a + 1, 2), Fraction(b, 3))) for a, b in vectors]
+        assert len(built) == len(pfs) and len(checks) == 2 * len(vectors)  # the Fraction prices
+        wants = [naive_revenue(inst, pf) for pf in pfs]
+        scalings.clear()
+        got = [(oracle.revenue(pf), oracle.revenue_breakdown(pf)) for pf in pfs]
+        assert got[: len(vectors)] == first and [revenue for revenue, _ in got] == wants
+        assert len(built) == len(pfs) and len(checks) == 2 * len(vectors)
+        assert len(scalings) == 2 * len(pfs)  # once per query
 
     def test_concurrent_first_queries_build_once(self, monkeypatch):
         import stackspt.oracle as mod

@@ -312,3 +312,21 @@ def test_count_at_caps_matches_linear_scan(data):
     caps = data.draw(st.lists(cap, min_size=dim, max_size=dim), label="caps")
     rect = QueryRect.dominance([(c, True) for c in caps])
     assert rt.count(caps) == rt.query(rect) == linear_scan(points, weights, rect)
+
+
+@pytest.mark.parametrize("ids, typecode", [((1 << 16) - 1, "H"), (1 << 16, "q")])
+def test_layer_over_65536_ids_matches_linear_scan(ids, typecode):
+    # the zero counts are 16-bit while a layer has fewer than 65 536 ids;
+    # most points sit at x = 0, so most counts run close to the id count
+    rng = random.Random(ids)
+    points = [(rng.randrange(300) if y % 64 == 0 else 0, y) for y in range(ids)]
+    weights = [rng.randint(1, 3) for _ in range(ids)]
+    rt = build_range_tree(pts(2, points, weights))
+    assert rt.distinct == ids and rt._layer[0][0].typecode == typecode
+    caps = [(0, ids // 2), (150, ids - 2), (299, INF), (INF, 40000), (-1, INF), (0, -1)]
+    caps += [(rng.randrange(300), rng.randrange(ids)) for _ in range(4)]
+    for cap in caps:
+        rect = QueryRect.dominance([(c, True) for c in cap])
+        assert rt.count(cap) == rt.query(rect) == linear_scan(points, weights, rect)
+    rect = QueryRect((Interval(lower=(1, True), upper=(200, False)), Interval(lower=(5000, False))))
+    assert rt.query(rect) == linear_scan(points, weights, rect)
