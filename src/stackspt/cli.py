@@ -236,10 +236,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except StacksptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StacksptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

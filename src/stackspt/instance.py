@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import ParseError, ValidationError
 from .rational import FINITE_TYPES, Scalar, ensure_scalar, format_scalar, parse_scalar
@@ -45,7 +45,6 @@ __all__ = [
     "Edge",
     "Instance",
     "PriceFunction",
-    "as_prices",
     "parse_instance",
     "serialize_instance",
     "random_instance",
@@ -63,7 +62,8 @@ MAX_PRICEABLE_EDGES = 16
 MAX_VERTICES = 1 << 20
 
 # Cap on the edges ``random_instance`` generates: the m = 4n of ``bench`` at the
-# vertex cap.  The parser needs none; it never allocates from the header's m.
+# vertex cap.  The parser needs none; it never allocates from the header's m,
+# and it stops at the first edge line past m.
 MAX_EDGES = 4 * MAX_VERTICES
 
 FORMAT_MAGIC = "stackspt"
@@ -190,13 +190,17 @@ class PriceFunction:
 
     @classmethod
     def parse(cls, text: str, k: int | None = None) -> "PriceFunction":
-        """Parse a comma- or whitespace-separated price list."""
+        """Parse a comma- or whitespace-separated price list, of exactly ``k``
+        prices when ``k`` is given."""
         parts = [t for t in text.replace(",", " ").split() if t]
         try:
             values = tuple(parse_scalar(t) for t in parts)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        return cls(values) if k is None else as_prices(values, k)
+        prices = cls(values)
+        if k is not None:
+            _checked_prices(prices, k)  # the count alone: the values are checked
+        return prices
 
     def price(self, i: int) -> Scalar:
         """Price of the edge labeled ``i`` (1-based)."""
@@ -234,13 +238,6 @@ def _checked_prices(prices: Union[PriceFunction, Iterable], k: int | None = None
     if k is not None and len(values) != k:
         raise ValidationError(f"expected {k} prices, got {len(values)}")
     return values
-
-
-def as_prices(prices: Union[PriceFunction, Sequence], k: int) -> PriceFunction:
-    """``prices`` as a ``PriceFunction`` of exactly ``k`` prices (``_checked_prices``)."""
-    p = prices if isinstance(prices, PriceFunction) else PriceFunction(prices)
-    _checked_prices(p, k)  # the count alone: p's values are checked
-    return p
 
 
 # -- text format -----------------------------------------------------------
@@ -316,6 +313,8 @@ def parse_instance(text: str) -> Instance:
         if not tokens:
             continue
         if tokens[0] == "edge":
+            if len(edges) >= m:
+                raise ParseError(f"header declares m = {m} edges, found more", lineno)
             if len(tokens) != 5:
                 raise ParseError("expected 'edge <u> <v> F <cost>' or 'edge <u> <v> P <i>'", lineno)
             _, tail, head, tag, value = tokens

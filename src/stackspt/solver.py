@@ -299,77 +299,54 @@ def verify_oracle(
 ) -> VerifyReport:
     """Cross-check the fast path against first principles on random prices.
 
-    Per trial: fast revenue vs naive revenue, model-graph reduced tree vs
-    full-graph contraction, per-edge served weights vs the full-graph
-    classification, and the partition of total demand.  Failures carry the
-    serialized instance so they can be replayed.
+    Per trial, in this order: fast revenue vs naive revenue, the reduced
+    tree of ``revenue_breakdown`` vs the full-graph contraction and, when the
+    two trees agree, the breakdown's served weights vs the full-graph
+    classification, the partition of total demand, and the rows' revenue
+    sum vs fast revenue.  Failures carry the serialized instance, made once
+    per report, so they can be replayed.
     """
     if oracle is None:
         oracle = build_oracle(inst)
     rng = Random(seed)
+    total = sum(inst.demand)
+    instance_text = None
     failures: list[VerifyFailure] = []
     rows = []
-
-    def fail(trial, prices, kind, detail):
-        failures.append(
-            VerifyFailure(
-                trial=trial,
-                prices=tuple(prices),
-                kind=kind,
-                detail=detail,
-                instance_text=serialize_instance(inst),
-            )
-        )
-
     for trial in range(trials):
-        prices = random_prices(inst, rng)
-        p = PriceFunction(tuple(prices))
+        prices = tuple(random_prices(inst, rng))
+        p = PriceFunction(prices)
         fast = oracle.revenue(p)
         naive = naive_revenue(inst, p)
-        ok = fast == naive
-        if not ok:
-            fail(trial, prices, "revenue", f"fast {fast} != naive {naive}")
+        found = []  # (kind, detail) per failed check
+        if fast != naive:
+            found.append(("revenue", f"fast {fast} != naive {naive}"))
 
         spt = lex_dijkstra(inst, p)
         rt_full = reduced_tree_of_spt(inst, spt)
-        rt_model = oracle.reduced_tree_for(p)
-        if rt_model != rt_full:
-            ok = False
-            fail(
-                trial, prices, "reduced-tree",
-                f"model {rt_model.parents} != full graph {rt_full.parents}",
-            )
+        rt, breakdown = oracle.revenue_breakdown(p)
+        if rt != rt_full:
+            found.append(("reduced-tree", f"model {rt.parents} != full graph {rt_full.parents}"))
         else:
-            _, breakdown_rows = oracle.revenue_breakdown(p)
-            last = last_priceable_labels(inst, spt)
-            counts = {label: 0 for label in rt_full.edges}
-            free: Scalar = 0
-            for v in range(inst.n):
-                if last[v] is None:
-                    free = free + inst.demand[v]
-                else:
-                    counts[last[v]] += inst.demand[v]
-            served_total: Scalar = 0
-            recomputed: Scalar = 0
-            for label, price, served in breakdown_rows:
-                served_total = served_total + served
-                recomputed = recomputed + price * served
+            counts = dict.fromkeys((*rt_full.edges, None), 0)  # None: priceable-free routes
+            for label, phi in zip(last_priceable_labels(inst, spt), inst.demand):
+                counts[label] += phi
+            free = counts.pop(None)
+            for label, _, served in breakdown:
                 if served != counts[label]:
-                    ok = False
-                    fail(
-                        trial, prices, "classification",
-                        f"edge {label}: fast weight {served} != tree weight {counts[label]}",
-                    )
-            if served_total + free != sum(inst.demand):
-                ok = False
-                fail(
-                    trial, prices, "partition",
-                    f"served {served_total} + free {free} != total {sum(inst.demand)}",
-                )
+                    detail = f"edge {label}: fast weight {served} != tree weight {counts[label]}"
+                    found.append(("classification", detail))
+            served_total = sum(served for _, _, served in breakdown)
+            if served_total + free != total:
+                found.append(("partition", f"served {served_total} + free {free} != total {total}"))
+            recomputed = sum(price * served for _, price, served in breakdown)
             if recomputed != fast:
-                ok = False
-                fail(trial, prices, "breakdown", f"rows sum {recomputed} != revenue {fast}")
+                found.append(("breakdown", f"rows sum {recomputed} != revenue {fast}"))
 
-        rows.append((trial, ok, fast, naive))
+        if found and instance_text is None:
+            instance_text = serialize_instance(inst)
+        failures.extend(VerifyFailure(trial, prices, kind, detail, instance_text)
+                        for kind, detail in found)
+        rows.append((trial, not found, fast, naive))
 
     return VerifyReport(trials=trials, failures=tuple(failures), rows=tuple(rows))

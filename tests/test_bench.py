@@ -61,6 +61,14 @@ class TestRunBench:
         assert [r.n for r in a] == [32, 64]
         assert all(r.m == 4 * r.n for r in a)
 
+    def test_fast_naive_disagreement_is_an_error(self, monkeypatch):
+        import stackspt.bench
+
+        real = stackspt.bench.naive_revenue
+        monkeypatch.setattr(stackspt.bench, "naive_revenue", lambda inst, p: real(inst, p) + 1)
+        with pytest.raises(ValidationError, match=r"^fast/naive disagreement at n=16, prices=\("):
+            run_bench([16], k=2, queries=3, seed=1)
+
     def test_progress_callback_fires_per_size(self):
         lines = []
         run_bench([16, 32, 64], k=2, queries=4, seed=1, progress=lines.append)

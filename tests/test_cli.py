@@ -387,6 +387,11 @@ class TestVerify:
         code, _, _ = run(capsys, "verify")
         assert code == 2
 
+    def test_zero_trials_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--random", "--trials", "0")
+        assert code == 2 and out == ""
+        assert err == "error: need --trials >= 1\n"
+
 
 class TestBench:
     def test_csv_shape_and_sizes(self, capsys):

@@ -120,6 +120,8 @@ class TestParse:
             ("# c\nstackspt 1\ngraph 3 2 1\nroot\n", 4, "expected 'root <r>'"),
             ("# c\nstackspt 1\ngraph 3 2 1\nroot r\n", 4, "root must be an integer, got 'r'"),
             ("# c\nstackspt 1\ngraph 0 0 0\nroot 0\n", 4, "n must be >= 1, got 0"),
+            ("stackspt 1\ngraph 2 -1 0\nroot 0\nedge 0 1 F 1\n", 4,
+             "header declares m = -1 edges, found more"),
         ]
         + [
             # after _HEAD, whose body starts on line 6
@@ -140,6 +142,8 @@ class TestParse:
                 ("demand 1 1e3\n", 6, "bad demand: not a scalar literal: '1e3'"),
                 ("demand 1 -1\n", 6, "demand must be >= 0, got -1"),
                 ("edge 0 1 F 1\n", None, "header declares m = 2 edges, found 1"),
+                ("edge 0 1 F 1\nedge 1 2 P 1\n\nedge 0 2 F 1\n", 9,
+                 "header declares m = 2 edges, found more"),
                 ("edge 0 1 F 1\nedge 1 2 F 1\n", None, "header declares k = 1 priceable edges, found 0"),
             ]
         ],
@@ -149,6 +153,17 @@ class TestParse:
             parse_instance(text)
         assert err.value.line == line
         assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    def test_edge_past_the_headers_m_fails_before_the_next_edge_is_built(self, monkeypatch):
+        import stackspt.instance as mod
+
+        built = []
+        monkeypatch.setattr(mod, "Edge", lambda *args: built.append(args) or Edge(*args))
+        text = "stackspt 1\ngraph 3 1 0\nroot 0\n" + "edge 0 1 F 1\n" * 1000
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == "line 5: header declares m = 1 edges, found more"
+        assert built == [(0, 1, Fixed(1))]
 
     def test_repeated_bad_cost_names_the_first_edge(self):
         text = _HEAD.replace("graph 3 2 1", "graph 3 3 0") + (
@@ -214,6 +229,9 @@ class TestValidation:
                 "exactly 1..k",
             ),
             (dict(edges=(Edge(0, 1, Priceable(0)),)), "exactly 1..k"),
+            (dict(edges=(Edge(0, 1, Priceable("1")),)), "edge 0 priceable label must be an int"),
+            (dict(edges=(Edge(0, 1, Priceable(True)),)), "edge 0 priceable label must be an int"),
+            (dict(edges=(Edge(0, 1, "F 1"),)), "edge 0 has unknown kind 'F 1'"),
             (dict(edges=(Edge(0, 1, Fixed(1)), Edge(1, 2, Fixed(True)))), "edge 1 cost must be an exact"),
             (dict(edges=(Edge(0, 1, Fixed(1)), Edge(1, 2, _ZERO), Edge(0, 2, _ZERO))), "edge 1 cost must be > 0"),
         ],
@@ -320,3 +338,7 @@ class TestRandomInstance:
             random_instance(0, 0, 0, seed=1)
         with pytest.raises(ValidationError):
             random_instance(5, 6, 2, seed=1, cost_max=0)
+        with pytest.raises(ValidationError, match=r"^a single-vertex instance admits no edges"):
+            random_instance(1, 1, 0, seed=1)
+        with pytest.raises(ValidationError, match=r"^k = 17 exceeds the cap of 16$"):
+            random_instance(20, 40, 17, seed=1)

@@ -273,6 +273,13 @@ class TestFixedCostSssp:
         with pytest.raises(ValidationError):
             fixed_cost_sssp(inst, 9)
 
+    def test_lex_dijkstra_source_out_of_range(self):
+        inst = chain(Fixed(1), Priceable(1))
+        for source in (-1, 3):
+            with pytest.raises(ValidationError) as err:
+                lex_dijkstra(inst, (1,), source)
+            assert str(err.value) == f"source {source} out of range [0, 3)"
+
 
 class TestNaiveRevenue:
     def test_matches_exhaustive_tree_maximum(self):

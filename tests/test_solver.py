@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import strategies
 from oracles import bellman_ford_fixed
 from stackspt.errors import ParseError, UnreachableVertexError, ValidationError
+import stackspt.solver
 from stackspt.instance import (
     Edge,
     Fixed,
@@ -20,7 +21,9 @@ from stackspt.instance import (
     Priceable,
     PriceFunction,
     random_instance,
+    serialize_instance,
 )
+from stackspt.model import ROOT, ReducedTree
 from stackspt.oracle import build_oracle
 from stackspt.solver import (
     CandidateSet,
@@ -113,6 +116,10 @@ class TestCandidateSet:
             CandidateSet(k=2, per_edge=((1,),))
         with pytest.raises(ValidationError):
             CandidateSet.from_vectors(2, [(1, 2, 3)])
+
+    def test_rejects_no_edges(self):
+        with pytest.raises(ValidationError, match=r"^candidate set needs k >= 1$"):
+            CandidateSet(k=0, per_edge=())
 
 
 class TestParseCandidates:
@@ -346,6 +353,123 @@ class TestVerifyOracle:
         assert any(f.kind == "revenue" for f in report.failures)
         text = report.first_counterexample
         assert "prices:" in text and "stackspt" in text
+
+    # Fault injection per check: each patch breaks what ``revenue_breakdown`` or
+    # ``revenue`` returns, and the report must name every check that notices, in
+    # check order and with its detail text.  On ``priceable_chain`` every trial
+    # serves both edges: e_1 collects vertices 2 and 3, e_2 below it vertex 4.
+
+    @staticmethod
+    def _inject(inst, method, patch):
+        """An oracle whose ``method`` returns ``patch(its answer)``; the truth per trial."""
+        oracle, truth = build_oracle(inst), build_oracle(inst)
+        real = getattr(oracle, method)
+        setattr(oracle, method, lambda p: patch(real(p)))
+        rng = random.Random(3)
+        trials = []
+        for _ in range(6):
+            p = tuple(random_prices(inst, rng))
+            trials.append((p, truth.revenue(p), *truth.revenue_breakdown(p)))
+        return oracle, trials
+
+    def _failures(self, oracle, inst):
+        report = verify_oracle(inst, trials=6, seed=3, oracle=oracle)
+        assert [ok for _, ok, _, _ in report.rows] == [False] * 6
+        return [(f.trial, f.prices, f.kind, f.detail) for f in report.failures]
+
+    def test_wrong_revenue_fails_the_revenue_and_breakdown_checks(self):
+        inst = priceable_chain()
+        oracle, trials = self._inject(inst, "revenue", lambda rev: rev + 1)
+        want = []
+        for t, (p, fast, _, _) in enumerate(trials):
+            want.append((t, p, "revenue", f"fast {fast + 1} != naive {fast}"))
+            want.append((t, p, "breakdown", f"rows sum {fast} != revenue {fast + 1}"))
+        assert self._failures(oracle, inst) == want
+
+    def test_wrong_tree_fails_the_reduced_tree_check_alone(self):
+        inst = priceable_chain()
+
+        def flip(answer):
+            rt, rows = answer  # every absent edge hangs from the root, every present one goes
+            return ReducedTree(tuple(ROOT if par is None else None for par in rt.parents)), rows
+
+        oracle, trials = self._inject(inst, "revenue_breakdown", flip)
+        want = [
+            (t, p, "reduced-tree", f"model {(None, None)} != full graph {rt.parents}")
+            for t, (p, _, rt, _) in enumerate(trials)
+        ]
+        assert all(rt.parents == (ROOT, 1) for _, _, rt, _ in trials)
+        assert self._failures(oracle, inst) == want
+
+    def test_wrong_served_weight_fails_classification_partition_and_breakdown(self):
+        inst = priceable_chain()
+
+        def heavier(answer):
+            rt, ((label, price, served), *rest) = answer
+            return rt, ((label, price, served + 1), *rest)
+
+        oracle, trials = self._inject(inst, "revenue_breakdown", heavier)
+        want = []
+        for t, (p, fast, _, rows) in enumerate(trials):
+            assert [(label, served) for label, _, served in rows] == [(1, 2), (2, 1)]
+            price = rows[0][1]
+            want += [
+                (t, p, "classification", "edge 1: fast weight 3 != tree weight 2"),
+                (t, p, "partition", "served 4 + free 2 != total 5"),
+                (t, p, "breakdown", f"rows sum {fast + price} != revenue {fast}"),
+            ]
+        assert self._failures(oracle, inst) == want
+
+    def test_missing_row_fails_the_partition_and_breakdown_checks(self):
+        inst = priceable_chain()
+        oracle, trials = self._inject(inst, "revenue_breakdown", lambda a: (a[0], a[1][:1]))
+        want = []
+        for t, (p, fast, _, rows) in enumerate(trials):
+            kept = rows[0][1] * rows[0][2]
+            want += [
+                (t, p, "partition", "served 2 + free 2 != total 5"),
+                (t, p, "breakdown", f"rows sum {kept} != revenue {fast}"),
+            ]
+        assert self._failures(oracle, inst) == want
+
+    def test_wrong_row_price_fails_the_breakdown_check_alone(self):
+        inst = priceable_chain()
+
+        def dearer(answer):
+            rt, ((label, price, served), *rest) = answer
+            return rt, ((label, price + 1, served), *rest)
+
+        oracle, trials = self._inject(inst, "revenue_breakdown", dearer)
+        want = [
+            (t, p, "breakdown", f"rows sum {fast + rows[0][2]} != revenue {fast}")
+            for t, (p, fast, _, rows) in enumerate(trials)
+        ]
+        assert self._failures(oracle, inst) == want
+
+    def test_one_breakdown_per_trial_and_one_serialization_per_report(self, monkeypatch):
+        inst = priceable_chain()
+        oracle = build_oracle(inst)
+        calls = []
+        real_breakdown, real_serialize = oracle.revenue_breakdown, serialize_instance
+
+        def breakdown(p):
+            calls.append("breakdown")
+            rt, rows = real_breakdown(p)
+            return rt, rows[:1]  # a missing row: every trial fails two checks
+
+        def serialize(i):
+            calls.append("serialize")
+            return real_serialize(i)
+
+        oracle.revenue_breakdown = breakdown
+        oracle.reduced_tree_for = lambda p: calls.append("reduced_tree_for")
+        monkeypatch.setattr(stackspt.solver, "serialize_instance", serialize)
+        report = verify_oracle(inst, trials=5, seed=3, oracle=oracle)
+        assert len(report.failures) == 10
+        assert calls == ["breakdown", "serialize"] + ["breakdown"] * 4
+        assert {f.instance_text for f in report.failures} == {real_serialize(inst)}
+        calls.clear()
+        assert verify_oracle(inst, trials=5, seed=3).passed and calls == []
 
     def test_random_prices_are_positive_and_seeded(self):
         inst = random_instance(8, 20, 3, seed=2)
