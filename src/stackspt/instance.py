@@ -220,18 +220,21 @@ def _checked_prices(prices: Union[PriceFunction, Iterable], k: int | None = None
     """The values of a price vector, each an exact scalar > 0, and ``k`` of them
     when ``k`` is given.  A ``PriceFunction``'s values were checked when it was
     made; of others, an int needs only be > 0, anything else passes
-    ``ensure_scalar`` first (a Fraction of denominator 1 becomes an int)."""
+    ``ensure_scalar`` first (a Fraction of denominator 1 becomes an int) and
+    has its sign read off its numerator."""
     if isinstance(prices, PriceFunction):
         values = prices.values
     else:
         checked = []
         for pos, p in enumerate(prices):
+            sign = p
             if type(p) is not int:
                 try:
                     p = ensure_scalar(p, f"price {pos + 1}")
                 except TypeError as exc:
                     raise ValidationError(str(exc)) from None
-            if p <= 0:
+                sign = p.numerator  # a Fraction's sign, without its rich comparison
+            if sign <= 0:
                 raise ValidationError(f"price {pos + 1} must be > 0, got {format_scalar(p)}")
             checked.append(p)
         values = tuple(checked)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import gt
 from typing import Sequence, Union
 
 from .errors import ValidationError
@@ -117,6 +118,10 @@ class ModelGraph:
     undercuts ``root_w`` (a hop that is never tight).  Fixed model edges exist
     wherever these values are finite: root -> every other logical vertex, and
     head(e_i) -> both endpoints of every other priceable edge.
+
+    Two views are derived once and cached: the slot arrays of the Dijkstra
+    core (``_csr``), and per label the gap ``root_w[t_i] - root_w[s_i]``
+    (``_gaps``) against which ``tree_parents`` certifies the empty tree.
     """
 
     k: int
@@ -134,13 +139,13 @@ class ModelGraph:
     @cached_property
     def _csr(self) -> tuple:
         """The model graph as slot arrays for the Dijkstra core, built from
-        ``root_w`` and ``t_w``: (starts, heads, tails, weights, labels).
+        ``root_w`` and ``t_w``: (starts, heads, tails, weights, labels, priced).
 
         Slots run per logical vertex: the root's finite fixed edges to 1..2k,
         then for each label i the edge e_i out of s_i = 2i-1, then t_i = 2i's
         finite fixed edges to s_j and t_j, j != i ascending.  ``labels[j]`` is
-        the priceable label at slot j or 0; weights are the ints of ``root_w``
-        and ``t_w`` as they are.
+        the priceable label at slot j or 0, ``priced[i-1]`` the slot of e_i;
+        weights are the ints of ``root_w`` and ``t_w`` as they are.
         """
         rows = [[(v, w, 0) for v, w in enumerate(self.root_w) if v]]
         for i, row in enumerate(self.t_w, start=1):
@@ -155,7 +160,18 @@ class ModelGraph:
                     weights.append(w)
                     labels.append(label)
             starts.append(len(heads))
-        return starts, heads, tails, weights, labels
+        return starts, heads, tails, weights, labels, starts[1:2 * self.k:2]
+
+    @cached_property
+    def _gaps(self) -> tuple:
+        """Per label i, ``root_w[t_i] - root_w[s_i]``: the price, times
+        ``scale``, up to which e_i beats the fixed-only route from the root
+        to t_i.  -1 when s_i has no fixed-only route (no price lets e_i in),
+        INF when only t_i has none (every price does)."""
+        return tuple(
+            -1 if not is_finite(ws) else wt - ws if is_finite(wt) else INF
+            for ws, wt in zip(self.root_w[1::2], self.root_w[2::2])
+        )
 
 
 def build_model_graph(
@@ -195,11 +211,21 @@ def tree_parents(mg: ModelGraph, scale: int, ps: list[int]) -> tuple[Union[int, 
     """``ReducedTree.parents`` under the prices ``ps``, given times ``scale``.
 
     ``scale`` must be a multiple of ``mg.scale``, the unit of the model
-    graph's weights.  Runs the composite-weight Dijkstra sweep on the 2k+1
-    logical vertices and contracts the fixed edges of the resulting tree.
+    graph's weights, by f = ``scale // mg.scale``.  The tree is empty exactly
+    when every price exceeds f times its label's gap (``mg._gaps``): were
+    some e_i in the tree, take the one whose head settles first; s_i's route
+    is priced-free, so it costs ``root_w[s_i]``, and t_i goes through e_i
+    exactly when that plus the price is at most ``root_w[t_i]``, the priced
+    route winning a tie on weight.  These k comparisons answer the empty tree;
+    any other runs the composite-weight Dijkstra sweep on the 2k+1 logical
+    vertices and contracts the fixed edges of the resulting tree.
     """
-    starts, heads, tails, weights, labels = mg._csr
-    inc, start, _pcap, _m1, _m2 = _lex_keys(weights, labels, scale // mg.scale, ps)
+    f = scale // mg.scale
+    gaps = mg._gaps
+    if all(map(gt, ps, gaps)) if f == 1 else all(p > g * f for p, g in zip(ps, gaps)):
+        return (None,) * mg.k
+    starts, heads, tails, weights, labels, priced = mg._csr
+    inc, start, _pcap, _m1, _m2 = _lex_keys(weights, priced, f, ps)
     _dist, parent = _dijkstra(starts, heads, inc, 0, start, [INF] * (len(starts) - 1))
 
     parents: list = [None] * mg.k
@@ -221,8 +247,12 @@ def tree_parents(mg: ModelGraph, scale: int, ps: list[int]) -> tuple[Union[int, 
 
 def reduced_tree_of_spt(inst: Instance, spt: SptResult) -> ReducedTree:
     """Contract the fixed edges of a full-graph shortest path tree."""
+    return _contracted(inst, spt, last_priceable_labels(inst, spt))
+
+
+def _contracted(inst: Instance, spt: SptResult, last: Sequence) -> ReducedTree:
+    """``reduced_tree_of_spt`` given ``last``, the tree's ``last_priceable_labels``."""
     k = inst.k
-    last = last_priceable_labels(inst, spt)
     parents: list = [None] * k
     for i in range(1, k + 1):
         e = inst.priceable[i - 1]

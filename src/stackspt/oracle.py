@@ -1,7 +1,8 @@
 """Fast revenue evaluation: preprocess once, answer pricing queries in polylog time.
 
 The pipeline: 1 full + k bounded fixed-only sweeps feed the model graph; each
-price vector maps to a reduced tree via a (2k+1)-vertex Dijkstra run; for
+price vector maps to a reduced tree, the empty one by k comparisons against
+the model graph's gaps and any other by a (2k+1)-vertex Dijkstra run; for
 every edge of that tree, the vertices it can serve embed as weighted points
 whose dominance rectangle membership decides the classification; one range
 tree per (edge, edge set), built the first time a reduced tree with that edge
@@ -26,7 +27,8 @@ a cut descriptor of ints, from which a query makes that axis's cap.  A
 query checks its prices with the package's one check (``_checked_prices``,
 no ``PriceFunction`` made) and scales them to ints once, then runs the one
 integer kernel (``_kernel``, which ``solver.solve`` calls directly on
-candidates it scaled itself): the model-graph sweep's parents tuple finds
+candidates it scaled itself): the reduced tree's parents tuple, from the
+gap comparisons or the model-graph sweep (``model.tree_parents``), finds
 the plan, so a tree met before is neither rebuilt nor revalidated; each
 route costs its parent route plus one price, and each rectangle side
 becomes an int cap with one floor division, which ``RangeTree.count``

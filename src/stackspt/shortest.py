@@ -11,12 +11,12 @@ the revenue of "the" shortest path tree is well defined.
 
 One integer-key Dijkstra core runs every sweep: the composite-order sweeps
 here, the fixed-only sweeps of the preprocessing, and the model-graph sweep
-of each query.  Fractional costs and prices are brought to ints by the LCM of
-their denominators, the triple is packed into a single int key, and results
-are divided back exactly; only the oracle's fixed-only tables (``_fixed_sweep``)
-stay times the cost scale.  Packing is safe because every key a sweep stores
-belongs to a simple path, so the low components are bounded by the sum of
-all prices and by 2^(k+1)-2.
+of each query whose reduced tree is not certified empty.  Fractional costs
+and prices are brought to ints by the LCM of their denominators, the triple
+is packed into a single int key, and results are divided back exactly; only
+the oracle's fixed-only tables (``_fixed_sweep``) stay times the cost scale.
+Packing is safe because every key a sweep stores belongs to a simple path,
+so the low components are bounded by the sum of all prices and by 2^(k+1)-2.
 """
 
 from __future__ import annotations
@@ -130,15 +130,18 @@ def _scaled_prices(cost_scale: int, pvals) -> tuple[int, list[int]]:
     return scale, [p.numerator * (scale // p.denominator) for p in pvals]
 
 
-def _lex_keys(costs, labels, f: int, ps: list[int]):
+def _lex_keys(costs, priced, f: int, ps: list[int]):
     """Packed keys of the composite order ``(w, -p, -chi)`` for one price vector.
 
     ``ps`` are the prices times a scale S, ``costs[j]`` is the fixed cost at
-    slot j times S / ``f``, and ``labels[j]`` the priceable label at slot j
-    or 0.  A route's key is ``W * m1 + (pcap - P) * m2 + (chicap - chi)`` for
-    its weight W and price P, both times S, and its signature chi.  Packing
-    is exact because every key a sweep stores belongs to a simple path, so
-    P <= pcap, the sum of ``ps``, and chi <= chicap = 2^(k+1)-2.
+    slot j times S / ``f``, and ``priced[i-1]`` the slot of the priceable
+    edge labeled i.  A route's key is ``W * m1 + (pcap - P) * m2 + (chicap - chi)``
+    for its weight W and price P, both times S, and its signature chi.
+    Packing is exact because every key a sweep stores belongs to a simple
+    path, so P <= pcap, the sum of ``ps``, and chi <= chicap = 2^(k+1)-2.
+
+    Every slot first gets its cost's increment, one comprehension with no
+    test per slot; then the k priced slots get theirs, whatever cost they hold.
 
     Returns (inc, start, pcap, m1, m2).
     """
@@ -147,22 +150,22 @@ def _lex_keys(costs, labels, f: int, ps: list[int]):
     m2 = chicap + 1
     m1 = (pcap + 1) * m2
     step = m1 - m2
-    pinc = [0]  # by label
-    for i, p in enumerate(ps):
-        pinc.append(p * step - (2 << i))
     fm1 = f * m1
-    inc = [pinc[lab] if lab else c * fm1 for c, lab in zip(costs, labels)]
+    inc = [c * fm1 for c in costs]
+    for i, j in enumerate(priced):
+        inc[j] = ps[i] * step - (2 << i)
     return inc, pcap * m2 + chicap, pcap, m1, m2
 
 
 def _csr(inst: Instance):
-    """The instance's CSR, built once: (starts, heads, epos, costs, labels, scale, cutoff).
+    """The instance's CSR, built once: (starts, heads, epos, costs, priced, scale, cutoff).
 
-    ``epos[j]`` is the position in ``Instance.edges`` of slot j.  Fixed costs
+    ``epos[j]`` is the position in ``Instance.edges`` of slot j, and
+    ``priced[i-1]`` the slot of the priceable edge labeled i.  Fixed costs
     are stored times ``scale``, the LCM of their denominators.  A priceable
-    slot has label >= 1 and cost ``cutoff``, one more than the scaled total of
-    all fixed costs, so a fixed-only sweep can cross it like any edge: a
-    distance below ``cutoff`` is a fixed-only route, one at or above it is not.
+    slot has cost ``cutoff``, one more than the scaled total of all fixed
+    costs, so a fixed-only sweep can cross it like any edge: a distance
+    below ``cutoff`` is a fixed-only route, one at or above it is not.
     """
     cached = inst.__dict__.get("_csr_cache")
     if cached is not None:
@@ -176,8 +179,7 @@ def _csr(inst: Instance):
     heads = [0] * m
     epos = [0] * m
     costs = [0] * m
-    labels = [0] * m
-    priced = []
+    priced = [0] * inst.k
     for pos, e in enumerate(edges):
         j = fill[e.tail]
         fill[e.tail] = j + 1
@@ -187,15 +189,14 @@ def _csr(inst: Instance):
         if isinstance(kind, Fixed):
             costs[j] = kind.cost
         else:
-            labels[j] = kind.index
-            priced.append(j)
+            priced[kind.index - 1] = j
     scale = lcm(*[c.denominator for c in set(costs)])
     if set(map(type, costs)) != {int}:  # any Fraction, even a Fraction(1) beside a 1
         costs = [c.numerator * (scale // c.denominator) for c in costs]
     cutoff = sum(costs) + 1
     for j in priced:
         costs[j] = cutoff
-    cached = (starts, heads, epos, costs, labels, scale, cutoff)
+    cached = (starts, heads, epos, costs, priced, scale, cutoff)
     inst.__dict__["_csr_cache"] = cached
     return cached
 
@@ -203,9 +204,9 @@ def _csr(inst: Instance):
 def _lex_sweep(inst: Instance, pvals: tuple, source: int):
     """Composite-order sweep under the checked prices ``pvals``:
     (dist keys, parent slots, scale, pcap, m1, m2)."""
-    starts, heads, _epos, costs, labels, cost_scale, _cutoff = _csr(inst)
+    starts, heads, _epos, costs, priced, cost_scale, _cutoff = _csr(inst)
     scale, ps = _scaled_prices(cost_scale, pvals)
-    inc, start, pcap, m1, m2 = _lex_keys(costs, labels, scale // cost_scale, ps)
+    inc, start, pcap, m1, m2 = _lex_keys(costs, priced, scale // cost_scale, ps)
     dist, parent = _dijkstra(starts, heads, inc, source, start, [INF] * inst.n)
     return dist, parent, scale, pcap, m1, m2
 
@@ -244,7 +245,7 @@ def _fixed_sweep(inst: Instance, source: int, floor: int = 0, ceiling=None) -> t
     sweep, which crosses priceable slots at ``cutoff``, so INF there means no
     route at all.  A bounded sweep starts at key ``floor`` and relaxes v only
     below ``ceiling[v]``; its table reads INF wherever it did not."""
-    starts, heads, _epos, costs, _labels, _scale, cutoff = _csr(inst)
+    starts, heads, _epos, costs, _priced, _scale, cutoff = _csr(inst)
     ceiling = (INF,) * inst.n if ceiling is None else ceiling
     dist, _parent = _dijkstra(starts, heads, costs, source, floor, list(ceiling))
     top = floor + cutoff

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 from .errors import ParseError, ValidationError
 from .instance import Instance, PriceFunction, ensure_scalar, serialize_instance
-from .model import reduced_tree_of_spt
+from .model import _contracted
 from .oracle import RevenueOracle, build_oracle
 from .rational import Scalar, format_scalar, is_finite, parse_scalar
 from .shortest import _csr, _unscaled, last_priceable_labels, lex_dijkstra, naive_revenue
@@ -124,7 +124,7 @@ def fallback_price(inst: Instance) -> Scalar:
     Used for edges with no candidates; any such edge is effectively switched
     off (or serves only vertices with no priceable-free alternative).
     """
-    _starts, _heads, _epos, _costs, _labels, scale, cutoff = _csr(inst)
+    _starts, _heads, _epos, _costs, _priced, scale, cutoff = _csr(inst)
     return _unscaled(cutoff - 1, scale) + 1  # cutoff is 1 + the scaled fixed total
 
 
@@ -323,13 +323,14 @@ def verify_oracle(
             found.append(("revenue", f"fast {fast} != naive {naive}"))
 
         spt = lex_dijkstra(inst, p)
-        rt_full = reduced_tree_of_spt(inst, spt)
+        last = last_priceable_labels(inst, spt)
+        rt_full = _contracted(inst, spt, last)
         rt, breakdown = oracle.revenue_breakdown(p)
         if rt != rt_full:
             found.append(("reduced-tree", f"model {rt.parents} != full graph {rt_full.parents}"))
         else:
             counts = dict.fromkeys((*rt_full.edges, None), 0)  # None: priceable-free routes
-            for label, phi in zip(last_priceable_labels(inst, spt), inst.demand):
+            for label, phi in zip(last, inst.demand):
                 counts[label] += phi
             free = counts.pop(None)
             for label, _, served in breakdown:

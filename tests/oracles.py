@@ -101,8 +101,9 @@ def reference_fixed_adjacency(mg):
 def reference_model_csr(mg):
     """``ModelGraph._csr`` built from ``reference_fixed_adjacency``.
 
-    Returns (starts, heads, tails, weights, labels): each logical vertex's
-    fixed edges in adjacency order, then e_i out of s_i.
+    Returns (starts, heads, tails, weights, labels, priced): each logical
+    vertex's fixed edges in adjacency order, then e_i out of s_i; ``priced``
+    lists the slot of each label, found by search.
     """
     starts, heads, tails, weights, labels = [0], [], [], [], []
     for u, row in enumerate(reference_fixed_adjacency(mg)):
@@ -115,7 +116,8 @@ def reference_model_csr(mg):
             weights.append(w)
             labels.append(label)
         starts.append(len(heads))
-    return starts, heads, tails, weights, labels
+    priced = [labels.index(i) for i in range(1, mg.k + 1)]
+    return starts, heads, tails, weights, labels, priced
 
 
 def _edge_triple(edge, prices: PriceFunction):

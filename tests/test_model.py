@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import strategies
 from oracles import bellman_ford_fixed, reference_model_csr
-from stackspt.errors import ValidationError
+from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Instance, Edge, Fixed, Priceable, PriceFunction
 from stackspt.model import (
     ROOT,
@@ -21,13 +21,17 @@ from stackspt.model import (
     sequence_of,
     w_infinity,
 )
-from stackspt.rational import INF
+from stackspt.oracle import build_oracle
+from stackspt.rational import INF, is_finite
 from stackspt.shortest import (
+    _dijkstra,
     _fixed_sweep,
+    _scaled_prices,
     chi_sum,
     fixed_cost_sssp,
     last_priceable_labels,
     lex_dijkstra,
+    naive_revenue,
 )
 
 
@@ -70,6 +74,23 @@ def shared_endpoints() -> Instance:
         Edge(1, 2, Fixed(7)),
         Edge(0, 2, Fixed(100)),
     )
+    return Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
+
+
+def level_and_back() -> Instance:
+    # e_1 joins two vertices at equal fixed distance (gap 0), e_2 leads back into the root
+    edges = (
+        Edge(0, 1, Fixed(3)),
+        Edge(0, 2, Fixed(3)),
+        Edge(1, 2, Priceable(1)),
+        Edge(2, 0, Priceable(2)),
+    )
+    return Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
+
+
+def priced_only_head() -> Instance:
+    # t_1 = 2 has no fixed-only route from the root: every price lets e_1 in
+    edges = (Edge(0, 1, Fixed(1)), Edge(1, 2, Priceable(1)), Edge(2, 1, Fixed(1)))
     return Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
 
 
@@ -143,8 +164,9 @@ class TestModelGraphBuild:
         assert mg.root_w == (0, 2, 9, 10, 20)
         assert mg.t_w[0] == (INF, INF, 0, 1, INF)
         assert mg.t_w[1] == (INF, INF, INF, INF, 0)
-        starts, heads, tails, weights, labels = mg._csr
+        starts, heads, tails, weights, labels, priced = mg._csr
         assert mg.scale == 1 and len(starts) == 6
+        assert priced == [4, 6] and [labels[j] for j in priced] == [1, 2]
 
         def slots(u):
             assert all(tails[j] == u for j in range(starts[u], starts[u + 1]))
@@ -197,6 +219,9 @@ class TestReducedTreeComputation:
             ("8 1", (None, 0)),  # first edge priced out, second hangs off the root
             ("1 17", (0, None)),  # second edge priced out
             ("8 17", (None, None)),
+            ("8 10", (None, 0)),  # the gaps are 7 and 10: at its gap the priced edge wins
+            ("8 11", (None, None)),
+            ("13/2 11", (0, None)),  # 13 > 7 only if the scale factor 2 is left out
         ],
     )
     def test_chain_with_bypasses(self, prices, parents):
@@ -236,6 +261,102 @@ class TestReducedTreeComputation:
         assert rt.parents == (None,)
 
 
+class TestEmptyCertificate:
+    """``tree_parents`` answers the empty tree from the gaps, without a sweep."""
+
+    def test_gaps(self):
+        assert model_of(chain_with_bypasses())._gaps == (7, 10)
+        assert model_of(thirds(chain_with_bypasses()))._gaps == (7, 10)  # times the cost scale
+        assert model_of(level_and_back())._gaps == (0, -3)
+        assert model_of(unreachable_endpoints())._gaps == (-1, -6)  # s_1 has no fixed route; scale 2
+        assert model_of(priced_only_head())._gaps == (INF,)  # only t_1 has none
+
+    @pytest.mark.parametrize(
+        "make,prices,sweeps,parents",
+        [
+            (chain_with_bypasses, "8 11", 0, (None, None)),
+            (chain_with_bypasses, "8 10", 1, (None, 0)),
+            (chain_with_bypasses, "7 11", 1, (0, None)),
+            (chain_with_bypasses, "15/2 21/2", 0, (None, None)),  # times 2: 15 > 14, 21 > 20
+            (chain_with_bypasses, "13/2 11", 1, (0, None)),
+            (thirds, "8/3 11/3", 0, (None, None)),  # gaps 7/3 and 10/3
+            (thirds, "7/3 11/3", 1, (0, None)),
+            (thirds, "5/2 7/2", 0, (None, None)),  # times 6: 15 > 14, 21 > 20
+            (thirds, "13/6 7/2", 1, (0, 1)),  # e_2 ties the root route at 20/3 and wins
+            (level_and_back, "1/7 1", 0, (None, None)),
+            (unreachable_endpoints, "1 1", 0, (None, None)),
+            (priced_only_head, "1000000000", 1, (0,)),
+        ],
+    )
+    def test_sweeps_only_when_not_certified(self, monkeypatch, make, prices, sweeps, parents):
+        inst = make(chain_with_bypasses()) if make is thirds else make()
+        mg, p = model_of(inst), PriceFunction.parse(prices, inst.k)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _dijkstra(*args)
+
+        monkeypatch.setattr("stackspt.model._dijkstra", counting)
+        assert reduced_tree(mg, p).parents == parents
+        assert len(calls) == sweeps
+        oracle = build_oracle(inst)  # the query kernel, which skips the served-demand check
+        assert oracle._kernel(*_scaled_prices(mg.scale, p.values))[0] == parents
+        assert len(calls) == 2 * sweeps
+        assert reduced_tree_of_spt(inst, lex_dijkstra(inst, p)).parents == parents
+
+
+def _gap_prices(draw, mg: ModelGraph) -> tuple:
+    """One price per label: its gap in real units, the gap +- 1/q, or 10**9,
+    whichever of these are > 0; 1/q or 2/q where the gap is INF."""
+    out = []
+    for gap in mg._gaps:
+        q = draw(st.sampled_from((1, 2, 3, 7)))
+        at = Fraction(gap, mg.scale) if is_finite(gap) else Fraction(1, q)
+        options = [x for x in (at, at - Fraction(1, q), at + Fraction(1, q)) if x > 0]
+        out.append(draw(st.sampled_from(options + [10**9])))
+    return tuple(out)
+
+
+def _revenue(fn, *args):
+    try:
+        return fn(*args)
+    except UnreachableVertexError:
+        return "unreachable"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        strategies.instances(max_k=4),
+        strategies.fractional_cost_instances(max_k=4),
+        strategies.loose_instances(),
+    ),
+    st.data(),
+)
+@example(chain_with_bypasses(), None)
+@example(thirds(chain_with_bypasses()), None)
+@example(shared_endpoints(), None)
+@example(level_and_back(), None)
+@example(unreachable_endpoints(), None)
+@example(priced_only_head(), None)
+def test_certificate_agrees_at_the_gaps(inst, data):
+    oracle = build_oracle(inst)
+    mg = oracle.model
+    if data is None:  # every price at its gap, where one exists
+        vectors = [tuple(Fraction(g, mg.scale) if is_finite(g) and g > 0 else 10**9
+                         for g in mg._gaps)]
+    else:
+        vectors = [_gap_prices(data.draw, mg) for _ in range(4)]
+    for prices in vectors:
+        rt = reduced_tree(mg, prices)
+        assert rt == reduced_tree_of_spt(inst, lex_dijkstra(inst, prices))
+        fast = _revenue(oracle.revenue, prices)
+        assert fast == _revenue(naive_revenue, inst, prices)
+        if fast != "unreachable":
+            assert oracle.revenue_breakdown(prices)[0] == rt
+
+
 class TestWInfinity:
     def test_hand_values(self):
         mg = model_of(chain_with_bypasses())
@@ -265,7 +386,7 @@ def test_csr_matches_adjacency_reference(inst):
     mg = model_of(inst)
     csr = mg._csr
     ref = reference_model_csr(mg)
-    assert len(csr) == len(ref) == 5
+    assert len(csr) == len(ref) == 6
     for got, want in zip(csr, ref):
         assert got == want
 
