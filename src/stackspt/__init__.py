@@ -41,7 +41,6 @@ from .rational import INF, NEG_INF, format_scalar, parse_scalar
 from .shortest import (
     CompositeWeight,
     SptResult,
-    fixed_cost_sssp,
     last_priceable_labels,
     lex_dijkstra,
     naive_revenue,
@@ -91,7 +90,6 @@ __all__ = [
     "build_model_graph",
     "build_oracle",
     "build_range_tree",
-    "fixed_cost_sssp",
     "format_csv",
     "format_scalar",
     "heuristic_candidates",

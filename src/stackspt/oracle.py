@@ -54,7 +54,7 @@ from .model import (
     tree_parents,
     w_infinity,
 )
-from .rangetree import QueryRect, RangeTree, WeightedPointSet, build_range_tree
+from .rangetree import RangeTree, WeightedPointSet, build_range_tree
 from .rational import INF, NEG_INF, ExtScalar, Scalar, is_finite
 from .shortest import _fixed_sweep, _scaled_prices, _unscaled, chi_sum
 
@@ -62,7 +62,6 @@ __all__ = [
     "RevenueOracle",
     "build_oracle",
     "embed_points",
-    "query_intervals",
 ]
 
 _log = logging.getLogger("stackspt")
@@ -305,8 +304,8 @@ def embed_points(oracle: RevenueOracle, rt: ReducedTree, label: int) -> Weighted
     d_root[v] on the own axis, d_label[v] - d_j[v] on the axis of e_j,
     NEG_INF where a table reads INF.  No route enters a point, so the set is
     the same for every reduced tree with these edges.  v belongs to
-    V(e_label, p) under ``rt`` exactly when its point dominates none of the
-    bounds of ``query_intervals``.
+    V(e_label, p) under ``rt`` exactly when its point lies at or below the
+    int cap that ``_kernel`` puts on every axis.
     """
     _checked_routes(oracle.model, rt, label)
     d_here = oracle.d_t[label - 1]
@@ -319,23 +318,3 @@ def embed_points(oracle: RevenueOracle, rt: ReducedTree, label: int) -> Weighted
             weights.append(demand[v])
     return WeightedPointSet(dim=len(rt.edges), points=tuple(points), weights=tuple(weights))
 
-
-def query_intervals(
-    oracle: RevenueOracle, rt: ReducedTree, label: int, prices: PriceFunction
-) -> QueryRect:
-    """Dominance rectangle whose member points form V(e_label, p).
-
-    Axis order and unit match embed_points, one axis per edge of ``rt``:
-    the bounds are the caps a query cuts the range tree at, less each axis's
-    shift (``_Plan``'s descriptors), times the cost scale, exact scalars.
-    """
-    seqs = _checked_routes(oracle.model, rt, label)[0]
-    plan = oracle._plans.get(rt.parents) or _Plan(oracle.model, rt)
-    scale, ps = _scaled_prices(oracle.model.scale, _checked_prices(prices, oracle.k))
-    totals = [sum(ps[i - 1] for i in seq) for seq in seqs] + [0]
-    at = rt.edges.index(label)
-    p, f = totals[at], scale // oracle.model.scale
-    return QueryRect.dominance([
-        (_unscaled(totals[o] - p, f) - shift, not totals[o] + lose > p)
-        for o, lose, shift in plan.cuts[at]
-    ])

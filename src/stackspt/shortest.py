@@ -9,14 +9,15 @@ the leader most; among those, the one whose priceable-edge set has the largest
 signature.  The last component makes every tie resolution reproducible, so
 the revenue of "the" shortest path tree is well defined.
 
-One integer-key Dijkstra core runs every sweep: the composite-order sweeps
-here, the fixed-only sweeps of the preprocessing, and the model-graph sweep
-of each query whose reduced tree is not certified empty.  Fractional costs
-and prices are brought to ints by the LCM of their denominators, the triple
-is packed into a single int key, and results are divided back exactly; only
+One integer-key Dijkstra core runs every sweep: the composite-order sweep
+(``_lex_sweep``), which the revenue fold ``_revenue_of`` and the tree build
+``_spt_of`` read; the fixed-only sweeps of the preprocessing; and the
+model-graph sweep of each query whose reduced tree is not certified empty.
+Fractional costs and prices become ints by the LCM of their denominators, the
+triple is packed into one int key, and results are divided back exactly; only
 the oracle's fixed-only tables (``_fixed_sweep``) stay times the cost scale.
-Packing is safe because every key a sweep stores belongs to a simple path,
-so the low components are bounded by the sum of all prices and by 2^(k+1)-2.
+Packing is safe because every key a sweep stores belongs to a simple path, so
+the low components are bounded by the sum of all prices and by 2^(k+1)-2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import UnreachableVertexError, ValidationError
 from .instance import Fixed, Instance, Priceable, _checked_prices
-from .rational import INF, ExtScalar, Scalar, format_scalar, is_finite
+from .rational import INF, ExtScalar, Scalar, format_scalar
 
 __all__ = [
     "CompositeWeight",
@@ -38,7 +39,6 @@ __all__ = [
     "SptResult",
     "chi_sum",
     "lex_dijkstra",
-    "fixed_cost_sssp",
     "naive_revenue",
     "last_priceable_labels",
 ]
@@ -202,8 +202,8 @@ def _csr(inst: Instance):
 
 
 def _lex_sweep(inst: Instance, pvals: tuple, source: int):
-    """Composite-order sweep under the checked prices ``pvals``:
-    (dist keys, parent slots, scale, pcap, m1, m2)."""
+    """Composite-order sweep under the checked prices ``pvals``: (dist keys,
+    parent slots, scale, pcap, m1, m2), what ``_revenue_of`` and ``_spt_of`` read."""
     starts, heads, _epos, costs, priced, cost_scale, _cutoff = _csr(inst)
     scale, ps = _scaled_prices(cost_scale, pvals)
     inc, start, pcap, m1, m2 = _lex_keys(costs, priced, scale // cost_scale, ps)
@@ -211,19 +211,7 @@ def _lex_sweep(inst: Instance, pvals: tuple, source: int):
     return dist, parent, scale, pcap, m1, m2
 
 
-def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult:
-    """Compute a shortest path tree under the composite weight order.
-
-    The returned distances are the unique componentwise minima over all
-    routes; the parent choices realize one shortest path tree.  Which parents
-    are reported may depend on edge order, the distances never do.
-    """
-    pvals = _checked_prices(prices, inst.k)
-    src = inst.root if source is None else source
-    if not 0 <= src < inst.n:
-        raise ValidationError(f"source {src} out of range [0, {inst.n})")
-
-    dist_raw, parent, scale, pcap, m1, m2 = _lex_sweep(inst, pvals, src)
+def _spt_of(inst: Instance, src: int, dist_raw, parent, scale, pcap, m1, m2) -> SptResult:
     chicap = m2 - 1
     dist = []
     for d in dist_raw:
@@ -239,6 +227,20 @@ def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult
     return SptResult(source=src, dist=tuple(dist), parent_edge=parent_edge)
 
 
+def lex_dijkstra(inst: Instance, prices, source: int | None = None) -> SptResult:
+    """Compute a shortest path tree under the composite weight order.
+
+    The returned distances are the unique componentwise minima over all
+    routes; the parent choices realize one shortest path tree.  Which parents
+    are reported may depend on edge order, the distances never do.
+    """
+    pvals = _checked_prices(prices, inst.k)
+    src = inst.root if source is None else source
+    if not 0 <= src < inst.n:
+        raise ValidationError(f"source {src} out of range [0, {inst.n})")
+    return _spt_of(inst, src, *_lex_sweep(inst, pvals, src))
+
+
 def _fixed_sweep(inst: Instance, source: int, floor: int = 0, ceiling=None) -> tuple[tuple, list]:
     """(table, raw): the fixed-only distances from ``source`` times the cost
     scale, exact ints with INF where no fixed-only route exists; and the raw
@@ -252,28 +254,7 @@ def _fixed_sweep(inst: Instance, source: int, floor: int = 0, ceiling=None) -> t
     return tuple(d - floor if d < c and d < top else INF for d, c in zip(dist, ceiling)), dist
 
 
-def fixed_cost_sssp(inst: Instance, source: int) -> tuple[ExtScalar, ...]:
-    """Shortest-path distances using fixed-cost edges only.
-
-    This is the "priceable edges removed" metric: the cost of the best route
-    no leader decision can touch.  Unreachable vertices get ``INF``.
-    """
-    if not 0 <= source < inst.n:
-        raise ValidationError(f"source {source} out of range [0, {inst.n})")
-    table, scale = _fixed_sweep(inst, source)[0], _csr(inst)[5]
-    return tuple(_unscaled(d, scale) if is_finite(d) else INF for d in table)
-
-
-def naive_revenue(inst: Instance, prices) -> Scalar:
-    """Revenue of a composite-weight shortest path tree, computed directly.
-
-    Runs one full Dijkstra sweep per call, so it is the slow-but-simple
-    reference the preprocessing oracle is checked against.  Raises
-    ``UnreachableVertexError`` if a vertex with positive demand has no route
-    from the root.
-    """
-    pvals = _checked_prices(prices, inst.k)
-    dist, _parent, scale, pcap, m1, m2 = _lex_sweep(inst, pvals, inst.root)
+def _revenue_of(inst: Instance, dist, _parent, scale, pcap, m1, m2) -> Scalar:
     demand = inst.demand
     revenue: Scalar = 0
     for v, d in enumerate(dist):
@@ -287,6 +268,17 @@ def naive_revenue(inst: Instance, prices) -> Scalar:
         if phi:
             revenue += phi * (pcap - (d % m1) // m2)
     return _unscaled(revenue, scale)
+
+
+def naive_revenue(inst: Instance, prices) -> Scalar:
+    """Revenue of a composite-weight shortest path tree, computed directly.
+
+    Runs one full Dijkstra sweep per call, so it is the slow-but-simple
+    reference the preprocessing oracle is checked against.  Raises
+    ``UnreachableVertexError`` if a vertex with positive demand has no route
+    from the root.
+    """
+    return _revenue_of(inst, *_lex_sweep(inst, _checked_prices(prices, inst.k), inst.root))
 
 
 def last_priceable_labels(inst: Instance, spt: SptResult) -> tuple[Union[int, None], ...]:

@@ -30,7 +30,7 @@ from .instance import Instance, PriceFunction, ensure_scalar, serialize_instance
 from .model import _contracted
 from .oracle import RevenueOracle, build_oracle
 from .rational import Scalar, format_scalar, is_finite, parse_scalar
-from .shortest import _csr, _unscaled, last_priceable_labels, lex_dijkstra, naive_revenue
+from .shortest import _csr, _lex_sweep, _revenue_of, _spt_of, _unscaled, last_priceable_labels
 
 __all__ = [
     "CandidateSet",
@@ -317,12 +317,13 @@ def verify_oracle(
         prices = tuple(random_prices(inst, rng))
         p = PriceFunction(prices)
         fast = oracle.revenue(p)
-        naive = naive_revenue(inst, p)
+        sweep = _lex_sweep(inst, p.values, inst.root)
+        naive = _revenue_of(inst, *sweep)
         found = []  # (kind, detail) per failed check
         if fast != naive:
             found.append(("revenue", f"fast {fast} != naive {naive}"))
 
-        spt = lex_dijkstra(inst, p)
+        spt = _spt_of(inst, inst.root, *sweep)
         last = last_priceable_labels(inst, spt)
         rt_full = _contracted(inst, spt, last)
         rt, breakdown = oracle.revenue_breakdown(p)

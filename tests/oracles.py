@@ -9,7 +9,8 @@ against slot for slot, and ``reference_model_csr``, the model graph's slot
 arrays as they were built from a per-vertex fixed adjacency.
 ``unpruned_embedding`` is the point set of one reduced-tree edge with every
 fixed-reachable vertex in it, on distance tables of its own, in the frame of
-that tree's routes (``route_costs``).
+that tree's routes (``route_costs``); ``query_rect`` is the dominance
+rectangle that picks, in the same frame, the vertices the edge serves.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import itertools
 
 from stackspt.instance import Fixed, Instance, Priceable, PriceFunction
 from stackspt.model import sequence_of
-from stackspt.rangetree import WeightedPointSet
+from stackspt.rangetree import QueryRect, WeightedPointSet
 from stackspt.rational import INF, NEG_INF, is_finite
+from stackspt.shortest import chi_sum
 
 
 def bellman_ford_fixed(inst: Instance, source: int, free_priced: bool = False):
@@ -287,6 +289,36 @@ def unpruned_embedding(oracle, rt, label):
         points.append(tuple(coords))
     weights = tuple(inst.demand[v] for v in vertices)
     return vertices, WeightedPointSet(dim=len(rt.edges), points=tuple(points), weights=weights)
+
+
+def query_rect(oracle, rt, label, prices) -> QueryRect:
+    """The dominance rectangle whose member points of ``unpruned_embedding``
+    are the vertices e_label serves under ``rt`` at ``prices``: one axis per
+    edge of ``rt``, times the oracle's cost scale.
+
+    A vertex takes e_label's route, of price P_label, when that route beats
+    its fixed route and the route through every other edge e_j of ``rt``, of
+    price P_j, in the composite order: lighter, then dearer, then of larger
+    ``chi_sum``.  Against the fixed route, of price 0, a tie on weight goes
+    to the priced route: the own axis is closed at -P_label.  Against e_j's
+    route the bound is P_j - P_label, closed exactly when P_label > P_j, or
+    P_label == P_j and e_label's route has the larger ``chi_sum``.  A route
+    price is the sum of the prices along ``sequence_of``.
+    """
+    w = route_costs(oracle, rt)
+    assert all(map(is_finite, w.values())), f"no price vector realizes {rt}"
+    values = prices.values if isinstance(prices, PriceFunction) else tuple(prices)
+    price = {j: sum(values[i - 1] for i in sequence_of(rt, j)) for j in rt.edges}
+    chi = {j: chi_sum(sequence_of(rt, j)) for j in rt.edges}
+    scale, p = oracle.model.scale, price[label]
+    bounds = []
+    for j in rt.edges:
+        if j == label:
+            bounds.append((-p * scale, True))
+        else:
+            wins_tie = p > price[j] or (p == price[j] and chi[label] > chi[j])
+            bounds.append(((price[j] - p) * scale, wins_tie))
+    return QueryRect.dominance(bounds)
 
 
 # -- range query scan ---------------------------------------------------------

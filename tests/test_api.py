@@ -9,8 +9,8 @@ import pytest
 import stackspt
 from stackspt.errors import ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction
-from stackspt.model import ReducedTree, reduced_tree
-from stackspt.oracle import build_oracle, query_intervals
+from stackspt.model import reduced_tree
+from stackspt.oracle import build_oracle
 from stackspt.rangetree import WeightedPointSet
 from stackspt.shortest import lex_dijkstra, naive_revenue
 from stackspt.solver import CandidateSet
@@ -28,6 +28,62 @@ def two_edge_instance() -> Instance:
 
 
 MODULES = ["stackspt"] + [f"stackspt.{m.name}" for m in pkgutil.iter_modules(stackspt.__path__)]
+
+
+PUBLIC_NAMES = [
+    "BenchRecord",
+    "CandidateSet",
+    "CompositeWeight",
+    "Edge",
+    "Fixed",
+    "INF",
+    "Instance",
+    "Interval",
+    "MAX_EDGES",
+    "MAX_PRICEABLE_EDGES",
+    "MAX_VERTICES",
+    "ModelGraph",
+    "NEG_INF",
+    "ParseError",
+    "PriceFunction",
+    "Priceable",
+    "QueryRect",
+    "RangeTree",
+    "ReducedTree",
+    "RevenueOracle",
+    "SolveResult",
+    "SptResult",
+    "StacksptError",
+    "UnreachableVertexError",
+    "ValidationError",
+    "VerifyFailure",
+    "VerifyReport",
+    "WeightedPointSet",
+    "build_model_graph",
+    "build_oracle",
+    "build_range_tree",
+    "format_csv",
+    "format_scalar",
+    "heuristic_candidates",
+    "last_priceable_labels",
+    "lex_dijkstra",
+    "naive_revenue",
+    "parse_candidates",
+    "parse_instance",
+    "parse_scalar",
+    "parse_sizes",
+    "random_instance",
+    "reduced_tree",
+    "run_bench",
+    "sequence_of",
+    "serialize_instance",
+    "solve",
+    "verify_oracle",
+]
+
+
+def test_public_surface():
+    assert sorted(stackspt.__all__) == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -59,7 +115,6 @@ ENTRY_POINTS = {
     "naive_revenue": lambda inst, oracle, p: naive_revenue(inst, p),
     "lex_dijkstra": lambda inst, oracle, p: lex_dijkstra(inst, p),
     "model.reduced_tree": lambda inst, oracle, p: reduced_tree(oracle.model, p),
-    "query_intervals": lambda inst, oracle, p: query_intervals(oracle, ReducedTree((0, 1)), 1, p),
 }
 
 

@@ -28,7 +28,6 @@ from stackspt.shortest import (
     _fixed_sweep,
     _scaled_prices,
     chi_sum,
-    fixed_cost_sssp,
     last_priceable_labels,
     lex_dijkstra,
     naive_revenue,
@@ -189,8 +188,8 @@ class TestModelGraphBuild:
 
     def test_rejects_tables_in_the_wrong_unit(self):
         inst = thirds(chain_with_bypasses())
-        d_root = fixed_cost_sssp(inst, 0)  # real units: 2/3, 10/3, ... are Fractions
-        d_t = [fixed_cost_sssp(inst, inst.target_of(i)) for i in (1, 2)]
+        d_root = tuple(bellman_ford_fixed(inst, 0))  # real units: 2/3, 10/3, ... are Fractions
+        d_t = [tuple(bellman_ford_fixed(inst, inst.target_of(i))) for i in (1, 2)]
         assert any(type(d) is Fraction for d in d_root)
         with pytest.raises(ValidationError, match="ints times the cost scale"):
             build_model_graph(inst, d_root, d_t)
@@ -202,8 +201,8 @@ class TestModelGraphBuild:
 
     def test_rejects_mismatched_tables(self):
         inst = chain_with_bypasses()
-        d_root = fixed_cost_sssp(inst, 0)
-        d_t = [fixed_cost_sssp(inst, inst.target_of(i)) for i in (1, 2)]
+        d_root = tuple(bellman_ford_fixed(inst, 0))
+        d_t = [tuple(bellman_ford_fixed(inst, inst.target_of(i))) for i in (1, 2)]
         with pytest.raises(ValidationError):
             build_model_graph(inst, d_root[:-1], d_t)
         with pytest.raises(ValidationError):
@@ -436,8 +435,8 @@ def test_tree_distances_decompose_over_sequences(case):
     spt = lex_dijkstra(inst, prices)
     rt = reduced_tree_of_spt(inst, spt)
     last = last_priceable_labels(inst, spt)
-    d_root = fixed_cost_sssp(inst, inst.root)
-    d_t = {i: fixed_cost_sssp(inst, inst.target_of(i)) for i in rt.edges}
+    d_root = bellman_ford_fixed(inst, inst.root)
+    d_t = {i: bellman_ford_fixed(inst, inst.target_of(i)) for i in rt.edges}
     for v in range(inst.n):
         if not spt.reachable(v):
             assert d_root[v] == INF

@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import math
 import random
 import sys
 import threading
@@ -15,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
-from oracles import linear_scan, route_costs, scaled_fixed_table, unpruned_embedding
+from oracles import linear_scan, query_rect, route_costs, scaled_fixed_table, unpruned_embedding
 from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction, random_instance
 from stackspt.model import ReducedTree, reduced_tree_of_spt, sequence_of, w_infinity
-from stackspt.oracle import RevenueOracle, build_oracle, embed_points, query_intervals
+from stackspt.oracle import RevenueOracle, build_oracle, embed_points
 from stackspt.rangetree import Interval, QueryRect, RangeTree, build_range_tree
 from stackspt.rational import INF, NEG_INF, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
@@ -89,18 +90,39 @@ def servable_vertices(oracle: RevenueOracle, label: int) -> list:
     return [v for v, d in enumerate(oracle.d_t[label - 1]) if is_finite(d)]
 
 
-def unshifted(oracle: RevenueOracle, rt: ReducedTree, label: int, rect: QueryRect) -> QueryRect:
-    """``query_intervals``' rectangle in the frame of ``unpruned_embedding``:
-    one axis per edge of ``rt``, each bound plus that axis's shift, the
-    route costs w of ``route_costs`` (w_label on the own axis, w_label - w_j
-    on the axis of e_j)."""
+def int_caps(oracle: RevenueOracle, rt: ReducedTree, label: int, rect: QueryRect) -> list:
+    """Per axis, the largest int coordinate of ``embed_points`` inside
+    ``query_rect``'s ``rect``: such a coordinate is the one of
+    ``unpruned_embedding`` less w_label, plus w_j on the axis of e_j, the
+    route costs w of ``route_costs``."""
     w = route_costs(oracle, rt)
-    assert rect.dim == len(rt.edges)
-    bounds = []
-    for j, interval in zip(rt.edges, rect.intervals):
+    caps = []
+    for j, interval in zip(rt.edges, rect.intervals, strict=True):
         bound, closed = interval.upper
-        bounds.append((bound + w[label] - (0 if j == label else w[j]), closed))
-    return QueryRect.dominance(bounds)
+        shifted = bound - w[label] + (0 if j == label else w[j])
+        cap = math.floor(shifted)
+        caps.append(cap - 1 if cap == shifted and not closed else cap)
+    return caps
+
+
+def checked_breakdown(oracle: RevenueOracle, prices) -> tuple:
+    """``revenue_breakdown(prices)``, once every range tree count it made is
+    checked: ``_kernel`` gave it the int caps of ``query_rect``, and its
+    answer is that row's served weight."""
+    calls = []
+    real_count = RangeTree.count
+
+    def spy(tree, caps):
+        served = real_count(tree, caps)
+        calls.append((list(caps), served))
+        return served
+
+    with patch.object(RangeTree, "count", spy):
+        rt, rows = oracle.revenue_breakdown(prices)
+    want = [(int_caps(oracle, rt, label, query_rect(oracle, rt, label, prices)), served)
+            for label, _, served in rows]
+    assert calls == want, prices
+    return rt, rows
 
 
 def head_floor(oracle: RevenueOracle, label: int):
@@ -183,8 +205,6 @@ class TestBoundedHeadSweeps:
         for label in rt.edges:
             with pytest.raises(ValidationError, match="not realizable"):
                 embed_points(oracle, rt, label)
-            with pytest.raises(ValidationError, match="not realizable"):
-                query_intervals(oracle, rt, label, PriceFunction((1, 1)))
         for p in ([1, 1], [1, 17], [5, 3]):
             assert oracle.reduced_tree_for(p) != rt
             assert oracle.revenue(p) == naive_revenue(inst, p)
@@ -249,8 +269,10 @@ class TestEmbedding:
             # the route's fixed part moves the cut, not the point
             w = w_infinity(oracle.model, sequence_of(rt, label))
             price = sum(p.values[:label])
-            rect = query_intervals(oracle, rt, label, p)
-            assert rect.intervals[label - 1].upper == (-price - w, True)
+            rect = query_rect(oracle, rt, label, p)
+            assert rect.intervals[label - 1].upper == (-price, True)
+            assert int_caps(oracle, rt, label, rect)[label - 1] == -price - w
+        assert checked_breakdown(oracle, p)[0] == rt
 
     def test_unreachable_axis_is_negative_infinity(self):
         inst = chain_with_bypasses()
@@ -275,8 +297,6 @@ class TestEmbedding:
         with pytest.raises(ValidationError, match=message):
             embed_points(oracle, rt, 1)
         with pytest.raises(ValidationError, match=message):
-            query_intervals(oracle, rt, 1, PriceFunction((1, 1)))
-        with pytest.raises(ValidationError, match=message):
             oracle.warm_up([rt])
         assert oracle._plans == {} and oracle.materialized_keys == frozenset()
 
@@ -294,7 +314,6 @@ class TestEmbedding:
                 assert rt.parents not in plans
                 for label in rt.edges:
                     embed_points(oracle, rt, label)
-                    query_intervals(oracle, rt, label, PriceFunction((3, 4)))
             assert len(calls) == built and oracle._plans == plans
             assert oracle.materialized_keys == keys
 
@@ -306,8 +325,6 @@ def test_reduced_tree_with_the_wrong_k_is_rejected(parents):
     message = f"reduced tree has k = {len(parents)}, the oracle has k = 2"
     with pytest.raises(ValidationError, match=message):
         embed_points(oracle, rt, 1)
-    with pytest.raises(ValidationError, match=message):
-        query_intervals(oracle, rt, 1, PriceFunction((1, 1)))
     with pytest.raises(ValidationError, match=message):
         oracle.warm_up([good, rt])
     assert oracle.materialized_keys == {(good, 1), (good, 2)}  # no plan for rt
@@ -337,38 +354,49 @@ def test_huge_segment_before_a_missing_one(big):
     assert w_infinity(mg, (1, 2)) == INF
     for label in (1, 2):
         with pytest.raises(ValidationError, match="not realizable"):
-            query_intervals(oracle, ReducedTree((0, 1)), label, PriceFunction((1, 1)))
+            embed_points(oracle, ReducedTree((0, 1)), label)
+    with pytest.raises(ValidationError, match="not realizable"):
+        oracle.warm_up([ReducedTree((0, 1))])
 
 
 class TestIntervals:
-    # chain_with_bypasses under (0, 1): sigma_1 = (1) with fixed part w_1 = 2
-    # (root to tail 1), sigma_2 = (1, 2) with w_2 = 2 + 1 (head 2 to tail 3)
+    # chain_with_bypasses under (0, 1), the tree of prices 3 4: sigma_1 = (1)
+    # with fixed part w_1 = 2 (root to tail 1), sigma_2 = (1, 2) with
+    # w_2 = 2 + 1 (head 2 to tail 3); the kernel's int caps on the embedded
+    # points are the bounds less each axis's shift w_i (own) or w_i - w_j
 
     def test_own_axis_closed_at_negated_price(self):
         oracle = build_oracle(chain_with_bypasses())
         rt = ReducedTree((0, 1))
         p = PriceFunction.parse("3 4", 2)
-        rect = query_intervals(oracle, rt, 1, p)
-        assert rect.intervals[0].upper == (-3 - 2, True)  # minus the shift w_1
+        rect = query_rect(oracle, rt, 1, p)
+        assert rect.intervals[0].upper == (-3, True)
         assert rect.intervals[0].lower is None
+        assert int_caps(oracle, rt, 1, rect)[0] == -3 - 2  # minus the shift w_1
+        assert checked_breakdown(oracle, p)[0] == rt
 
     def test_cross_axis_bound_and_openness(self):
         oracle = build_oracle(chain_with_bypasses())
         rt = ReducedTree((0, 1))
         p = PriceFunction.parse("3 4", 2)
-        # sigma_1 price 3; sigma_2 price 7; difference 4, less the shift w_i - w_j
-        rect1 = query_intervals(oracle, rt, 1, p)
-        assert rect1.intervals[1].upper == (4 - (2 - 3), False)  # 3 < 7: sigma_1 loses
-        rect2 = query_intervals(oracle, rt, 2, p)
-        assert rect2.intervals[0].upper == (-4 - (3 - 2), True)  # sigma_2 wins
+        # sigma_1 price 3; sigma_2 price 7; difference 4
+        rect1 = query_rect(oracle, rt, 1, p)
+        assert rect1.intervals[1].upper == (4, False)  # 3 < 7: sigma_1 loses
+        assert int_caps(oracle, rt, 1, rect1)[1] == 4 - (2 - 3) - 1  # open: below 5
+        rect2 = query_rect(oracle, rt, 2, p)
+        assert rect2.intervals[0].upper == (-4, True)  # sigma_2 wins
+        assert int_caps(oracle, rt, 2, rect2)[0] == -4 - (3 - 2)
+        assert checked_breakdown(oracle, p)[0] == rt
 
     def test_one_axis_per_edge_of_the_tree(self):
         oracle = build_oracle(chain_with_bypasses())
         p = PriceFunction.parse("3 4", 2)
-        rect = query_intervals(oracle, ReducedTree((0, None)), 1, p)
-        assert rect.intervals == (Interval(upper=(-3 - 2, True)),)
-        rect = query_intervals(oracle, ReducedTree((0, 1)), 1, p)
+        rect = query_rect(oracle, ReducedTree((0, None)), 1, p)
+        assert rect.intervals == (Interval(upper=(-3, True)),)
+        rect = query_rect(oracle, ReducedTree((0, 1)), 1, p)
         assert rect.dim == 2 and all(iv.lower is None and iv.upper for iv in rect.intervals)
+        # the kernel cuts one axis per edge too: one cap on a one-edge tree
+        assert checked_breakdown(oracle, (7, 11))[0] == ReducedTree((0, None))
 
     def test_equal_prices_decided_by_signature(self):
         # parallel priceable edges: sequences (1) and (2) can tie on price
@@ -381,12 +409,17 @@ class TestIntervals:
         oracle = build_oracle(inst)
         rt = ReducedTree((0, 0))
         p = PriceFunction.parse("5 5", 2)
-        rect1 = query_intervals(oracle, rt, 1, p)
-        rect2 = query_intervals(oracle, rt, 2, p)
+        rect1 = query_rect(oracle, rt, 1, p)
+        rect2 = query_rect(oracle, rt, 2, p)
         # equal price: higher label wins the preference order
         assert rect1.intervals[rt.edges.index(2)].upper == (0, False)
         assert rect2.intervals[rt.edges.index(1)].upper == (0, True)
+        assert int_caps(oracle, rt, 1, rect1)[rt.edges.index(2)] == -1
+        assert int_caps(oracle, rt, 2, rect2)[rt.edges.index(1)] == 0
         assert oracle.revenue(p) == naive_revenue(inst, p) == 5
+        # in the kernel: the two routes of the diamond tie at vertex 3, and e2 serves it
+        rt, rows = checked_breakdown(build_oracle(diamond()), (1, 1, 5))
+        assert rt == ReducedTree((0, 0, None)) and rows == ((1, 1, 2), (2, 1, Fraction(15, 2)))
 
 
 @settings(max_examples=100)
@@ -396,21 +429,21 @@ def test_rectangle_membership_matches_classification(case):
     oracle = build_oracle(inst)
     rt = oracle.reduced_tree_for(prices)
     spt = lex_dijkstra(inst, prices)
-    assert rt == reduced_tree_of_spt(inst, spt)
+    assert rt == reduced_tree_of_spt(inst, spt) == checked_breakdown(oracle, prices)[0]
     last = last_priceable_labels(inst, spt)
     w = route_costs(oracle, rt)
     for label in rt.edges:
         pts = embed_points(oracle, rt, label)
-        rect = query_intervals(oracle, rt, label, prices)
+        rect = query_rect(oracle, rt, label, prices)
         kept = servable_vertices(oracle, label)
         assert len(kept) == len(pts.points) and pts.dim == rect.dim == len(rt.edges)
         # a coordinate plus its axis's shift is the unpruned one, or NEG_INF
         # exactly where the other edge's route cannot undercut the fixed
         # route at any price
         vertices, full = unpruned_embedding(oracle, rt, label)
-        full_rect = unshifted(oracle, rt, label, rect)
         d_root, tables = oracle.d_root, full_tables(oracle)
         for v, point in zip(kept, pts.points):
+            lifted = []
             for j, x, want in zip(rt.edges, point, full.points[vertices.index(v)], strict=True):
                 got = x + w[label] - (0 if j == label else w[j])
                 d_j = tables[j - 1][v]
@@ -418,10 +451,11 @@ def test_rectangle_membership_matches_classification(case):
                     head_floor(oracle, j) + d_j >= d_root[v]
                 )
                 assert got == (NEG_INF if never_tight else want), (v, label, j)
-            assert rect.contains(point) == (last[v] == label), (v, label)
-        # every vertex the head reaches, kept or not, in the unpruned frame
+                lifted.append(got)
+            assert rect.contains(tuple(lifted)) == (last[v] == label), (v, label)
+        # every vertex the head reaches, kept or not
         for v, point in zip(vertices, full.points):
-            assert full_rect.contains(point) == (last[v] == label), (v, label)
+            assert rect.contains(point) == (last[v] == label), (v, label)
         for v in set(range(inst.n)).difference(kept):
             assert last[v] != label, (v, label)
 
@@ -537,26 +571,28 @@ def _check_integer_cuts(inst: Instance, prices: PriceFunction) -> int:
     points lie exactly on a side of their rectangle."""
     oracle = build_oracle(inst)
     value = oracle.revenue(prices)
-    rt, rows = oracle.revenue_breakdown(prices)
+    rt, rows = checked_breakdown(oracle, prices)
     assert value == naive_revenue(inst, prices), prices
     assert value == sum(price * served for _, price, served in rows)
     assert rt == oracle.reduced_tree_for(prices) and [r[0] for r in rows] == list(rt.edges)
     if value == int(value):
         assert type(value) is int
     on_side = 0
+    w = route_costs(oracle, rt)
     for label, price, served in rows:
         if price == int(price):
             assert type(price) is int
         pts = embed_points(oracle, rt, label)
-        rect = query_intervals(oracle, rt, label, prices)
+        rect = query_rect(oracle, rt, label, prices)
         # points are times the cost scale, so every finite coordinate is an int
         assert all(type(x) is int or x == NEG_INF for point in pts.points for x in point)
-        assert served == build_range_tree(pts).query(rect), (label, prices)
+        assert served == build_range_tree(unpruned_embedding(oracle, rt, label)[1]).query(rect)
+        # a coordinate plus its axis's shift is in the frame of the rectangle
+        shifts = [w[label] - (0 if j == label else w[j]) for j in rt.edges]
         on_side += sum(
-            x == iv.upper[0]
+            x + shift == iv.upper[0]
             for point in pts.points
-            for x, iv in zip(point, rect.intervals)
-            if iv.upper is not None
+            for x, shift, iv in zip(point, shifts, rect.intervals)
         )
     return on_side
 
@@ -600,19 +636,9 @@ def test_integer_cuts_match_exact_bounds_near_breakpoints(inst, data):
 def test_pruned_trees_count_like_unpruned_ones(inst, data):
     oracle = build_oracle(inst)
     prices = _near_breakpoints(oracle, lambda seq: data.draw(st.sampled_from(seq)))
-    counted = []
-    real_count = RangeTree.count
-
-    def spy(tree, cuts):
-        served = real_count(tree, cuts)
-        counted.append(served)
-        return served
-
-    with patch.object(RangeTree, "count", spy):
-        rt, rows = oracle.revenue_breakdown(prices)
-    assert counted == [served for _, _, served in rows]
+    rt, rows = checked_breakdown(oracle, prices)
     for label, _, served in rows:
-        rect = unshifted(oracle, rt, label, query_intervals(oracle, rt, label, prices))
+        rect = query_rect(oracle, rt, label, prices)
         _, full = unpruned_embedding(oracle, rt, label)
         assert served == build_range_tree(full).query(rect), (label, prices)
         assert served == linear_scan(full.points, full.weights, rect)

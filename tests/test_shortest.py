@@ -18,8 +18,8 @@ from stackspt.shortest import (
     CompositeWeight,
     _csr,
     _dijkstra,
+    _fixed_sweep,
     chi_sum,
-    fixed_cost_sssp,
     last_priceable_labels,
     lex_dijkstra,
     naive_revenue,
@@ -173,18 +173,20 @@ class TestFractionalCosts:
         assert _exact_scalars(value)
 
     @given(fractional_cost_instances(max_n=12, max_extra=20), st.integers(0, 11))
-    def test_fixed_cost_sssp_matches_bellman_ford(self, inst, source_pick):
+    def test_fixed_sweep_matches_bellman_ford(self, inst, source_pick):
         source = source_pick % inst.n
-        got = fixed_cost_sssp(inst, source)
-        assert list(got) == oracles.bellman_ford_fixed(inst, source)
-        assert _exact_scalars(*(d for d in got if d is not INF))
+        got = _fixed_sweep(inst, source)[0]
+        assert list(got) == oracles.scaled_fixed_table(inst, _csr(inst)[5], source)
+        assert all(type(d) is int for d in got if d is not INF)
 
     def test_huge_costs_stay_exact(self):
         # scaled distances far beyond the float range
         big = Fraction(10**400 + 1, 7)
+        scaled = 3 * (10**400 + 1)  # big times the cost scale 21
         inst = chain(Fixed(big), Priceable(1), Fixed(Fraction(1, 3)), Fixed(big))
-        assert fixed_cost_sssp(inst, 0) == (0, big, INF, INF, INF)
-        assert fixed_cost_sssp(inst, 2) == (INF, INF, 0, Fraction(1, 3), big + Fraction(1, 3))
+        assert _csr(inst)[5] == 21
+        assert _fixed_sweep(inst, 0)[0] == (0, scaled, INF, INF, INF)
+        assert _fixed_sweep(inst, 2)[0] == (INF, INF, 0, 7, scaled + 7)
         spt = lex_dijkstra(inst, PriceFunction((Fraction(1, 2),)))
         assert spt.dist[4] == CompositeWeight(2 * big + Fraction(5, 6), Fraction(-1, 2), -2)
         assert naive_revenue(inst, PriceFunction((5,))) == 15
@@ -199,7 +201,8 @@ class TestFractionalCosts:
             Edge(0, 3, Fixed(3 * big)),
             Edge(4, 5, Fixed(big)),
         ), demand=(1, 2, 3, 4, 5, 6))
-        assert fixed_cost_sssp(inst, 0) == (0, big, INF, 3 * big, INF, INF)
+        assert _csr(inst)[5] == 21
+        assert _fixed_sweep(inst, 0)[0] == (0, scaled, INF, 3 * scaled, INF, INF)
         oracle = build_oracle(inst)
         for prices in [(Fraction(1, 2), 5), (big, 1), (1, 3 * big), (3 * big, 1)]:
             p = PriceFunction(prices)
@@ -221,7 +224,7 @@ class TestFractionalCosts:
         # every denominator is 1, so the scale is 1, yet the costs are Fractions
         inst = chain(Fixed(Fraction(4, 2)), Priceable(1), Fixed(3), Fixed(Fraction(1)))
         assert _csr(inst)[5] == 1
-        got = fixed_cost_sssp(inst, 2)
+        got = _fixed_sweep(inst, 2)[0]
         assert got == (INF, INF, 0, 3, 4)
         assert all(type(d) is int for d in got if d is not INF)
         assert _exact_scalars(naive_revenue(inst, PriceFunction((Fraction(6, 3),))))
@@ -229,7 +232,8 @@ class TestFractionalCosts:
     def test_integral_fraction_after_an_equal_int(self):
         # a set of the costs keeps the int 1 and drops the Fraction(1) after it
         inst = chain(Fixed(1), Priceable(1), Fixed(Fraction(1)), Fixed(1))
-        got = fixed_cost_sssp(inst, 2)
+        assert _csr(inst)[5] == 1
+        got = _fixed_sweep(inst, 2)[0]
         assert got == (INF, INF, 0, 1, 2)
         assert all(type(d) is int for d in got if d is not INF)
         assert naive_revenue(inst, PriceFunction((2,))) == 6
@@ -254,31 +258,26 @@ class TestPermutationInvariance:
         assert naive_revenue(inst, prices) == naive_revenue(permuted, prices)
 
 
-class TestFixedCostSssp:
+class TestFixedSweep:
     @given(instances(max_n=12, max_extra=20), st.integers(min_value=0, max_value=11))
     def test_matches_bellman_ford(self, inst, source_pick):
         source = source_pick % inst.n
-        assert list(fixed_cost_sssp(inst, source)) == oracles.bellman_ford_fixed(
-            inst, source
-        )
+        assert _csr(inst)[5] == 1
+        assert list(_fixed_sweep(inst, source)[0]) == oracles.scaled_fixed_table(inst, 1, source)
 
     def test_priceable_edges_are_ignored(self):
         inst = chain(Priceable(1), Fixed(4))
-        d = fixed_cost_sssp(inst, 0)
+        d = _fixed_sweep(inst, 0)[0]
         assert d[0] == 0 and d[1] is INF and d[2] is INF
-        assert fixed_cost_sssp(inst, 1) == (INF, 0, 4)
+        assert _fixed_sweep(inst, 1)[0] == (INF, 0, 4)
 
-    def test_source_out_of_range(self):
-        inst = chain(Fixed(1))
-        with pytest.raises(ValidationError):
-            fixed_cost_sssp(inst, 9)
 
-    def test_lex_dijkstra_source_out_of_range(self):
-        inst = chain(Fixed(1), Priceable(1))
-        for source in (-1, 3):
-            with pytest.raises(ValidationError) as err:
-                lex_dijkstra(inst, (1,), source)
-            assert str(err.value) == f"source {source} out of range [0, 3)"
+def test_lex_dijkstra_source_out_of_range():
+    inst = chain(Fixed(1), Priceable(1))
+    for source in (-1, 3):
+        with pytest.raises(ValidationError) as err:
+            lex_dijkstra(inst, (1,), source)
+        assert str(err.value) == f"source {source} out of range [0, 3)"
 
 
 class TestNaiveRevenue:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import strategies
 from oracles import bellman_ford_fixed
 from stackspt.errors import ParseError, UnreachableVertexError, ValidationError
+import stackspt.shortest
 import stackspt.solver
 from stackspt.instance import (
     Edge,
@@ -470,6 +471,21 @@ class TestVerifyOracle:
         assert {f.instance_text for f in report.failures} == {real_serialize(inst)}
         calls.clear()
         assert verify_oracle(inst, trials=5, seed=3).passed and calls == []
+
+    def test_one_composite_sweep_per_trial(self, monkeypatch):
+        inst = random_instance(30, 90, 3, seed=5)
+        sweeps = []
+        real_sweep = stackspt.shortest._lex_sweep
+
+        def counting(instance, pvals, source):
+            sweeps.append(source)
+            return real_sweep(instance, pvals, source)
+
+        # the sweep is counted wherever verify looks it up: in shortest, or imported by name
+        monkeypatch.setattr(stackspt.shortest, "_lex_sweep", counting)
+        monkeypatch.setattr(stackspt.solver, "_lex_sweep", counting, raising=False)
+        assert verify_oracle(inst, trials=5, seed=3).passed
+        assert sweeps == [inst.root] * 5
 
     def test_random_prices_are_positive_and_seeded(self):
         inst = random_instance(8, 20, 3, seed=2)
