@@ -20,15 +20,16 @@ integers, exact decimals, or ``a/b`` ratios.
 The parser costs little per edge: an integer literal becomes an ``int``
 without a ``Fraction`` on the way (``parse_scalar``), and every distinct cost
 token yields one ``Fixed`` payload that all edges spelling it share (payloads
-are frozen).  Validation still checks every edge, so an error names the
-first edge that carries a bad payload.
+are frozen).  Validation checks every edge, so an error names the first edge
+with a bad payload, and then lays out the slots that every sweep reads.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import ParseError, ValidationError
@@ -98,19 +99,30 @@ class Instance:
     Attributes:
         n: number of vertices, identified as 0..n-1.
         root: the followers' common source vertex.
-        edges: all edges in file order (parallel edges are allowed).
-        demand: per-vertex demand, length n, each entry >= 0 and exact.
-        priceable: the priceable edges ordered by label, so ``priceable[i-1]``
-            is e_i; set by validation, not an argument.
+        edges: all edges in file order, as a tuple (parallel edges are allowed).
+        demand: per-vertex demand, a length-n tuple, each entry >= 0 and exact.
+        k, priceable: the number of priceable edges, and those edges ordered
+            by label, so ``priceable[i-1]`` is e_i; set by validation.
+        _layout: the slot arrays every sweep reads, also set by validation:
+            (starts, heads, epos, costs, priced, scale, cutoff).  Slots run
+            per tail in edge order; ``epos[j]`` is slot j's position in
+            ``edges``, ``priced[i-1]`` the slot of e_i.  Fixed costs are times
+            ``scale``, the LCM of their denominators; a priceable slot costs
+            ``cutoff``, one more than their total, so a fixed-only sweep can
+            cross it: a distance below ``cutoff`` is a fixed-only route.
     """
 
     n: int
     root: int
     edges: tuple[Edge, ...]
     demand: tuple[Scalar, ...]
+    k: int = field(init=False, repr=False, compare=False)
     priceable: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("edges", "demand"):  # a list would not hash; tuple() keeps a tuple as it is
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.root < self.n:
@@ -124,9 +136,10 @@ class Instance:
                 raise ValidationError(f"demand of vertex {v} must be an exact scalar")
             if phi < 0:
                 raise ValidationError(f"demand of vertex {v} is negative: {format_scalar(phi)}")
-        n = self.n
+        n, edges = self.n, self.edges
         by_label: dict[int, Edge] = {}
-        for pos, e in enumerate(self.edges):
+        counts = [0] * (n + 1)  # counts[u + 1]: u's out-edges
+        for pos, e in enumerate(edges):
             tail, head, kind = e.tail, e.head, e.kind
             if not (0 <= tail < n and 0 <= head < n):
                 raise ValidationError(f"edge {pos} endpoint out of range: {tail}->{head}")
@@ -147,6 +160,7 @@ class Instance:
                 by_label[i] = e
             else:
                 raise ValidationError(f"edge {pos} has unknown kind {kind!r}")
+            counts[tail + 1] += 1
         k = len(by_label)
         if by_label and (min(by_label) != 1 or max(by_label) != k):
             raise ValidationError(
@@ -156,17 +170,36 @@ class Instance:
             raise ValidationError(
                 f"k = {k} exceeds the cap of {MAX_PRICEABLE_EDGES} priceable edges"
             )
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "priceable", tuple(by_label[i] for i in range(1, k + 1)))
+
+        starts = list(accumulate(counts))
+        fill = starts[:]
+        m = len(edges)
+        heads, epos, costs, priced = [0] * m, [0] * m, [0] * m, [0] * k
+        for pos, e in enumerate(edges):
+            j = fill[e.tail]
+            fill[e.tail] = j + 1
+            heads[j] = e.head
+            epos[j] = pos
+            kind = e.kind
+            if isinstance(kind, Fixed):
+                costs[j] = kind.cost
+            else:
+                priced[kind.index - 1] = j
+        scale = lcm(*[c.denominator for c in set(costs)])
+        if set(map(type, costs)) != {int}:  # any Fraction, even a Fraction(1) beside a 1
+            costs = [c.numerator * (scale // c.denominator) for c in costs]
+        cutoff = sum(costs) + 1
+        for j in priced:
+            costs[j] = cutoff
+        object.__setattr__(self, "_layout", (starts, heads, epos, costs, priced, scale, cutoff))
 
     # -- derived views -----------------------------------------------------
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def k(self) -> int:
-        return len(self.priceable)
 
     def source_of(self, i: int) -> int:
         return self.priceable[i - 1].tail

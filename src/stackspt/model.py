@@ -23,7 +23,7 @@ from typing import Sequence, Union
 from .errors import ValidationError
 from .instance import Instance, Priceable, PriceFunction, _checked_prices
 from .rational import INF, ExtScalar, is_finite
-from .shortest import SptResult, _csr, _dijkstra, _lex_keys, _scaled_prices, last_priceable_labels
+from .shortest import SptResult, _dijkstra, _lex_keys, _scaled_prices, last_priceable_labels
 
 __all__ = [
     "ReducedTree",
@@ -52,6 +52,7 @@ class ReducedTree:
     parents: tuple[Union[int, None], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "parents", tuple(self.parents))  # a list would not hash
         k = len(self.parents)
         for i, par in enumerate(self.parents, start=1):
             if par is None:
@@ -183,7 +184,7 @@ def build_model_graph(
 
     ``d_root`` must be the fixed-only distances from the root, ``d_from_t``
     one table per priceable edge, from that edge's head vertex, all times the
-    instance's cost scale: exact ints, with INF where no route exists.
+    cost scale of ``Instance._layout``: exact ints, with INF where no route exists.
     """
     k = inst.k
     if len(d_root) != inst.n or len(d_from_t) != k:
@@ -198,7 +199,7 @@ def build_model_graph(
     )
     if any(type(w) is not int and w != INF for w in root_w + sum(t_w, ())):
         raise ValidationError("distance tables must hold ints times the cost scale, or INF")
-    return ModelGraph(k, tuple(vertex_of), root_w, t_w, scale=_csr(inst)[5])
+    return ModelGraph(k, tuple(vertex_of), root_w, t_w, scale=inst._layout[5])
 
 
 def reduced_tree(mg: ModelGraph, prices: Union[PriceFunction, Sequence]) -> ReducedTree:

@@ -25,12 +25,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import Iterable, NamedTuple, Union
 
 from .errors import UnreachableVertexError, ValidationError
-from .instance import Fixed, Instance, Priceable, _checked_prices
+from .instance import Instance, Priceable, _checked_prices
 from .rational import INF, ExtScalar, Scalar, format_scalar
 
 __all__ = [
@@ -85,10 +84,11 @@ class SptResult:
 
 # -- the Dijkstra core ---------------------------------------------------------
 #
-# Every sweep runs on a CSR adjacency: starts[u]..starts[u+1] index u's out-edge
-# slots, heads[j] is slot j's head and inc[j] its integer key increment.  Keys
-# are exact ints, INF marks unreached vertices, and a heap entry is the single
-# int ``key * n + v``, ordered like (key, v) because 0 <= v < n.
+# Every sweep runs on slot arrays (``Instance._layout``, ``ModelGraph._csr``):
+# starts[u]..starts[u+1] index u's out-edge slots, heads[j] is slot j's head and
+# inc[j] its integer key increment.  Keys are exact ints, INF marks unreached
+# vertices, and a heap entry is the single int ``key * n + v``, ordered like
+# (key, v) because 0 <= v < n.
 
 
 def _dijkstra(starts, heads, inc, source: int, start: int, dist: list):
@@ -157,54 +157,10 @@ def _lex_keys(costs, priced, f: int, ps: list[int]):
     return inc, pcap * m2 + chicap, pcap, m1, m2
 
 
-def _csr(inst: Instance):
-    """The instance's CSR, built once: (starts, heads, epos, costs, priced, scale, cutoff).
-
-    ``epos[j]`` is the position in ``Instance.edges`` of slot j, and
-    ``priced[i-1]`` the slot of the priceable edge labeled i.  Fixed costs
-    are stored times ``scale``, the LCM of their denominators.  A priceable
-    slot has cost ``cutoff``, one more than the scaled total of all fixed
-    costs, so a fixed-only sweep can cross it like any edge: a distance
-    below ``cutoff`` is a fixed-only route, one at or above it is not.
-    """
-    cached = inst.__dict__.get("_csr_cache")
-    if cached is not None:
-        return cached
-    n, m, edges = inst.n, inst.m, inst.edges
-    counts = [0] * (n + 1)
-    for e in edges:
-        counts[e.tail + 1] += 1
-    starts = list(accumulate(counts))
-    fill = starts[:]
-    heads = [0] * m
-    epos = [0] * m
-    costs = [0] * m
-    priced = [0] * inst.k
-    for pos, e in enumerate(edges):
-        j = fill[e.tail]
-        fill[e.tail] = j + 1
-        heads[j] = e.head
-        epos[j] = pos
-        kind = e.kind
-        if isinstance(kind, Fixed):
-            costs[j] = kind.cost
-        else:
-            priced[kind.index - 1] = j
-    scale = lcm(*[c.denominator for c in set(costs)])
-    if set(map(type, costs)) != {int}:  # any Fraction, even a Fraction(1) beside a 1
-        costs = [c.numerator * (scale // c.denominator) for c in costs]
-    cutoff = sum(costs) + 1
-    for j in priced:
-        costs[j] = cutoff
-    cached = (starts, heads, epos, costs, priced, scale, cutoff)
-    inst.__dict__["_csr_cache"] = cached
-    return cached
-
-
 def _lex_sweep(inst: Instance, pvals: tuple, source: int):
     """Composite-order sweep under the checked prices ``pvals``: (dist keys,
     parent slots, scale, pcap, m1, m2), what ``_revenue_of`` and ``_spt_of`` read."""
-    starts, heads, _epos, costs, priced, cost_scale, _cutoff = _csr(inst)
+    starts, heads, _epos, costs, priced, cost_scale, _cutoff = inst._layout
     scale, ps = _scaled_prices(cost_scale, pvals)
     inc, start, pcap, m1, m2 = _lex_keys(costs, priced, scale // cost_scale, ps)
     dist, parent = _dijkstra(starts, heads, inc, source, start, [INF] * inst.n)
@@ -222,7 +178,7 @@ def _spt_of(inst: Instance, src: int, dist_raw, parent, scale, pcap, m1, m2) -> 
             dist.append(CompositeWeight(
                 _unscaled(w, scale), _unscaled(low // m2 - pcap, scale), low % m2 - chicap
             ))
-    epos = _csr(inst)[2]
+    epos = inst._layout[2]
     parent_edge = tuple(None if j is None else epos[j] for j in parent)
     return SptResult(source=src, dist=tuple(dist), parent_edge=parent_edge)
 
@@ -247,7 +203,7 @@ def _fixed_sweep(inst: Instance, source: int, floor: int = 0, ceiling=None) -> t
     sweep, which crosses priceable slots at ``cutoff``, so INF there means no
     route at all.  A bounded sweep starts at key ``floor`` and relaxes v only
     below ``ceiling[v]``; its table reads INF wherever it did not."""
-    starts, heads, _epos, costs, _priced, _scale, cutoff = _csr(inst)
+    starts, heads, _epos, costs, _priced, _scale, cutoff = inst._layout
     ceiling = (INF,) * inst.n if ceiling is None else ceiling
     dist, _parent = _dijkstra(starts, heads, costs, source, floor, list(ceiling))
     top = floor + cutoff

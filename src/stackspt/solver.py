@@ -30,7 +30,7 @@ from .instance import Instance, PriceFunction, ensure_scalar, serialize_instance
 from .model import _contracted
 from .oracle import RevenueOracle, build_oracle
 from .rational import Scalar, format_scalar, is_finite, parse_scalar
-from .shortest import _csr, _lex_sweep, _revenue_of, _spt_of, _unscaled, last_priceable_labels
+from .shortest import _lex_sweep, _revenue_of, _spt_of, _unscaled, last_priceable_labels
 
 __all__ = [
     "CandidateSet",
@@ -56,6 +56,13 @@ def _exact_positive(v, what: str) -> Scalar:
     if v <= 0:
         raise ValidationError(f"{what} must be strictly positive, got {format_scalar(v)}")
     return v
+
+
+def _prices_of(values, what: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of prices, got {values!r}") from None
 
 
 def _clean_candidates(values, what: str) -> tuple[Scalar, ...]:
@@ -87,11 +94,13 @@ class CandidateSet:
         object.__setattr__(
             self,
             "per_edge",
-            tuple(_clean_candidates(lst, "candidate price") for lst in self.per_edge),
+            tuple(_clean_candidates(_prices_of(lst, f"candidates of edge {i}"), "candidate price")
+                  for i, lst in enumerate(self.per_edge, start=1)),
         )
         if self.vectors is not None:
             cleaned = []
             for vec in self.vectors:
+                vec = _prices_of(vec, "candidate vector")
                 if len(vec) != self.k:
                     raise ValidationError(
                         f"candidate vector {vec!r} does not have {self.k} entries"
@@ -101,7 +110,7 @@ class CandidateSet:
 
     @classmethod
     def from_vectors(cls, k: int, vectors) -> "CandidateSet":
-        return cls(k=k, per_edge=((),) * k, vectors=tuple(tuple(v) for v in vectors))
+        return cls(k=k, per_edge=((),) * k, vectors=tuple(vectors))
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ def fallback_price(inst: Instance) -> Scalar:
     Used for edges with no candidates; any such edge is effectively switched
     off (or serves only vertices with no priceable-free alternative).
     """
-    _starts, _heads, _epos, _costs, _priced, scale, cutoff = _csr(inst)
+    _starts, _heads, _epos, _costs, _priced, scale, cutoff = inst._layout
     return _unscaled(cutoff - 1, scale) + 1  # cutoff is 1 + the scaled fixed total
 
 

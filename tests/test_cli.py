@@ -1,12 +1,15 @@
 """End-to-end command line behavior: output, determinism, exit codes."""
 
+import os
 import random
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import stackspt
 from stackspt import cli
 from stackspt.instance import (
     Edge,
@@ -451,3 +454,30 @@ class TestUsage:
     def test_subcommand_help_exits_zero(self, capsys):
         for name in ["gen", "eval", "solve", "verify", "bench"]:
             assert run(capsys, name, "--help")[0] == 0
+
+
+class TestEntryPoints:
+    def module_run(self, *argv):
+        """``python -m stackspt`` in a child process, on this checkout's package."""
+        src = os.path.dirname(os.path.dirname(stackspt.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "stackspt", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_module_eval_prints_the_revenue(self, instance_file):
+        done = self.module_run("eval", "--instance", instance_file, "--prices", "3,4")
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == f"{naive_revenue(two_edge_fixture(), (3, 4))}\n"
+
+    def test_module_eval_of_a_bad_price_is_usage_error(self, instance_file):
+        done = self.module_run("eval", "--instance", instance_file, "--prices", "3,0")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("prices,code", [("3,4", 0), ("3", 2)])
+    def test_entry_exits_with_the_code_of_main(self, capsys, monkeypatch, instance_file, prices, code):
+        monkeypatch.setattr(sys, "argv", ["stackspt", "eval", "--instance", instance_file, "--prices", prices])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
+        assert (capsys.readouterr().out != "") == (code == 0)

@@ -1,5 +1,6 @@
 """Instance model, text format, and the random generator."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,10 @@ from stackspt.instance import (
     random_instance,
     serialize_instance,
 )
+from stackspt.oracle import build_oracle
 from stackspt.rational import INF
+from stackspt.shortest import lex_dijkstra, naive_revenue
+from stackspt.solver import solve
 
 SAMPLE = """\
 # a small instance with one comment per construct
@@ -251,6 +255,71 @@ class TestValidation:
     def test_single_vertex(self):
         inst = Instance(n=1, root=0, edges=(), demand=(1,))
         assert inst.m == 0 and inst.k == 0
+
+    def test_list_input_is_kept_as_tuples(self):
+        listed = Instance(n=3, root=0, edges=[Edge(0, 1, Fixed(1)), Edge(1, 2, Priceable(1))],
+                          demand=[1, 1, 1])
+        tupled = self.build()
+        assert type(listed.edges) is tuple and type(listed.demand) is tuple
+        assert listed == tupled and hash(listed) == hash(tupled)
+
+    def test_tuple_input_is_kept_as_given(self):
+        edges, demand = (Edge(0, 1, Fixed(1)), Edge(1, 2, Priceable(1))), (1, 1, 1)
+        inst = self.build(edges=edges, demand=demand)
+        assert inst.edges is edges and inst.demand is demand
+
+
+class _CountingEdges(tuple):
+    """The edges of an instance, counting every read of them."""
+
+    reads = 0
+
+    def __iter__(self):
+        type(self).reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, j):
+        type(self).reads += 1
+        return super().__getitem__(j)
+
+    def __len__(self):
+        type(self).reads += 1
+        return super().__len__()
+
+
+class TestLayout:
+    def test_built_with_the_instance(self):
+        inst = Instance(n=3, root=0, demand=(1, 1, 1), edges=(
+            Edge(1, 2, Fixed(Fraction(1, 2))), Edge(0, 1, Priceable(1)), Edge(0, 2, Fixed(3))))
+        starts, heads, epos, costs, priced, scale, cutoff = inst.__dict__["_layout"]
+        assert starts == [0, 2, 3, 3] and heads == [1, 2, 2] and epos == [1, 2, 0]
+        assert scale == 2 and cutoff == 8 and costs == [8, 6, 1] and priced == [0]
+
+    def test_equality_hash_and_repr_ignore_it(self):
+        a = parse_instance(SAMPLE)
+        b = parse_instance(SAMPLE)
+        object.__setattr__(b, "_layout", None)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_layout" not in repr(a)
+
+    def test_replace_lays_out_afresh(self):
+        inst = parse_instance(SAMPLE)
+        again = dataclasses.replace(inst, demand=(0, 1, 1, 1))
+        assert again._layout == inst._layout and again._layout is not inst._layout
+        stretched = dataclasses.replace(inst, edges=inst.edges[:-1] + (Edge(0, 3, Fixed(Fraction(7, 4))),))
+        assert stretched._layout[5] == 12 and stretched._layout[3] != inst._layout[3]
+
+    def test_no_entry_point_reads_the_edges_after_construction(self):
+        inst = random_instance(40, 160, 2, seed=5, demand_max=3)
+        object.__setattr__(inst, "edges", _CountingEdges(inst.edges))
+        _CountingEdges.reads = 0
+        naive_revenue(inst, (3, 4))
+        lex_dijkstra(inst, (3, 4), source=1)
+        oracle = build_oracle(inst)
+        oracle.revenue((3, 4))
+        solve(inst)
+        assert _CountingEdges.reads == 0
+        assert inst.m == 160 and _CountingEdges.reads == 1  # the wrapper does count
 
 
 class TestPriceFunction:

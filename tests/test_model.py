@@ -129,6 +129,12 @@ class TestReducedTreeValidation:
         with pytest.raises(ValidationError):
             ReducedTree(tuple(parents))
 
+    def test_list_parents_are_kept_as_a_tuple(self):
+        rt = ReducedTree([0, 1, None])
+        assert rt.parents == (0, 1, None)
+        assert rt == ReducedTree((0, 1, None))
+        assert hash(rt) == hash(ReducedTree((0, 1, None)))
+
     def test_contains_and_empty(self):
         rt = ReducedTree((0, None, 1))
         assert 1 in rt and 3 in rt

@@ -318,6 +318,16 @@ class TestEmbedding:
             assert oracle.materialized_keys == keys
 
 
+def test_warm_up_of_list_parents_builds_the_tuple_plan():
+    listed, tupled = build_oracle(chain_with_bypasses()), build_oracle(chain_with_bypasses())
+    listed.warm_up([ReducedTree([0, 1])])
+    tupled.warm_up([ReducedTree((0, 1))])
+    assert listed.materialized_keys == tupled.materialized_keys == {
+        (ReducedTree((0, 1)), 1), (ReducedTree((0, 1)), 2)}
+    assert list(listed._plans) == list(tupled._plans) == [(0, 1)]
+    assert listed.revenue((1, 1)) == tupled.revenue((1, 1))
+
+
 @pytest.mark.parametrize("parents", [(), (0,), (0, 1, None)])
 def test_reduced_tree_with_the_wrong_k_is_rejected(parents):
     oracle = build_oracle(chain_with_bypasses())  # k = 2

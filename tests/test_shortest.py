@@ -16,7 +16,6 @@ from stackspt.rational import INF
 from stackspt.shortest import (
     UNREACHABLE_WEIGHT,
     CompositeWeight,
-    _csr,
     _dijkstra,
     _fixed_sweep,
     chi_sum,
@@ -176,7 +175,7 @@ class TestFractionalCosts:
     def test_fixed_sweep_matches_bellman_ford(self, inst, source_pick):
         source = source_pick % inst.n
         got = _fixed_sweep(inst, source)[0]
-        assert list(got) == oracles.scaled_fixed_table(inst, _csr(inst)[5], source)
+        assert list(got) == oracles.scaled_fixed_table(inst, inst._layout[5], source)
         assert all(type(d) is int for d in got if d is not INF)
 
     def test_huge_costs_stay_exact(self):
@@ -184,7 +183,7 @@ class TestFractionalCosts:
         big = Fraction(10**400 + 1, 7)
         scaled = 3 * (10**400 + 1)  # big times the cost scale 21
         inst = chain(Fixed(big), Priceable(1), Fixed(Fraction(1, 3)), Fixed(big))
-        assert _csr(inst)[5] == 21
+        assert inst._layout[5] == 21
         assert _fixed_sweep(inst, 0)[0] == (0, scaled, INF, INF, INF)
         assert _fixed_sweep(inst, 2)[0] == (INF, INF, 0, 7, scaled + 7)
         spt = lex_dijkstra(inst, PriceFunction((Fraction(1, 2),)))
@@ -201,7 +200,7 @@ class TestFractionalCosts:
             Edge(0, 3, Fixed(3 * big)),
             Edge(4, 5, Fixed(big)),
         ), demand=(1, 2, 3, 4, 5, 6))
-        assert _csr(inst)[5] == 21
+        assert inst._layout[5] == 21
         assert _fixed_sweep(inst, 0)[0] == (0, scaled, INF, 3 * scaled, INF, INF)
         oracle = build_oracle(inst)
         for prices in [(Fraction(1, 2), 5), (big, 1), (1, 3 * big), (3 * big, 1)]:
@@ -223,7 +222,7 @@ class TestFractionalCosts:
     def test_integral_fraction_costs_give_int_distances(self):
         # every denominator is 1, so the scale is 1, yet the costs are Fractions
         inst = chain(Fixed(Fraction(4, 2)), Priceable(1), Fixed(3), Fixed(Fraction(1)))
-        assert _csr(inst)[5] == 1
+        assert inst._layout[5] == 1
         got = _fixed_sweep(inst, 2)[0]
         assert got == (INF, INF, 0, 3, 4)
         assert all(type(d) is int for d in got if d is not INF)
@@ -232,7 +231,7 @@ class TestFractionalCosts:
     def test_integral_fraction_after_an_equal_int(self):
         # a set of the costs keeps the int 1 and drops the Fraction(1) after it
         inst = chain(Fixed(1), Priceable(1), Fixed(Fraction(1)), Fixed(1))
-        assert _csr(inst)[5] == 1
+        assert inst._layout[5] == 1
         got = _fixed_sweep(inst, 2)[0]
         assert got == (INF, INF, 0, 1, 2)
         assert all(type(d) is int for d in got if d is not INF)
@@ -262,7 +261,7 @@ class TestFixedSweep:
     @given(instances(max_n=12, max_extra=20), st.integers(min_value=0, max_value=11))
     def test_matches_bellman_ford(self, inst, source_pick):
         source = source_pick % inst.n
-        assert _csr(inst)[5] == 1
+        assert inst._layout[5] == 1
         assert list(_fixed_sweep(inst, source)[0]) == oracles.scaled_fixed_table(inst, 1, source)
 
     def test_priceable_edges_are_ignored(self):

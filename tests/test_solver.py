@@ -122,6 +122,15 @@ class TestCandidateSet:
         with pytest.raises(ValidationError, match=r"^candidate set needs k >= 1$"):
             CandidateSet(k=0, per_edge=())
 
+    def test_rejects_entries_that_are_not_sequences(self):
+        with pytest.raises(ValidationError, match=r"^candidates of edge 2 must be a sequence of prices, got 5$"):
+            CandidateSet(k=2, per_edge=((1,), 5))
+        with pytest.raises(ValidationError, match=r"^candidate vector must be a sequence of prices, got 5$"):
+            CandidateSet.from_vectors(2, [(1, 2), 5])
+        with pytest.raises(ValidationError, match=r"^candidate vector must be a sequence of prices, got 5$"):
+            CandidateSet(k=2, per_edge=((), ()), vectors=(5,))
+        assert CandidateSet.from_vectors(2, [iter((1, 2))]).vectors == ((1, 2),)
+
 
 class TestParseCandidates:
     def test_cand_lines(self):
