@@ -17,18 +17,20 @@ The text format is line-oriented::
 ``#`` starts a comment, blank lines are ignored, and numeric literals are
 integers, exact decimals, or ``a/b`` ratios.
 
-The parser costs little per edge: an integer literal becomes an ``int``
-without a ``Fraction`` on the way (``parse_scalar``), and every distinct cost
-token yields one ``Fixed`` payload that all edges spelling it share (payloads
-are frozen).  Validation checks every edge, so an error names the first edge
-with a bad payload, and then lays out the slots that every sweep reads.
+The parser costs little per edge: it builds no ``Edge``, only appends the
+tail and head to two int columns and the payload to a third.  An integer
+literal becomes an ``int`` without a ``Fraction`` on the way, and every
+distinct cost token yields one ``Fixed`` that all edges spelling it share.
+Validation walks the columns in edge order, so an error names the first bad
+edge, and lays out the slots that every sweep reads; ``Instance.edges``, a
+tuple of ``Edge``, is built from the columns when first read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, count
 from math import lcm
 from typing import Iterable, Union
 
@@ -94,15 +96,21 @@ class Edge:
 
 @dataclass(frozen=True)
 class Instance:
-    """A validated pricing instance.
+    """A validated pricing instance, its edges kept as columns.
 
     Attributes:
         n: number of vertices, identified as 0..n-1.
         root: the followers' common source vertex.
-        edges: all edges in file order, as a tuple (parallel edges are allowed).
+        edges: all edges in edge order, a tuple of ``Edge`` (parallel edges are
+            allowed).  A parsed instance builds it from the columns on first
+            read; no sweep reads it, and ``==`` and ``hash`` read the columns.
         demand: per-vertex demand, a length-n tuple, each entry >= 0 and exact.
         k, priceable: the number of priceable edges, and those edges ordered
             by label, so ``priceable[i-1]`` is e_i; set by validation.
+        _columns: (tails, heads, kinds) in edge order, two tuples of ints and
+            one of payloads.  ``Instance(...)`` splits ``edges`` into them, the
+            parser fills them directly, and one routine checks them and lays
+            out the slots, ``_validate``.
         _layout: the slot arrays every sweep reads, also set by validation:
             (starts, heads, epos, costs, priced, scale, cutoff).  Slots run
             per tail in edge order; ``epos[j]`` is slot j's position in
@@ -114,33 +122,58 @@ class Instance:
 
     n: int
     root: int
-    edges: tuple[Edge, ...]
+    edges: tuple[Edge, ...] = field(compare=False)
     demand: tuple[Scalar, ...]
     k: int = field(init=False, repr=False, compare=False)
     priceable: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    _columns: tuple = field(init=False, repr=False)
     _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("edges", "demand"):  # a list would not hash; tuple() keeps a tuple as it is
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.root < self.n:
-            raise ValidationError(f"root {self.root} out of range [0, {self.n})")
-        if len(self.demand) != self.n:
-            raise ValidationError(
-                f"demand has {len(self.demand)} entries, expected n = {self.n}"
-            )
-        for v, phi in enumerate(self.demand):
+        self.__dict__["edges"] = edges = _tuple_of(self.edges, "edges", "a sequence of Edge")
+        for pos, e in enumerate(edges):  # tuple() above keeps a tuple as it is
+            if not (isinstance(e, Edge) and isinstance(e.tail, int) and isinstance(e.head, int)):
+                raise ValidationError(f"edge {pos} must be an Edge with int endpoints, got {e!r}")
+        self._validate([e.tail for e in edges], [e.head for e in edges], [e.kind for e in edges])
+
+    @classmethod
+    def _of_columns(cls, n, root, tails, heads, kinds, demand) -> "Instance":
+        """The instance of these edge columns, validated as ``Instance(...)`` is."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(n=n, root=root, demand=demand)
+        inst._validate(tails, heads, kinds)
+        return inst
+
+    def __getattr__(self, name):  # only for what __dict__ lacks: the edges of columns
+        if name != "edges" or "_columns" not in self.__dict__:
+            raise AttributeError(f"'Instance' object has no attribute {name!r}")
+        self.__dict__["edges"] = edges = tuple(map(Edge, *self._columns))
+        return edges
+
+    def _validate(self, tails: list, heads: list, kinds: list) -> None:
+        """Check n, root, demand and the edge columns, naming the first bad
+        edge in edge order, and set k, priceable, _columns and _layout.  One
+        walk checks the edges and lists each tail's out-edges: the slots."""
+        n, root = self.n, self.root
+        for name, value in (("n", n), ("root", root)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+        self.__dict__["demand"] = demand = _tuple_of(self.demand, "demand", "a sequence of scalars")
+        if n < 1:
+            raise ValidationError(f"n must be >= 1, got {n}")
+        if not 0 <= root < n:
+            raise ValidationError(f"root {root} out of range [0, {n})")
+        if len(demand) != n:
+            raise ValidationError(f"demand has {len(demand)} entries, expected n = {n}")
+        for v, phi in enumerate(demand):
             if isinstance(phi, bool) or not isinstance(phi, FINITE_TYPES):
                 raise ValidationError(f"demand of vertex {v} must be an exact scalar")
             if phi < 0:
                 raise ValidationError(f"demand of vertex {v} is negative: {format_scalar(phi)}")
-        n, edges = self.n, self.edges
-        by_label: dict[int, Edge] = {}
-        counts = [0] * (n + 1)  # counts[u + 1]: u's out-edges
-        for pos, e in enumerate(edges):
-            tail, head, kind = e.tail, e.head, e.kind
+        by_label: dict[int, int] = {}  # label: edge position
+        out: list[list[int]] = [[] for _ in range(n)]  # out[u]: u's out-edges' positions
+        ecosts = []  # per edge: its fixed cost, or 0 if it is priceable
+        for pos, tail, head, kind in zip(count(), tails, heads, kinds):
             if not (0 <= tail < n and 0 <= head < n):
                 raise ValidationError(f"edge {pos} endpoint out of range: {tail}->{head}")
             if tail == head:
@@ -157,55 +190,53 @@ class Instance:
                     raise ValidationError(f"edge {pos} priceable label must be an int")
                 if i in by_label:
                     raise ValidationError(f"duplicate priceable label {i}")
-                by_label[i] = e
+                by_label[i] = pos
+                c = 0
             else:
                 raise ValidationError(f"edge {pos} has unknown kind {kind!r}")
-            counts[tail + 1] += 1
+            out[tail].append(pos)
+            ecosts.append(c)
         k = len(by_label)
         if by_label and (min(by_label) != 1 or max(by_label) != k):
-            raise ValidationError(
-                f"priceable labels must be exactly 1..k, got {sorted(by_label)}"
-            )
+            raise ValidationError(f"priceable labels must be exactly 1..k, got {sorted(by_label)}")
         if k > MAX_PRICEABLE_EDGES:
-            raise ValidationError(
-                f"k = {k} exceeds the cap of {MAX_PRICEABLE_EDGES} priceable edges"
-            )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "priceable", tuple(by_label[i] for i in range(1, k + 1)))
+            raise ValidationError(f"k = {k} exceeds the cap of {MAX_PRICEABLE_EDGES} priceable edges")
 
-        starts = list(accumulate(counts))
-        fill = starts[:]
-        m = len(edges)
-        heads, epos, costs, priced = [0] * m, [0] * m, [0] * m, [0] * k
-        for pos, e in enumerate(edges):
-            j = fill[e.tail]
-            fill[e.tail] = j + 1
-            heads[j] = e.head
-            epos[j] = pos
-            kind = e.kind
-            if isinstance(kind, Fixed):
-                costs[j] = kind.cost
-            else:
-                priced[kind.index - 1] = j
+        labeled = [by_label[i] for i in range(1, k + 1)]
+        epos = list(chain.from_iterable(out))  # slots: the out-edges of 0, of 1, ...
+        starts = list(accumulate(map(len, out), initial=0))
+        costs = list(map(ecosts.__getitem__, epos))
         scale = lcm(*[c.denominator for c in set(costs)])
         if set(map(type, costs)) != {int}:  # any Fraction, even a Fraction(1) beside a 1
             costs = [c.numerator * (scale // c.denominator) for c in costs]
         cutoff = sum(costs) + 1
+        priced = [epos.index(p, starts[tails[p]]) for p in labeled]
         for j in priced:
             costs[j] = cutoff
-        object.__setattr__(self, "_layout", (starts, heads, epos, costs, priced, scale, cutoff))
+        self.__dict__.update(
+            k=k, priceable=tuple(Edge(tails[p], heads[p], kinds[p]) for p in labeled),
+            _columns=(tuple(tails), tuple(heads), tuple(kinds)),
+            _layout=(starts, list(map(heads.__getitem__, epos)), epos, costs, priced, scale, cutoff))
 
     # -- derived views -----------------------------------------------------
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._columns[0])
 
     def source_of(self, i: int) -> int:
         return self.priceable[i - 1].tail
 
     def target_of(self, i: int) -> int:
         return self.priceable[i - 1].head
+
+
+def _tuple_of(values, name: str, what: str) -> tuple:
+    """``values`` as a tuple; a ``ValidationError`` naming ``name`` if it is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be {what}, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -341,7 +372,7 @@ def parse_instance(text: str) -> Instance:
 
     demand: list[Scalar] = [1] * n
     demand_seen: set[int] = set()
-    edges: list[Edge] = []
+    tails, heads, kinds = [], [], []  # the edge columns
     payloads: dict[str, Fixed] = {}  # one shared Fixed per distinct cost token
 
     for lineno, raw in lines:
@@ -349,17 +380,17 @@ def parse_instance(text: str) -> Instance:
         if not tokens:
             continue
         if tokens[0] == "edge":
-            if len(edges) >= m:
+            if len(kinds) >= m:
                 raise ParseError(f"header declares m = {m} edges, found more", lineno)
             if len(tokens) != 5:
                 raise ParseError("expected 'edge <u> <v> F <cost>' or 'edge <u> <v> P <i>'", lineno)
             _, tail, head, tag, value = tokens
             try:
-                u = int(tail)
+                tails.append(int(tail))
             except ValueError:
                 raise ParseError(f"edge tail must be an integer, got {tail!r}", lineno) from None
             try:
-                v = int(head)
+                heads.append(int(head))
             except ValueError:
                 raise ParseError(f"edge head must be an integer, got {head!r}", lineno) from None
             if tag == "F":
@@ -370,7 +401,7 @@ def parse_instance(text: str) -> Instance:
                 kind = Priceable(_parse_int(value, lineno, "priceable label"))
             else:
                 raise ParseError(f"edge kind must be F or P, got {tag!r}", lineno)
-            edges.append(Edge(u, v, kind))
+            kinds.append(kind)
         elif tokens[0] == "demand":
             if len(tokens) != 3:
                 raise ParseError("expected 'demand <v> <phi>'", lineno)
@@ -387,10 +418,10 @@ def parse_instance(text: str) -> Instance:
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
 
-    if len(edges) != m:
-        raise ParseError(f"header declares m = {m} edges, found {len(edges)}")
+    if len(kinds) != m:
+        raise ParseError(f"header declares m = {m} edges, found {len(kinds)}")
 
-    inst = Instance(n=n, root=root, edges=tuple(edges), demand=tuple(demand))
+    inst = Instance._of_columns(n, root, tails, heads, kinds, tuple(demand))
     if inst.k != k:
         raise ParseError(f"header declares k = {k} priceable edges, found {inst.k}")
     return inst
@@ -398,18 +429,11 @@ def parse_instance(text: str) -> Instance:
 
 def serialize_instance(inst: Instance) -> str:
     """Canonical text for an instance; ``parse_instance`` inverts it exactly."""
-    out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}"]
-    out.append("# demand defaults to 1")
-    out.append(f"graph {inst.n} {inst.m} {inst.k}")
-    out.append(f"root {inst.root}")
-    for v, phi in enumerate(inst.demand):
-        if phi != 1:
-            out.append(f"demand {v} {format_scalar(phi)}")
-    for e in inst.edges:
-        if isinstance(e.kind, Fixed):
-            out.append(f"edge {e.tail} {e.head} F {format_scalar(e.kind.cost)}")
-        else:
-            out.append(f"edge {e.tail} {e.head} P {e.kind.index}")
+    out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", "# demand defaults to 1",
+           f"graph {inst.n} {inst.m} {inst.k}", f"root {inst.root}"]
+    out += [f"demand {v} {format_scalar(phi)}" for v, phi in enumerate(inst.demand) if phi != 1]
+    out += [f"edge {u} {v} F {format_scalar(kind.cost)}" if isinstance(kind, Fixed)
+            else f"edge {u} {v} P {kind.index}" for u, v, kind in zip(*inst._columns)]
     return "\n".join(out) + "\n"
 
 
@@ -455,36 +479,21 @@ def random_instance(
         raise ValidationError(f"cost_max must be >= 1, got {cost_max}")
 
     rng = random.Random(seed)
-    endpoints: list[tuple[int, int]] = []
-    order = list(range(1, n))
-    rng.shuffle(order)
-    connected = [0]
-    for v in order:
-        u = connected[rng.randrange(len(connected))]
-        endpoints.append((u, v))
-        connected.append(v)
-    while len(endpoints) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        endpoints.append((u, v))
+    heads = list(range(1, n))
+    rng.shuffle(heads)
+    connected = [0] + heads  # heads[i - 1] hangs below one of connected[:i]
+    tails = [connected[rng.randrange(i)] for i in range(1, n)]
+    while len(tails) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            tails.append(u)
+            heads.append(v)
 
     priceable_pos = rng.sample(range(n - 1, m), k)
     labels = list(range(1, k + 1))
     rng.shuffle(labels)
     label_at = dict(zip(priceable_pos, labels))
-
-    edges = []
-    for pos, (u, v) in enumerate(endpoints):
-        if pos in label_at:
-            edges.append(Edge(u, v, Priceable(label_at[pos])))
-        else:
-            edges.append(Edge(u, v, Fixed(rng.randint(1, cost_max))))
-
-    if demand_max <= 1:
-        demand: tuple[Scalar, ...] = (1,) * n
-    else:
-        demand = tuple(rng.randint(0, demand_max) for _ in range(n))
-
-    return Instance(n=n, root=0, edges=tuple(edges), demand=demand)
+    kinds = [Priceable(label_at[pos]) if pos in label_at else Fixed(rng.randint(1, cost_max))
+             for pos in range(m)]
+    demand = (1,) * n if demand_max <= 1 else tuple(rng.randint(0, demand_max) for _ in range(n))
+    return Instance._of_columns(n, 0, tails, heads, kinds, demand)

@@ -26,7 +26,7 @@ from random import Random
 from typing import Optional, Union
 
 from .errors import ParseError, ValidationError
-from .instance import Instance, PriceFunction, ensure_scalar, serialize_instance
+from .instance import Instance, PriceFunction, _tuple_of, ensure_scalar, serialize_instance
 from .model import _contracted
 from .oracle import RevenueOracle, build_oracle
 from .rational import Scalar, format_scalar, is_finite, parse_scalar
@@ -58,13 +58,6 @@ def _exact_positive(v, what: str) -> Scalar:
     return v
 
 
-def _prices_of(values, what: str) -> tuple:
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ValidationError(f"{what} must be a sequence of prices, got {values!r}") from None
-
-
 def _clean_candidates(values, what: str) -> tuple[Scalar, ...]:
     seen = set()
     out = []
@@ -87,30 +80,27 @@ class CandidateSet:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("candidate set needs k >= 1")
-        if len(self.per_edge) != self.k:
-            raise ValidationError(
-                f"expected {self.k} per-edge candidate lists, got {len(self.per_edge)}"
-            )
+        per_edge = _tuple_of(self.per_edge, "per_edge", "a sequence of candidate lists")
+        if len(per_edge) != self.k:
+            raise ValidationError(f"expected {self.k} per-edge candidate lists, got {len(per_edge)}")
         object.__setattr__(
             self,
             "per_edge",
-            tuple(_clean_candidates(_prices_of(lst, f"candidates of edge {i}"), "candidate price")
-                  for i, lst in enumerate(self.per_edge, start=1)),
+            tuple(_clean_candidates(_tuple_of(lst, f"candidates of edge {i}", "a sequence of prices"),
+                                    "candidate price") for i, lst in enumerate(per_edge, start=1)),
         )
         if self.vectors is not None:
             cleaned = []
-            for vec in self.vectors:
-                vec = _prices_of(vec, "candidate vector")
+            for vec in _tuple_of(self.vectors, "vectors", "a sequence of price vectors"):
+                vec = _tuple_of(vec, "candidate vector", "a sequence of prices")
                 if len(vec) != self.k:
-                    raise ValidationError(
-                        f"candidate vector {vec!r} does not have {self.k} entries"
-                    )
+                    raise ValidationError(f"candidate vector {vec!r} does not have {self.k} entries")
                 cleaned.append(tuple(_exact_positive(v, "candidate price") for v in vec))
             object.__setattr__(self, "vectors", tuple(cleaned))
 
     @classmethod
     def from_vectors(cls, k: int, vectors) -> "CandidateSet":
-        return cls(k=k, per_edge=((),) * k, vectors=tuple(vectors))
+        return cls(k=k, per_edge=((),) * k, vectors=vectors)
 
 
 @dataclass(frozen=True)

@@ -154,3 +154,52 @@ def test_huge_value_is_named_in_full(what):
     with pytest.raises(ValidationError) as info:
         build()
     assert str(info.value) == prefix + "-1" + "0" * 5000
+
+
+_ONE = (Edge(0, 1, Fixed(1)),)
+BAD_ARGUMENTS = {
+    "edge entry not an Edge": (
+        lambda: Instance(n=2, root=0, edges=[(0, 1, Fixed(1))], demand=[1, 1]),
+        "edge 0 must be an Edge with int endpoints, got (0, 1, Fixed(cost=1))",
+    ),
+    "edge endpoint not an int": (
+        lambda: Instance(n=2, root=0, edges=_ONE + (Edge(1.0, 0, Fixed(1)),), demand=(1, 1)),
+        "edge 1 must be an Edge with int endpoints, got Edge(tail=1.0, head=0, kind=Fixed(cost=1))",
+    ),
+    "edges None": (
+        lambda: Instance(n=2, root=0, edges=None, demand=(1, 1)),
+        "edges must be a sequence of Edge, got None",
+    ),
+    "demand None": (
+        lambda: Instance(n=2, root=0, edges=_ONE, demand=None),
+        "demand must be a sequence of scalars, got None",
+    ),
+    "n not an int": (
+        lambda: Instance(n="2", root=0, edges=_ONE, demand=(1, 1)),
+        "n must be an int, got '2'",
+    ),
+    "n a bool": (
+        lambda: Instance(n=True, root=0, edges=(), demand=(1,)),
+        "n must be an int, got True",
+    ),
+    "root not an int": (
+        lambda: Instance(n=2, root=0.0, edges=_ONE, demand=(1, 1)),
+        "root must be an int, got 0.0",
+    ),
+    "per_edge not a sequence": (
+        lambda: CandidateSet(k=1, per_edge=5),
+        "per_edge must be a sequence of candidate lists, got 5",
+    ),
+    "vectors not a sequence": (
+        lambda: CandidateSet.from_vectors(2, 5),
+        "vectors must be a sequence of price vectors, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_arguments_raise_validation_error(case):
+    build, message = BAD_ARGUMENTS[case]
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message

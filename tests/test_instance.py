@@ -1,12 +1,14 @@
 """Instance model, text format, and the random generator."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stackspt.cli import main
 from stackspt.errors import ParseError, ValidationError
 from stackspt.instance import (
     Edge,
@@ -161,13 +163,13 @@ class TestParse:
     def test_edge_past_the_headers_m_fails_before_the_next_edge_is_built(self, monkeypatch):
         import stackspt.instance as mod
 
-        built = []
-        monkeypatch.setattr(mod, "Edge", lambda *args: built.append(args) or Edge(*args))
-        text = "stackspt 1\ngraph 3 1 0\nroot 0\n" + "edge 0 1 F 1\n" * 1000
+        built = []  # one Priceable payload per P line parsed
+        monkeypatch.setattr(mod, "Priceable", lambda *args: built.append(args) or Priceable(*args))
+        text = "stackspt 1\ngraph 3 1 1\nroot 0\n" + "edge 0 1 P 1\n" * 1000
         with pytest.raises(ParseError) as err:
             parse_instance(text)
         assert str(err.value) == "line 5: header declares m = 1 edges, found more"
-        assert built == [(0, 1, Fixed(1))]
+        assert built == [(1,)]
 
     def test_repeated_bad_cost_names_the_first_edge(self):
         text = _HEAD.replace("graph 3 2 1", "graph 3 3 0") + (
@@ -318,8 +320,94 @@ class TestLayout:
         oracle = build_oracle(inst)
         oracle.revenue((3, 4))
         solve(inst)
-        assert _CountingEdges.reads == 0
-        assert inst.m == 160 and _CountingEdges.reads == 1  # the wrapper does count
+        assert _CountingEdges.reads == 0 and inst.m == 160  # m reads the columns
+        assert len(inst.edges) == 160 and _CountingEdges.reads == 1  # the wrapper does count
+
+    def test_a_parsed_instance_builds_no_edge_view_until_read(self, monkeypatch, tmp_path):
+        builds = []  # the names that reach Instance.__getattr__, which builds the view
+        lookup = Instance.__getattr__
+        monkeypatch.setattr(Instance, "__getattr__", lambda inst, name: builds.append(name) or lookup(inst, name))
+        text = serialize_instance(random_instance(40, 160, 2, seed=5, demand_max=3))
+        assert main(["gen", "--n", "40", "--m", "160", "--k", "2", "--seed", "5", "--demand-max", "3",
+                     "--out", str(tmp_path / "gen.txt")]) == 0
+        inst = parse_instance(text)
+        oracle = build_oracle(inst)
+        trees = {oracle.reduced_tree_for(p) for p in [(3, 4), (1, 1), (9, 2)]}
+        oracle.warm_up(trees)
+        assert oracle.revenue((3, 4)) == naive_revenue(inst, (3, 4))
+        solve(inst)
+        assert serialize_instance(inst) == text == (tmp_path / "gen.txt").read_text()
+        assert builds == []
+        assert inst.edges is inst.edges and builds == ["edges"]  # built once, then kept
+        assert inst.edges == random_instance(40, 160, 2, seed=5, demand_max=3).edges
+
+
+# cost spellings, several per value, so tokens repeat and payloads are shared
+_COST_TOKENS = ["1", "2", "3", "0.5", "1/2", "2/4", "7/3", "2.25", "10", "4/2"]
+_DEMAND_TOKENS = ["0", "1", "2", "1/3", "0.25"]
+
+
+def _exact(token):
+    """The value a scalar literal spells: an int when it is integral."""
+    value = Fraction(token)
+    return value.numerator if value.denominator == 1 else value
+
+
+@st.composite
+def instance_texts(draw):
+    """(text, built): instance text with comments, blank lines, demand lines
+    among the edge lines and int, decimal and ratio costs, and the instance
+    built from the same edges as ``Edge`` objects."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    root = draw(st.integers(min_value=0, max_value=n - 1))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=14))
+    pairs = [(u, (u + d) % n) for u, d in pairs]  # head != tail
+    k = draw(st.integers(min_value=0, max_value=min(3, len(pairs))))
+    labels = draw(st.permutations(range(len(pairs))))[:k]
+    label_of = {pos: i for i, pos in enumerate(labels, start=1)}
+    edges, lines = [], []
+    for pos, (u, v) in enumerate(pairs):
+        if pos in label_of:
+            edges.append(Edge(u, v, Priceable(label_of[pos])))
+            lines.append(f"edge {u} {v} P {label_of[pos]}")
+        else:
+            token = draw(st.sampled_from(_COST_TOKENS))
+            edges.append(Edge(u, v, Fixed(_exact(token))))
+            lines.append(f"edge {u} {v} F {token}")
+    demand = [1] * n
+    for v in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+        token = draw(st.sampled_from(_DEMAND_TOKENS))
+        demand[v] = _exact(token)
+        lines.insert(draw(st.integers(0, len(lines))), f"demand {v} {token}")
+    text = ["# drawn instance", "", "stackspt 1", f"graph {n} {len(pairs)} {k}  # n m k", f"root {root}"]
+    for line in lines:
+        text.append(line + draw(st.sampled_from(["", "  # note", "#"])))
+        text += draw(st.sampled_from([[], [""], ["# between"], ["", "   "]]))
+    built = Instance(n=n, root=root, edges=tuple(edges), demand=tuple(demand))
+    return "\n".join(text) + "\n", built
+
+
+class TestParsedEqualsBuilt:
+    @given(instance_texts())
+    def test_parsed_instance_equals_the_built_one(self, drawn):
+        text, built = drawn
+        parsed = parse_instance(text)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed._layout == built._layout
+        assert parsed.edges == built.edges and parsed.priceable == built.priceable
+        assert repr(parsed) == repr(built)
+        assert parse_instance(serialize_instance(built)) == parsed
+
+    def test_two_faults_report_the_first_edge(self):
+        body = ["edge 0 1 F 1", "edge 1 2 F 1", "edge 2 0 F 1", "edge 2 2 F 1", "edge 0 2 F 1",
+                "edge 1 9 F 1"]
+        text = "stackspt 1\ngraph 3 6 0\nroot 0\n" + "\n".join(body) + "\n"
+        with pytest.raises(ValidationError) as parsed:
+            parse_instance(text)
+        edges = [Edge(int(u), int(v), Fixed(1)) for _, u, v, _, _ in map(str.split, body)]
+        with pytest.raises(ValidationError) as built:
+            Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
+        assert str(parsed.value) == str(built.value) == "edge 3 is a self-loop at vertex 2"
 
 
 class TestPriceFunction:
@@ -362,6 +450,11 @@ def _bfs_reachable(inst):
     return seen
 
 
+# sha256 of test_serialized_output_is_unchanged's grid, as serialized before
+# instances kept their edges as columns
+GRID_DIGEST = "e419a87f55ba77b64ad8daa5db33366207ba4ac9b0d7f2cc5e53cd466a3a3f5f"
+
+
 class TestRandomInstance:
     def test_deterministic(self):
         a = random_instance(15, 40, 3, seed=11, demand_max=4)
@@ -397,6 +490,19 @@ class TestRandomInstance:
         assert seen == set(range(n))
         # round-trip while we are here
         assert parse_instance(serialize_instance(inst)) == inst
+
+    def test_serialized_output_is_unchanged(self):
+        """One digest over a grid of generator arguments, recorded when the
+        generator and the serializer still built ``Edge`` objects."""
+        digest = hashlib.sha256()
+        for n, extra in [(1, 0), (2, 0), (2, 3), (5, 3), (17, 40), (64, 40), (64, 200)]:
+            m = 0 if n == 1 else n - 1 + extra
+            for k in range(min(3, extra) + 1):
+                for seed in (0, 7, 123456789):
+                    for cost_max, demand_max in ((1, 1), (10, 1), (10**30, 5), (3, 0)):
+                        inst = random_instance(n, m, k, seed=seed, cost_max=cost_max, demand_max=demand_max)
+                        digest.update(serialize_instance(inst).encode())
+        assert digest.hexdigest() == GRID_DIGEST
 
     def test_infeasible_parameters(self):
         with pytest.raises(ValidationError):
