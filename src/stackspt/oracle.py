@@ -32,7 +32,7 @@ gap comparisons or the model-graph sweep (``model.tree_parents``), finds
 the plan, so a tree met before is neither rebuilt nor revalidated; each
 route costs its parent route plus one price, and each rectangle side
 becomes an int cap with one floor division, which ``RangeTree.count``
-bisects and hands to its rank walk.
+bisects and counts in its bitsets or wavelet levels.
 """
 
 from __future__ import annotations
@@ -131,10 +131,14 @@ class RevenueOracle:
         if key not in self._trees:
             pts = embed_points(self, rt, label)
             start = time.perf_counter()
-            tree = build_range_tree(pts)
+            try:
+                tree = build_range_tree(pts)
+            except ValidationError as exc:
+                raise ValidationError(f"edge {label} over edge set {rt.edges}: {exc}") from None
             _log.debug(
-                "range tree for edge %d over %s: dim=%d points=%d distinct=%d build_s=%.4f",
-                label, rt.edges, tree.dim, tree.size, tree.distinct, time.perf_counter() - start,
+                "range tree for edge %d over %s: dim=%d points=%d distinct=%d kind=%s "
+                "bits_bytes=%d wavelet_bytes=%d build_s=%.4f", label, rt.edges, tree.dim,
+                tree.size, tree.distinct, tree.kind, *tree.predicted, time.perf_counter() - start,
             )
             self._trees[key] = (rt, tree)
         return self._trees[key][1]

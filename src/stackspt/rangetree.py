@@ -1,25 +1,31 @@
 """Weighted orthogonal range searching over a static point set.
 
-A layered range tree in rank space.  Equal points are merged (weights summed,
+Dominance counting in rank space.  Equal points are merged (weights summed,
 zero weights dropped) and each axis is mapped once to integer ranks against
-one sorted list of its distinct exact values.  ``RangeTree.count`` takes
-one closed cap per axis, the revenue oracle's dominance query, and one binary
-search per cap makes it a rank prefix, which goes straight to the rank walk
-(``_cover``); everything after the searches compares machine ints.
-``RangeTree.query`` takes any rectangle and counts it through the same
-walk, by inclusion-exclusion over its lower ends.
+one sorted list of its distinct exact values.  ``RangeTree.count`` takes one
+closed cap per axis, the revenue oracle's dominance query, and one binary
+search per cap makes it a rank prefix; after the searches all is machine
+ints.  ``RangeTree.query`` takes any rectangle.  The points are sorted once,
+by last-axis rank, and held in whichever of two representations
+``_representation`` finds smaller, from the D distinct points and each
+axis's R distinct values (the bits only for weights of at most 64 bits);
+past ``MAX_TREE_BYTES`` the build is refused.
 
-The points are sorted once, by their rank on the last axis.  Every other axis
-is a wavelet matrix over that sequence: per bit of the axis's ranks, from the
-top, the sequence is stably partitioned (0 bits first) and a flat array keeps
-the running count of 0 bits (16-bit below 65 536 points), so the slots
-[a, b) of a node map to those of its two children with two lookups.  The
-nodes of one level are the rank intervals of that depth of a balanced tree.
-Each level also holds the next axis's structure over its own sequence, and
-the last axis keeps running weight sums.  With at most R distinct values
-per axis, a d-dimensional build takes O(n log^(d-1) R) time and space, and
-a prefix walk O(log^(d-1) R) steps: ``count`` makes one after its d binary
-searches, ``query`` up to 2^j, j being the axes before the last with a lower end.
+- **bits** (word-level counting, after Chan and Patrascu): bit i stands for
+  the i-th point.  Each axis before the last keeps R + 1 prefix masks (the
+  points ranked below h), the last axis is the first ``_cut[h]`` bits, and
+  the weights are bit planes of ints (Fraction weights scaled by the LCM of
+  their denominators).  (d - 1)(R + 1)D bits, linear in d; a count is d - 1
+  ANDs and a popcount per plane, and ``query`` ANDs off its lower ends.
+- **wavelet**, smaller only when one or two axes hold many values: every
+  axis before the last is a wavelet matrix over the sequence.  Per rank
+  bit, from the top, the sequence is stably partitioned (0 bits first) and
+  a flat array keeps the running count of 0 bits (16-bit below 65 536
+  points), so a node's slots [a, b) map to its children's with two
+  lookups; each level holds the next axis's structure, and the last axis
+  keeps running weight sums.  About D (log R + 1)^(d-1) slots; a count is
+  one prefix walk (``_cover``) of O(log^(d-1) R) steps, and ``query`` up to
+  2^j, by inclusion-exclusion over its j lower ends before the last axis.
 
 Coordinates and query bounds are exact rationals, with ``NEG_INF`` and ``INF``
 (float -inf and +inf) usable as sentinels; finite floats, nan and bools are
@@ -35,10 +41,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
+from math import lcm, prod
 from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
 from .rational import FINITE_TYPES, INF, ExtScalar, Scalar, format_scalar
+from .shortest import _unscaled
 
 __all__ = [
     "Interval",
@@ -51,6 +59,9 @@ __all__ = [
 Bound = tuple[ExtScalar, bool]  # (value, end is closed)
 
 _I64 = 1 << 63
+
+# Past this many predicted bytes a tree is refused before it is allocated.
+MAX_TREE_BYTES = 1 << 30
 
 
 def _is_exact(x: object) -> bool:
@@ -199,8 +210,45 @@ def _cover(layer, a: int, b: int, his: list) -> Scalar:
     return total
 
 
+def _representation(distinct: int, counts: Sequence[int], weight_bits: int) -> tuple:
+    """(kind, bits bytes, wavelet bytes) for ``distinct`` points, ``counts[a]``
+    values on axis a and int weights of ``weight_bits`` bits.  Bits: count + 1
+    masks of ``distinct`` bits per axis before the last.  Wavelet: with b rank
+    bits per such axis, prod(b + 1) arrays of distinct + 1 8-byte weight sums
+    and one fewer of 0-bit counts (2-byte below 65 536 points).  Weight planes
+    and what both share are left out.  The smaller wins, but bits only for
+    weights of one 64-bit word: a count pays a popcount per weight bit."""
+    before = counts[:-1]
+    nodes = prod((c - 1).bit_length() + 1 for c in before)
+    zero = 2 if distinct < 1 << 16 else 8
+    bits = (distinct + 7) // 8 * sum(c + 1 for c in before)
+    wavelet = (distinct + 1) * (8 * nodes + zero * (nodes - 1))
+    return "bits" if bits <= wavelet and weight_bits <= 64 else "wavelet", bits, wavelet
+
+
+def _prefix_masks(order: list, rank: list, count: int) -> list[int]:
+    """Per h in 0..count, the int whose bit i is set when ``order[i]`` ranks below h."""
+    at: list[list[int]] = [[] for _ in range(count)]
+    for i, pid in enumerate(order):
+        at[rank[pid]].append(i)
+    row = bytearray((len(order) + 7) // 8)
+    masks = [0]
+    for slots in at:
+        for i in slots:
+            row[i >> 3] |= 1 << (i & 7)
+        masks.append(int.from_bytes(row, "little"))
+    return masks
+
+
+def _weight_planes(ws: list) -> list[int]:
+    """Per bit j of the int weights ``ws``, from the top, the int whose bit i is bit j of ws[i]."""
+    text = ws[::-1]  # int(text, 2) ends at bit 0
+    return [int(bytes(48 | w >> j & 1 for w in text), 2)  # 48 | bit: "0" or "1"
+            for j in reversed(range(max(ws, default=0).bit_length()))]
+
+
 def _rank_cut(iv: Interval, values: list) -> tuple[int, int]:
-    """The ranks [lo, hi) of the sorted ``values`` (an axis's ``_bounds``) inside ``iv``."""
+    """The ranks [lo, hi) of the sorted ``values`` (of one axis) inside ``iv``."""
     lo, hi = 0, len(values)
     if iv.lower is not None:
         v, closed = iv.lower
@@ -217,13 +265,13 @@ class RangeTree:
     ``size`` and ``total_weight`` count the points as supplied; ``distinct``
     the points stored, once equal points are merged and zero weights dropped.
     ``values[axis]`` is the sorted list of that axis's distinct coordinates,
-    whose ranks ``count`` and ``query`` count in.  They bisect ``_bounds``: the
-    same lists, but each one before the last padded with its largest value to
-    the axis's rank-space width, so that a bound past every value bisects to
-    the width, which ``_cover`` reads as the whole axis without a walk.
+    whose ranks ``count`` and ``query`` count in, by bisecting it.  ``kind``
+    names the representation built, ``"bits"`` or ``"wavelet"``, whichever
+    ``_representation`` picks (``predicted``: the bytes of both).
     """
 
-    __slots__ = ("dim", "size", "distinct", "total_weight", "values", "_bounds", "_cut", "_layer")
+    __slots__ = ("dim", "size", "distinct", "total_weight", "values", "kind", "predicted",
+                 "_cut", "_layer", "_masks", "_planes", "_scale")
 
     def __init__(self, pts: WeightedPointSet):
         self.dim = pts.dim
@@ -237,40 +285,67 @@ class RangeTree:
         self.total_weight = total
         points = list(merged)
         self.distinct = len(points)
-        # per axis: sorted distinct values, rank space size (a power of 2), point ranks
-        values, widths, ranks = [], [], []
+        # per axis: sorted distinct values and point ranks
+        values, ranks = [], []
         for axis in range(self.dim):
             col = [pt[axis] for pt in points]
             vals = sorted(set(col))
             rank_of = dict(zip(vals, range(len(vals))))
             values.append(vals)
-            widths.append(1 << (len(vals) - 1).bit_length())
             ranks.append([rank_of[x] for x in col])
         self.values = tuple(values)
-        self._bounds = tuple(v + v[-1:] * (w - len(v)) for v, w in zip(values, widths[:-1]))
-        self._bounds += (values[-1],)
+        ws = [merged[pt] for pt in points]
+        scale = lcm(*[w.denominator for w in ws])
+        scaled = [w.numerator * (scale // w.denominator) for w in ws]  # Fractions: times scale
+        counts = list(map(len, values))
+        self.kind, bits, wavelet = _representation(
+            len(points), counts, max(scaled, default=0).bit_length())
+        self.predicted = bits, wavelet
+        if (bits if self.kind == "bits" else wavelet) > MAX_TREE_BYTES:
+            raise ValidationError(
+                f"range tree of d={self.dim} axes over D={len(points)} distinct points would "
+                f"take {bits} bytes as bitsets or {wavelet} as wavelet levels, "
+                f"past the cap of {MAX_TREE_BYTES} bytes")
         last = ranks.pop()
         per_rank = [0] * (len(values[-1]) + 1)
         for r in last:
             per_rank[r + 1] += 1
         self._cut = array("q", accumulate(per_rank))  # slots of last-axis ranks < r
-        ws = [merged[pt] for pt in points]
+        order = sorted(range(len(points)), key=last.__getitem__)
+        if self.kind == "bits":
+            self._layer, self._scale = None, scale
+            self._masks = [_prefix_masks(order, r, c) for r, c in zip(ranks, counts)]
+            self._planes = _weight_planes([scaled[i] for i in order])
+            return
         ints = all(type(w) is int for w in ws) and total < _I64
         self._layer = _layer(
-            sorted(range(len(points)), key=last.__getitem__),
-            [(r, w.bit_length() - 1) for r, w in zip(ranks, widths)],
+            order,
+            [(r, (c - 1).bit_length()) for r, c in zip(ranks, counts)],
             ws,
             partial(array, "q") if ints else list,
         )
 
+    def _weigh(self, mask: int) -> Scalar:
+        """Weight of the points at the set bits of ``mask``."""
+        total = 0
+        for plane in self._planes:  # the top bit first
+            total += total + (mask & plane).bit_count()
+        return total if self._scale == 1 else _unscaled(total, self._scale)
+
     def query(self, rect: Union[QueryRect, Sequence[Interval]]) -> Scalar:
-        """Weight of the points inside ``rect``, ends open, closed or absent: a
-        lower end off the last axis counts the prefix below hi less that below lo."""
+        """Weight of the points inside ``rect``, ends open, closed or absent.  The
+        bitsets take a lower end off the mask; the wavelet counts the prefix
+        below hi less that below lo, off the last axis."""
         ivs = rect.intervals if isinstance(rect, QueryRect) else tuple(rect)
         if len(ivs) != self.dim:
             raise ValidationError(f"rectangle has {len(ivs)} axes, tree has {self.dim}")
-        cuts = [_rank_cut(iv, bounds) for iv, bounds in zip(ivs, self._bounds)]
+        cuts = list(map(_rank_cut, ivs, self.values))
         a, b = (self._cut[r] for r in cuts.pop())
+        if self._layer is None:
+            mask = (1 << b) - (1 << a)
+            for masks, (lo, hi) in zip(self._masks, cuts):
+                mask &= masks[hi] & ~masks[lo]
+            return self._weigh(mask)
         terms = [(1, [])]  # (sign, prefix ends) by inclusion-exclusion over the lower ends
         for lo, hi in cuts:
             terms = [(s, his + [hi]) for s, his in terms] + [
@@ -281,8 +356,13 @@ class RangeTree:
         """Weight of the points at or below ``caps``, one closed cap per axis (INF: uncut)."""
         if len(caps) != self.dim:
             raise ValidationError(f"{len(caps)} caps given, tree has {self.dim} axes")
-        his = list(map(bisect_right, self._bounds, caps))
-        return _cover(self._layer, 0, self._cut[his.pop()], his)
+        *his, last = map(bisect_right, self.values, caps)
+        if self._layer is not None:
+            return _cover(self._layer, 0, self._cut[last], his)
+        mask = (1 << self._cut[last]) - 1
+        for masks, hi in zip(self._masks, his):
+            mask &= masks[hi]
+        return self._weigh(mask)
 
 
 def build_range_tree(pts: WeightedPointSet) -> RangeTree:

@@ -409,6 +409,20 @@ class TestParsedEqualsBuilt:
             Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
         assert str(parsed.value) == str(built.value) == "edge 3 is a self-loop at vertex 2"
 
+    def test_a_shared_bad_cost_names_its_first_edge(self):
+        # edges 3 and 7 share one Fixed(0) payload, checked once; edge 5 is a self-loop
+        body = ["edge 0 1 F 1", "edge 1 2 F 1", "edge 2 0 F 1", "edge 0 2 F 0", "edge 1 0 F 1",
+                "edge 2 2 F 1", "edge 2 1 F 1", "edge 1 2 F 0"]
+        text = "stackspt 1\ngraph 3 8 0\nroot 0\n" + "\n".join(body) + "\n"
+        with pytest.raises(ValidationError) as parsed:
+            parse_instance(text)
+        payloads = {cost: Fixed(int(cost)) for cost in "01"}
+        edges = [Edge(int(u), int(v), payloads[c]) for _, u, v, _, c in map(str.split, body)]
+        assert edges[3].kind is edges[7].kind
+        with pytest.raises(ValidationError) as built:
+            Instance(n=3, root=0, edges=edges, demand=(1, 1, 1))
+        assert str(parsed.value) == str(built.value) == "edge 3 cost must be > 0, got 0"
+
 
 class TestPriceFunction:
     def test_parse(self):

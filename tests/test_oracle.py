@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest.mock import patch
@@ -712,6 +713,37 @@ def test_two_edge_plan_builds_two_axis_trees():
         assert small.distinct <= big.distinct
 
 
+def far_root(n: int, k: int, seed: int) -> Instance:
+    """Root shortcuts that beat the fixed route to nearly every vertex: a
+    random fixed graph (a tree out of the root plus 3n edges, costs 1..10)
+    whose edges out of the root cost 1000 more, and k priceable edges from
+    the root to distinct vertices."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(3 * n)]
+    edges = [Edge(u, v, Fixed(rng.randint(1, 10) + 1000 * (u == 0))) for u, v in pairs]
+    edges += [Edge(0, h, Priceable(i)) for i, h in enumerate(rng.sample(range(1, n), k), 1)]
+    return Instance(n=n, root=0, edges=tuple(edges), demand=(1,) * n)
+
+
+def test_far_root_first_query_at_k8_stays_small():
+    # eight 8-axis trees over nearly every vertex: wavelet levels would hold about
+    # 255 * 8^7 slots per tree, the bitsets a few kilobytes
+    inst = far_root(256, 8, seed=8)
+    prices = (3, 1, 4, 1, 5, 9, 2, 6)
+    tracemalloc.start()
+    try:
+        oracle = build_oracle(inst)
+        got = oracle.revenue(prices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == naive_revenue(inst, prices) and peak < 100 * 2**20
+    (plan,) = filter(None, oracle._plans.values())
+    assert [(tree.kind, tree.dim) for tree in plan.trees] == [("bits", 8)] * 8
+    assert min(tree.distinct for tree in plan.trees) > 200
+
+
 def _divided_costs(inst: Instance, divisors) -> Instance:
     edges = tuple(
         Edge(e.tail, e.head, Fixed(Fraction(e.kind.cost, divisors[pos % len(divisors)])))
@@ -1047,6 +1079,7 @@ def test_debug_log_once_per_materialized_tree(caplog):
             f"range tree for edge {i} over (1, 2)" for i in (1, 2)
         ]
         assert all("dim=2" in m and "build_s=" in m for m in built)
+        assert all("kind=bits bits_bytes=2 wavelet_bytes=16 " in m for m in built)
         assert "points=2 distinct=1" in built[0]  # two equal points merged
         caplog.clear()
         oracle.revenue(p)

@@ -1,19 +1,23 @@
 """Range tree vs. linear scan, boundary semantics, and structural checks."""
 
 import random
+from array import array
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import linear_scan
+from stackspt import rangetree
 from stackspt.errors import ValidationError
 from stackspt.rangetree import (
     Interval,
     QueryRect,
     RangeTree,
     WeightedPointSet,
+    _representation,
     build_range_tree,
 )
 from stackspt.rational import INF, NEG_INF
@@ -28,6 +32,21 @@ def pts(dim, coords, weights=None):
 
 def everywhere(dim):
     return QueryRect(tuple(Interval() for _ in range(dim)))
+
+
+KINDS = ["bits", "wavelet"]
+
+
+def forced(kind):
+    """Within the block, every tree is built as ``kind``, whatever the chooser would pick."""
+    return patch.object(rangetree, "_representation", lambda distinct, counts, bits: (kind, 0, 0))
+
+
+def build_as(kind, point_set):
+    with forced(kind):
+        tree = build_range_tree(point_set)
+    assert tree.kind == kind
+    return tree
 
 
 class TestValidation:
@@ -93,10 +112,11 @@ class TestValidation:
 
 
 class TestTrivial:
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_empty_set_answers_zero(self, dim):
-        rt = build_range_tree(pts(dim, []))
-        assert rt.size == 0 and rt.total_weight == 0
+    def test_empty_set_answers_zero(self, dim, kind):
+        rt = build_as(kind, pts(dim, []))
+        assert rt.size == 0 and rt.total_weight == 0 and rt.count([INF] * dim) == 0
         assert rt.query(everywhere(dim)) == 0
         finite = QueryRect(tuple(Interval((0, True), (5, False)) for _ in range(dim)))
         assert rt.query(finite) == 0
@@ -199,13 +219,14 @@ def random_rect(rng, dim):
     )
 
 
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_matches_linear_scan(dim):
+def test_matches_linear_scan(dim, kind):
     rng = random.Random(1000 + dim)
     for n in (1, 2, 7, 40):
         points = random_points(rng, n, dim, huge_rate=0.05)
         weights = [rng.randint(0, 5) for _ in range(n)]
-        rt = build_range_tree(pts(dim, points, weights))
+        rt = build_as(kind, pts(dim, points, weights))
         for _ in range(150):
             rect = random_rect(rng, dim)
             assert rt.query(rect) == linear_scan(points, weights, rect)
@@ -275,18 +296,19 @@ def exact_bound(rng):
     return (rng.choice(EXACT_VALUES + [INF]), rng.random() < 0.5)
 
 
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "weight_pool",
     [(0, 1, 3, Fraction(1, 3), Fraction(5, 7)), (1 << 62, 5)],
     ids=["fractions", "past-int64"],
 )
-def test_rank_cuts_on_exact_coordinates(dim, weight_pool):
+def test_rank_cuts_on_exact_coordinates(dim, weight_pool, kind):
     rng = random.Random(2000 + dim)
     for n in (0, 1, 2, 30, 150):
         points = [tuple(rng.choice(EXACT_VALUES) for _ in range(dim)) for _ in range(n)]
         weights = [rng.choice(weight_pool) for _ in range(n)]
-        rt = build_range_tree(pts(dim, points, weights))
+        rt = build_as(kind, pts(dim, points, weights))
         # counted as supplied, before equal points are merged
         assert rt.size == n and rt.total_weight == sum(weights)
         for _ in range(200):
@@ -296,18 +318,19 @@ def test_rank_cuts_on_exact_coordinates(dim, weight_pool):
             assert rt.query(rect) == linear_scan(points, weights, rect)
 
 
+@pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=200)
 @given(st.data())
-def test_count_at_caps_matches_linear_scan(data):
+def test_count_at_caps_matches_linear_scan(kind, data):
     # the oracle caps every axis at a closed value; caps land on points, and
     # an INF cap leaves its axis uncut
     dim = data.draw(st.integers(1, 4), label="dim")
     point = st.tuples(*[st.sampled_from(EXACT_VALUES)] * dim)
     points = data.draw(st.lists(point, max_size=40), label="points")
-    weight = st.sampled_from((0, 1, 3, Fraction(1, 3), Fraction(5, 7)))
+    weight = st.sampled_from((0, 1, 3, 1 << 62, Fraction(1, 3), Fraction(5, 7)))
     n = len(points)
     weights = data.draw(st.lists(weight, min_size=n, max_size=n), label="weights")
-    rt = build_range_tree(pts(dim, points, weights))
+    rt = build_as(kind, pts(dim, points, weights))
     cap = st.sampled_from(EXACT_VALUES + [INF])
     caps = data.draw(st.lists(cap, min_size=dim, max_size=dim), label="caps")
     rect = QueryRect.dominance([(c, True) for c in caps])
@@ -321,7 +344,8 @@ def test_layer_over_65536_ids_matches_linear_scan(ids, typecode):
     rng = random.Random(ids)
     points = [(rng.randrange(300) if y % 64 == 0 else 0, y) for y in range(ids)]
     weights = [rng.randint(1, 3) for _ in range(ids)]
-    rt = build_range_tree(pts(2, points, weights))
+    with forced("wavelet"):  # the bitsets are predicted smaller here
+        rt = build_range_tree(pts(2, points, weights))
     assert rt.distinct == ids and rt._layer[0][0].typecode == typecode
     caps = [(0, ids // 2), (150, ids - 2), (299, INF), (INF, 40000), (-1, INF), (0, -1)]
     caps += [(rng.randrange(300), rng.randrange(ids)) for _ in range(4)]
@@ -330,3 +354,52 @@ def test_layer_over_65536_ids_matches_linear_scan(ids, typecode):
         assert rt.count(cap) == rt.query(rect) == linear_scan(points, weights, rect)
     rect = QueryRect((Interval(lower=(1, True), upper=(200, False)), Interval(lower=(5000, False))))
     assert rt.query(rect) == linear_scan(points, weights, rect)
+
+
+def layer_bytes(layer) -> int:
+    """Bytes in the arrays of a wavelet structure: zero counts and weight sums."""
+    if isinstance(layer, array):
+        return len(layer) * layer.itemsize
+    return sum((zeros is not None and len(zeros) * zeros.itemsize) + layer_bytes(sub)
+               for zeros, _, sub in layer)
+
+
+@pytest.mark.parametrize(
+    "dim, n, spread", [(1, 0, 5), (1, 50, 5), (2, 0, 5), (2, 40, 3), (3, 90, 30), (4, 60, 9),
+                       (2, 1 << 16, 3)])
+def test_predictions_match_what_is_built(dim, n, spread):
+    rng = random.Random(dim * n + spread)
+    points = [tuple(rng.randrange(spread) for _ in range(dim - 1)) + (y,) for y in range(n)]
+    weights = [rng.randint(1, 3) for _ in range(n)]
+    counts = [len(set(col)) for col in zip(*points)] or [0] * dim
+    kind, bits, wavelet = _representation(n, counts, max(weights, default=0).bit_length())
+    rt = build_range_tree(pts(dim, points, weights))
+    assert (rt.kind, rt.predicted) == (kind, (bits, wavelet))
+    assert kind == ("bits" if bits <= wavelet else "wavelet")
+    as_bits = build_as("bits", pts(dim, points, weights))
+    assert [len(masks) for masks in as_bits._masks] == [c + 1 for c in counts[:-1]]
+    assert all(mask.bit_length() <= n for masks in as_bits._masks for mask in masks)
+    assert sum(map(len, as_bits._masks)) * ((n + 7) // 8) == bits
+    assert layer_bytes(build_as("wavelet", pts(dim, points, weights))._layer) == wavelet
+
+
+def test_weights_past_a_word_keep_the_wavelet():
+    # a bitset count spends a popcount per weight bit, and a 3000-digit demand has 9966
+    for w, kind in (((1 << 64) - 1, "bits"), (1 << 64, "wavelet"), (Fraction(1 << 62, 3), "bits")):
+        rt = build_range_tree(pts(2, [(0, 0), (1, 1), (1, 1)], weights=(w, 1, 2)))
+        assert rt.kind == kind and rt.predicted[0] < rt.predicted[1]
+        assert (rt.count([0, 0]), rt.count([1, INF])) == (w, w + 3)
+
+
+def test_refuses_a_tree_past_the_size_cap():
+    points = [(x, y, z) for x in range(6) for y in range(5) for z in range(4)]
+    _, bits, wavelet = _representation(120, [6, 5, 4], 1)
+    with patch.object(rangetree, "MAX_TREE_BYTES", min(bits, wavelet) - 1), \
+            patch.object(rangetree, "_layer", None), patch.object(rangetree, "_prefix_masks", None):
+        with pytest.raises(ValidationError) as exc:  # before either representation is built
+            build_range_tree(pts(3, points))
+    assert str(exc.value) == (
+        f"range tree of d=3 axes over D=120 distinct points would take {bits} bytes as bitsets "
+        f"or {wavelet} as wavelet levels, past the cap of {min(bits, wavelet) - 1} bytes")
+    with patch.object(rangetree, "MAX_TREE_BYTES", min(bits, wavelet)):
+        assert build_range_tree(pts(3, points)).count([2, 2, 2]) == 27
