@@ -173,31 +173,27 @@ class Instance:
         by_label: dict[int, int] = {}  # label: edge position
         out: list[list[int]] = [[] for _ in range(n)]  # out[u]: u's out-edges' positions
         ecosts = []  # per edge: its fixed cost, or 0 if it is priceable
-        costs_of: dict[int, Scalar] = {}  # id of each Fixed payload checked so far: its cost
         for pos, tail, head, kind in zip(count(), tails, heads, kinds):
             if not (0 <= tail < n and 0 <= head < n):
                 raise ValidationError(f"edge {pos} endpoint out of range: {tail}->{head}")
             if tail == head:
                 raise ValidationError(f"edge {pos} is a self-loop at vertex {tail}")
-            c = costs_of.get(id(kind))  # edges that share a Fixed payload share its one check
-            if c is None:
-                if isinstance(kind, Fixed):
-                    c = kind.cost
-                    if isinstance(c, bool) or not isinstance(c, FINITE_TYPES):
-                        raise ValidationError(f"edge {pos} cost must be an exact scalar")
-                    if c <= 0:
-                        raise ValidationError(f"edge {pos} cost must be > 0, got {format_scalar(c)}")
-                    costs_of[id(kind)] = c
-                elif isinstance(kind, Priceable):
-                    i = kind.index
-                    if not isinstance(i, int) or isinstance(i, bool):
-                        raise ValidationError(f"edge {pos} priceable label must be an int")
-                    if i in by_label:
-                        raise ValidationError(f"duplicate priceable label {i}")
-                    by_label[i] = pos
-                    c = 0
-                else:
-                    raise ValidationError(f"edge {pos} has unknown kind {kind!r}")
+            if isinstance(kind, Fixed):
+                c = kind.cost
+                if isinstance(c, bool) or not isinstance(c, FINITE_TYPES):
+                    raise ValidationError(f"edge {pos} cost must be an exact scalar")
+                if c <= 0:
+                    raise ValidationError(f"edge {pos} cost must be > 0, got {format_scalar(c)}")
+            elif isinstance(kind, Priceable):
+                i = kind.index
+                if not isinstance(i, int) or isinstance(i, bool):
+                    raise ValidationError(f"edge {pos} priceable label must be an int")
+                if i in by_label:
+                    raise ValidationError(f"duplicate priceable label {i}")
+                by_label[i] = pos
+                c = 0
+            else:
+                raise ValidationError(f"edge {pos} has unknown kind {kind!r}")
             out[tail].append(pos)
             ecosts.append(c)
         k = len(by_label)

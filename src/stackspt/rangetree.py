@@ -4,28 +4,26 @@ Dominance counting in rank space.  Equal points are merged (weights summed,
 zero weights dropped) and each axis is mapped once to integer ranks against
 one sorted list of its distinct exact values.  ``RangeTree.count`` takes one
 closed cap per axis, the revenue oracle's dominance query, and one binary
-search per cap makes it a rank prefix; after the searches all is machine
-ints.  ``RangeTree.query`` takes any rectangle.  The points are sorted once,
-by last-axis rank, and held in whichever of two representations
-``_representation`` finds smaller, from the D distinct points and each
-axis's R distinct values (the bits only for weights of at most 64 bits);
-past ``MAX_TREE_BYTES`` the build is refused.
+search per cap makes it a rank prefix; ``RangeTree.query`` takes any
+rectangle.  The points are sorted once, by last-axis rank, and held in
+whichever representation ``_representation`` picks; past ``MAX_TREE_BYTES``
+the build is refused.  Both count ints (Fraction weights times the LCM of
+their denominators) and divide back once: a count is an int when integral.
 
 - **bits** (word-level counting, after Chan and Patrascu): bit i stands for
   the i-th point.  Each axis before the last keeps R + 1 prefix masks (the
   points ranked below h), the last axis is the first ``_cut[h]`` bits, and
-  the weights are bit planes of ints (Fraction weights scaled by the LCM of
-  their denominators).  (d - 1)(R + 1)D bits, linear in d; a count is d - 1
-  ANDs and a popcount per plane, and ``query`` ANDs off its lower ends.
-- **wavelet**, smaller only when one or two axes hold many values: every
-  axis before the last is a wavelet matrix over the sequence.  Per rank
+  the weights are bit planes.  ((d - 1)(R + 1) + planes)D bits; a count is
+  d - 1 ANDs and a popcount per plane, and ``query`` ANDs off lower ends.
+- **wavelet**, for many values on one or two axes, for one axis and for
+  wide weights: every axis before the last is a wavelet matrix.  Per rank
   bit, from the top, the sequence is stably partitioned (0 bits first) and
   a flat array keeps the running count of 0 bits (16-bit below 65 536
   points), so a node's slots [a, b) map to its children's with two
   lookups; each level holds the next axis's structure, and the last axis
   keeps running weight sums.  About D (log R + 1)^(d-1) slots; a count is
-  one prefix walk (``_cover``) of O(log^(d-1) R) steps, and ``query`` up to
-  2^j, by inclusion-exclusion over its j lower ends before the last axis.
+  one walk (``_cover``) of O(log^(d-1) R) steps, and ``query`` up to 2^j,
+  by inclusion-exclusion over its j lower ends before the last axis.
 
 Coordinates and query bounds are exact rationals, with ``NEG_INF`` and ``INF``
 (float -inf and +inf) usable as sentinels; finite floats, nan and bools are
@@ -62,6 +60,8 @@ _I64 = 1 << 63
 
 # Past this many predicted bytes a tree is refused before it is allocated.
 MAX_TREE_BYTES = 1 << 30
+
+_MAX_PLANES = (8, 20)  # two axes, more: past these, a wavelet walk outruns the popcounts
 
 
 def _is_exact(x: object) -> bool:
@@ -210,20 +210,21 @@ def _cover(layer, a: int, b: int, his: list) -> Scalar:
     return total
 
 
-def _representation(distinct: int, counts: Sequence[int], weight_bits: int) -> tuple:
+def _representation(distinct: int, counts: Sequence[int], planes: int) -> tuple:
     """(kind, bits bytes, wavelet bytes) for ``distinct`` points, ``counts[a]``
-    values on axis a and int weights of ``weight_bits`` bits.  Bits: count + 1
-    masks of ``distinct`` bits per axis before the last.  Wavelet: with b rank
-    bits per such axis, prod(b + 1) arrays of distinct + 1 8-byte weight sums
-    and one fewer of 0-bit counts (2-byte below 65 536 points).  Weight planes
-    and what both share are left out.  The smaller wins, but bits only for
-    weights of one 64-bit word: a count pays a popcount per weight bit."""
+    values on axis a and ``planes``-bit int weights.  Bits: count + 1 masks
+    per axis before the last, and the planes, of ``distinct`` bits each.
+    Wavelet: with b rank bits per such axis, prod(b + 1) arrays of distinct + 1
+    8-byte weight sums and one fewer of 0-bit counts (2-byte below 65 536
+    points).  The smaller wins, but the bits need two axes and at most
+    ``_MAX_PLANES`` planes, as a count pays a popcount per plane."""
     before = counts[:-1]
     nodes = prod((c - 1).bit_length() + 1 for c in before)
     zero = 2 if distinct < 1 << 16 else 8
-    bits = (distinct + 7) // 8 * sum(c + 1 for c in before)
+    bits = (distinct + 7) // 8 * (sum(c + 1 for c in before) + planes)
     wavelet = (distinct + 1) * (8 * nodes + zero * (nodes - 1))
-    return "bits" if bits <= wavelet and weight_bits <= 64 else "wavelet", bits, wavelet
+    fast = len(counts) > 1 and planes <= _MAX_PLANES[len(counts) > 2]
+    return "bits" if fast and bits <= wavelet else "wavelet", bits, wavelet
 
 
 def _prefix_masks(order: list, rank: list, count: int) -> list[int]:
@@ -295,11 +296,11 @@ class RangeTree:
             ranks.append([rank_of[x] for x in col])
         self.values = tuple(values)
         ws = [merged[pt] for pt in points]
-        scale = lcm(*[w.denominator for w in ws])
-        scaled = [w.numerator * (scale // w.denominator) for w in ws]  # Fractions: times scale
+        self._scale = scale = lcm(*[w.denominator for w in ws])
+        ws = [w.numerator * (scale // w.denominator) for w in ws]  # Fractions: times scale
         counts = list(map(len, values))
         self.kind, bits, wavelet = _representation(
-            len(points), counts, max(scaled, default=0).bit_length())
+            len(points), counts, max(ws, default=0).bit_length())
         self.predicted = bits, wavelet
         if (bits if self.kind == "bits" else wavelet) > MAX_TREE_BYTES:
             raise ValidationError(
@@ -313,24 +314,23 @@ class RangeTree:
         self._cut = array("q", accumulate(per_rank))  # slots of last-axis ranks < r
         order = sorted(range(len(points)), key=last.__getitem__)
         if self.kind == "bits":
-            self._layer, self._scale = None, scale
+            self._layer = None
             self._masks = [_prefix_masks(order, r, c) for r, c in zip(ranks, counts)]
-            self._planes = _weight_planes([scaled[i] for i in order])
+            self._planes = _weight_planes([ws[i] for i in order])
             return
-        ints = all(type(w) is int for w in ws) and total < _I64
         self._layer = _layer(
             order,
             [(r, (c - 1).bit_length()) for r, c in zip(ranks, counts)],
             ws,
-            partial(array, "q") if ints else list,
+            partial(array, "q") if sum(ws) < _I64 else list,
         )
 
     def _weigh(self, mask: int) -> Scalar:
-        """Weight of the points at the set bits of ``mask``."""
+        """Scaled weight of the points at the set bits of ``mask``."""
         total = 0
         for plane in self._planes:  # the top bit first
             total += total + (mask & plane).bit_count()
-        return total if self._scale == 1 else _unscaled(total, self._scale)
+        return total
 
     def query(self, rect: Union[QueryRect, Sequence[Interval]]) -> Scalar:
         """Weight of the points inside ``rect``, ends open, closed or absent.  The
@@ -345,24 +345,28 @@ class RangeTree:
             mask = (1 << b) - (1 << a)
             for masks, (lo, hi) in zip(self._masks, cuts):
                 mask &= masks[hi] & ~masks[lo]
-            return self._weigh(mask)
-        terms = [(1, [])]  # (sign, prefix ends) by inclusion-exclusion over the lower ends
-        for lo, hi in cuts:
-            terms = [(s, his + [hi]) for s, his in terms] + [
-                (-s, his + [lo]) for s, his in terms if lo]
-        return sum(s * _cover(self._layer, a, b, his) for s, his in terms)
+            total = self._weigh(mask)
+        else:
+            terms = [(1, [])]  # (sign, prefix ends) by inclusion-exclusion over the lower ends
+            for lo, hi in cuts:
+                terms = [(s, his + [hi]) for s, his in terms] + [
+                    (-s, his + [lo]) for s, his in terms if lo]
+            total = sum(s * _cover(self._layer, a, b, his) for s, his in terms)
+        return total if self._scale == 1 else _unscaled(total, self._scale)
 
     def count(self, caps: Sequence[ExtScalar]) -> Scalar:
         """Weight of the points at or below ``caps``, one closed cap per axis (INF: uncut)."""
         if len(caps) != self.dim:
             raise ValidationError(f"{len(caps)} caps given, tree has {self.dim} axes")
         *his, last = map(bisect_right, self.values, caps)
-        if self._layer is not None:
-            return _cover(self._layer, 0, self._cut[last], his)
-        mask = (1 << self._cut[last]) - 1
-        for masks, hi in zip(self._masks, his):
-            mask &= masks[hi]
-        return self._weigh(mask)
+        if self._layer is None:
+            mask = (1 << self._cut[last]) - 1
+            for masks, hi in zip(self._masks, his):
+                mask &= masks[hi]
+            total = self._weigh(mask)
+        else:
+            total = _cover(self._layer, 0, self._cut[last], his)
+        return total if self._scale == 1 else _unscaled(total, self._scale)
 
 
 def build_range_tree(pts: WeightedPointSet) -> RangeTree:

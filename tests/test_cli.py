@@ -210,9 +210,9 @@ class TestEval:
     def test_range_tree_past_the_size_cap_is_usage_error(self, capsys, instance_file, monkeypatch):
         import stackspt.rangetree as mod
 
-        monkeypatch.setattr(mod, "MAX_TREE_BYTES", 1)  # the 2-axis trees of prices 1,1 take 2
+        monkeypatch.setattr(mod, "MAX_TREE_BYTES", 1)  # the 2-axis trees of prices 1,1 take 3
         want = ("edge 1 over edge set (1, 2): range tree of d=2 axes over D=2 distinct points "
-                "would take 2 bytes as bitsets or 24 as wavelet levels, past the cap of 1 bytes")
+                "would take 3 bytes as bitsets or 24 as wavelet levels, past the cap of 1 bytes")
         oracle = build_oracle(two_edge_fixture())
         with pytest.raises(ValidationError) as exc:
             oracle.revenue((1, 1))
@@ -220,7 +220,7 @@ class TestEval:
         assert oracle.revenue((100, 100)) == 0  # no tree needed, so none refused
         code, out, err = run(capsys, "eval", "--instance", instance_file, "--prices", "1,1")
         assert code == 2 and out == "" and err == f"error: {want}\n"
-        monkeypatch.setattr(mod, "MAX_TREE_BYTES", 2)
+        monkeypatch.setattr(mod, "MAX_TREE_BYTES", 3)
         assert oracle.revenue((1, 1)) == naive_revenue(two_edge_fixture(), (1, 1))
 
     def test_single_priceable_edge_instance(self, capsys, tmp_path):

@@ -410,7 +410,7 @@ class TestParsedEqualsBuilt:
         assert str(parsed.value) == str(built.value) == "edge 3 is a self-loop at vertex 2"
 
     def test_a_shared_bad_cost_names_its_first_edge(self):
-        # edges 3 and 7 share one Fixed(0) payload, checked once; edge 5 is a self-loop
+        # edges 3 and 7 share one Fixed(0) payload; edge 5 is a self-loop
         body = ["edge 0 1 F 1", "edge 1 2 F 1", "edge 2 0 F 1", "edge 0 2 F 0", "edge 1 0 F 1",
                 "edge 2 2 F 1", "edge 2 1 F 1", "edge 1 2 F 0"]
         text = "stackspt 1\ngraph 3 8 0\nroot 0\n" + "\n".join(body) + "\n"

@@ -21,6 +21,7 @@ from oracles import linear_scan, query_rect, route_costs, scaled_fixed_table, un
 from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction, random_instance
 from stackspt.model import ReducedTree, reduced_tree_of_spt, sequence_of, w_infinity
+from stackspt import rangetree
 from stackspt.oracle import RevenueOracle, build_oracle, embed_points
 from stackspt.rangetree import Interval, QueryRect, RangeTree, build_range_tree
 from stackspt.rational import INF, NEG_INF, is_finite
@@ -789,6 +790,26 @@ def test_integer_cuts_meet_points_on_the_sides(make, divisors):
     assert on_side >= 100 and deep >= 10
 
 
+def test_fractional_demand_breakdowns_read_alike_in_both_representations():
+    # vertices 3 to 5 carry halves: edge 3 serves 4 and 5, a whole weight, as an int
+    base = diamond()
+    inst = Instance(n=6, root=0, edges=base.edges,
+                    demand=(1, 2, 3, Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)))
+    rng = random.Random(6)
+    vectors = [tuple(rng.randint(1, 14) for _ in range(3)) for _ in range(60)]
+    reads = {}
+    for kind in ("bits", "wavelet"):
+        chooser = lambda distinct, counts, planes: (kind, 0, 0)  # noqa: E731
+        with patch.object(rangetree, "_representation", chooser):
+            oracle = build_oracle(inst)
+            reads[kind] = [repr(oracle.revenue_breakdown(p)) for p in vectors]
+        assert {tree.kind for _, tree in oracle._trees.values()} == {kind}
+    assert reads["bits"] == reads["wavelet"]
+    served = [s for p in vectors for _, _, s in oracle.revenue_breakdown(p)[1]]
+    assert all(type(s) is (int if s.denominator == 1 else Fraction) for s in served)
+    assert any(type(s) is Fraction for s in served) and any(s == 2 for s in served)
+
+
 class TestPartition:
     @settings(max_examples=80)
     @given(strategies.priced_instances(min_n=2, min_k=2, max_n=7))
@@ -1079,7 +1100,9 @@ def test_debug_log_once_per_materialized_tree(caplog):
             f"range tree for edge {i} over (1, 2)" for i in (1, 2)
         ]
         assert all("dim=2" in m and "build_s=" in m for m in built)
-        assert all("kind=bits bits_bytes=2 wavelet_bytes=16 " in m for m in built)
+        assert [m.split("kind=")[1].split(" build_s")[0] for m in built] == [
+            "bits bits_bytes=4 wavelet_bytes=16",  # weight 2: two planes beside two masks
+            "bits bits_bytes=3 wavelet_bytes=16"]
         assert "points=2 distinct=1" in built[0]  # two equal points merged
         caplog.clear()
         oracle.revenue(p)

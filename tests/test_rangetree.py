@@ -375,20 +375,40 @@ def test_predictions_match_what_is_built(dim, n, spread):
     kind, bits, wavelet = _representation(n, counts, max(weights, default=0).bit_length())
     rt = build_range_tree(pts(dim, points, weights))
     assert (rt.kind, rt.predicted) == (kind, (bits, wavelet))
-    assert kind == ("bits" if bits <= wavelet else "wavelet")
+    assert kind == ("bits" if dim > 1 and bits <= wavelet else "wavelet")
     as_bits = build_as("bits", pts(dim, points, weights))
     assert [len(masks) for masks in as_bits._masks] == [c + 1 for c in counts[:-1]]
-    assert all(mask.bit_length() <= n for masks in as_bits._masks for mask in masks)
-    assert sum(map(len, as_bits._masks)) * ((n + 7) // 8) == bits
+    rows = as_bits._planes + [mask for masks in as_bits._masks for mask in masks]
+    assert all(row.bit_length() <= n for row in rows)
+    assert len(rows) * ((n + 7) // 8) == bits
     assert layer_bytes(build_as("wavelet", pts(dim, points, weights))._layer) == wavelet
 
 
-def test_weights_past_a_word_keep_the_wavelet():
-    # a bitset count spends a popcount per weight bit, and a 3000-digit demand has 9966
-    for w, kind in (((1 << 64) - 1, "bits"), (1 << 64, "wavelet"), (Fraction(1 << 62, 3), "bits")):
-        rt = build_range_tree(pts(2, [(0, 0), (1, 1), (1, 1)], weights=(w, 1, 2)))
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_weights_past_the_plane_cutoff_keep_the_wavelet(dim):
+    # a bitset count spends a popcount per weight plane; a wavelet count does not
+    most = rangetree._MAX_PLANES[dim > 2]
+    scaled = Fraction((1 << most) - 1, 3)  # times 3: most planes
+    for w, kind in (((1 << most) - 1, "bits"), (1 << most, "wavelet"), (scaled, "bits"),
+                    (Fraction(1 << most, 3), "wavelet")):
+        rt = build_range_tree(pts(dim, [(0,) * dim, (1,) * dim, (1,) * dim], weights=(w, 1, 2)))
         assert rt.kind == kind and rt.predicted[0] < rt.predicted[1]
-        assert (rt.count([0, 0]), rt.count([1, INF])) == (w, w + 3)
+        assert (rt.count([0] * dim), rt.count([1] * (dim - 1) + [INF])) == (w, w + 3)
+
+
+def test_one_axis_keeps_its_running_sums():
+    rt = build_range_tree(pts(1, [(0,), (1,)]))
+    assert rt.kind == "wavelet" and rt.predicted == (1, 24)
+    assert list(rt._layer) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fraction_weights_count_an_int_when_integral(kind):
+    rt = build_as(kind, pts(2, [(0, 0), (1, 1), (2, 2)], (Fraction(1, 3), Fraction(2, 3), 2)))
+    counts = [rt.count([0, 0]), rt.count([1, 1]), rt.count([INF, INF])]
+    assert counts == [Fraction(1, 3), 1, 3] and [type(c) for c in counts] == [Fraction, int, int]
+    whole = QueryRect((Interval(lower=(0, True)), Interval(upper=(1, True))))
+    assert type(rt.query(whole)) is int and rt.query(whole) == 1
 
 
 def test_refuses_a_tree_past_the_size_cap():
