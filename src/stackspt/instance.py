@@ -31,11 +31,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count
-from math import lcm
 from typing import Iterable, Union
 
 from .errors import ParseError, ValidationError
-from .rational import FINITE_TYPES, Scalar, ensure_scalar, format_scalar, parse_scalar
+from .rational import FINITE_TYPES, Scalar, _scaled, ensure_scalar, format_scalar, parse_scalar
 
 __all__ = [
     "MAX_PRICEABLE_EDGES",
@@ -206,9 +205,8 @@ class Instance:
         epos = list(chain.from_iterable(out))  # slots: the out-edges of 0, of 1, ...
         starts = list(accumulate(map(len, out), initial=0))
         costs = list(map(ecosts.__getitem__, epos))
-        scale = lcm(*[c.denominator for c in set(costs)])
-        if set(map(type, costs)) != {int}:  # any Fraction, even a Fraction(1) beside a 1
-            costs = [c.numerator * (scale // c.denominator) for c in costs]
+        # any Fraction, even a Fraction(1) beside a 1, scales the costs
+        scale, costs = (1, costs) if set(map(type, costs)) == {int} else _scaled(costs)
         cutoff = sum(costs) + 1
         priced = [epos.index(p, starts[tails[p]]) for p in labeled]
         for j in priced:

@@ -22,8 +22,8 @@ from typing import Sequence, Union
 
 from .errors import ValidationError
 from .instance import Instance, Priceable, PriceFunction, _checked_prices
-from .rational import INF, ExtScalar, is_finite
-from .shortest import SptResult, _dijkstra, _lex_keys, _scaled_prices, last_priceable_labels
+from .rational import INF, ExtScalar, _scaled, is_finite
+from .shortest import SptResult, _dijkstra, _lex_keys, last_priceable_labels
 
 __all__ = [
     "ReducedTree",
@@ -204,7 +204,7 @@ def build_model_graph(
 
 def reduced_tree(mg: ModelGraph, prices: Union[PriceFunction, Sequence]) -> ReducedTree:
     """Reduced tree of the model graph under the given prices."""
-    scale, ps = _scaled_prices(mg.scale, _checked_prices(prices, mg.k))
+    scale, ps = _scaled(_checked_prices(prices, mg.k), mg.scale)
     return ReducedTree(tree_parents(mg, scale, ps))
 
 
@@ -260,7 +260,7 @@ def _contracted(inst: Instance, spt: SptResult, last: Sequence) -> ReducedTree:
         pe = spt.parent_edge[e.head]
         if pe is None:
             continue
-        kind = inst.edges[pe].kind
+        kind = inst._columns[2][pe]
         if isinstance(kind, Priceable) and kind.index == i:
             above = last[e.tail]
             parents[i - 1] = ROOT if above is None else above

@@ -55,8 +55,8 @@ from .model import (
     w_infinity,
 )
 from .rangetree import RangeTree, WeightedPointSet, build_range_tree
-from .rational import INF, NEG_INF, ExtScalar, Scalar, is_finite
-from .shortest import _fixed_sweep, _scaled_prices, _unscaled, chi_sum
+from .rational import INF, NEG_INF, ExtScalar, Scalar, _scaled, _unscaled, is_finite
+from .shortest import _fixed_sweep, chi_sum
 
 __all__ = [
     "RevenueOracle",
@@ -158,7 +158,7 @@ class RevenueOracle:
         """Check a price vector and scale it: (S, the prices times S)."""
         pvals = _checked_prices(prices, self.model.k)
         self._check_served()
-        return _scaled_prices(self.model.scale, pvals)
+        return _scaled(pvals, self.model.scale)
 
     def _kernel(self, scale: int, ps) -> tuple[tuple, Optional[_Plan], list]:
         """The one evaluation path, for checked prices ``ps`` times ``scale``

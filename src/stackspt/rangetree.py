@@ -2,28 +2,28 @@
 
 Dominance counting in rank space.  Equal points are merged (weights summed,
 zero weights dropped) and each axis is mapped once to integer ranks against
-one sorted list of its distinct exact values.  ``RangeTree.count`` takes one
-closed cap per axis, the revenue oracle's dominance query, and one binary
-search per cap makes it a rank prefix; ``RangeTree.query`` takes any
-rectangle.  The points are sorted once, by last-axis rank, and held in
-whichever representation ``_representation`` picks; past ``MAX_TREE_BYTES``
-the build is refused.  Both count ints (Fraction weights times the LCM of
-their denominators) and divide back once: a count is an int when integral.
+one sorted list of its distinct exact values.  The points are sorted once, by
+last-axis rank, into whichever representation ``_representation`` picks (past
+``MAX_TREE_BYTES`` the build is refused), and each counts through one
+primitive, ``_prefix(his, cut)``: the weight of the first ``cut`` points whose
+ranks on the other axes lie below ``his``.  ``count``, the oracle's dominance
+query, bisects its closed caps into ranks for one prefix; ``query`` sums
+signed prefixes by inclusion-exclusion over every lower end.  Weights are ints
+(``rational._scaled``), divided back once: a count is an int when integral.
 
 - **bits** (word-level counting, after Chan and Patrascu): bit i stands for
   the i-th point.  Each axis before the last keeps R + 1 prefix masks (the
-  points ranked below h), the last axis is the first ``_cut[h]`` bits, and
-  the weights are bit planes.  ((d - 1)(R + 1) + planes)D bits; a count is
-  d - 1 ANDs and a popcount per plane, and ``query`` ANDs off lower ends.
+  points ranked below h), the last axis is the first ``cut`` bits, and the
+  weights are bit planes.  ((d - 1)(R + 1) + planes)D bits; a prefix is
+  d - 1 ANDs and a popcount per plane.
 - **wavelet**, for many values on one or two axes, for one axis and for
   wide weights: every axis before the last is a wavelet matrix.  Per rank
   bit, from the top, the sequence is stably partitioned (0 bits first) and
   a flat array keeps the running count of 0 bits (16-bit below 65 536
   points), so a node's slots [a, b) map to its children's with two
   lookups; each level holds the next axis's structure, and the last axis
-  keeps running weight sums.  About D (log R + 1)^(d-1) slots; a count is
-  one walk (``_cover``) of O(log^(d-1) R) steps, and ``query`` up to 2^j,
-  by inclusion-exclusion over its j lower ends before the last axis.
+  keeps running weight sums.  About D (log R + 1)^(d-1) slots; a prefix is
+  one walk (``_cover``) of O(log^(d-1) R) steps.
 
 Coordinates and query bounds are exact rationals, with ``NEG_INF`` and ``INF``
 (float -inf and +inf) usable as sentinels; finite floats, nan and bools are
@@ -39,12 +39,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from math import lcm, prod
+from math import prod
 from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
-from .rational import FINITE_TYPES, INF, ExtScalar, Scalar, format_scalar
-from .shortest import _unscaled
+from .rational import FINITE_TYPES, INF, ExtScalar, Scalar, _scaled, _unscaled, format_scalar
 
 __all__ = [
     "Interval",
@@ -295,9 +294,7 @@ class RangeTree:
             values.append(vals)
             ranks.append([rank_of[x] for x in col])
         self.values = tuple(values)
-        ws = [merged[pt] for pt in points]
-        self._scale = scale = lcm(*[w.denominator for w in ws])
-        ws = [w.numerator * (scale // w.denominator) for w in ws]  # Fractions: times scale
+        self._scale, ws = _scaled([merged[pt] for pt in points])
         counts = list(map(len, values))
         self.kind, bits, wavelet = _representation(
             len(points), counts, max(ws, default=0).bit_length())
@@ -325,33 +322,30 @@ class RangeTree:
             partial(array, "q") if sum(ws) < _I64 else list,
         )
 
-    def _weigh(self, mask: int) -> Scalar:
-        """Scaled weight of the points at the set bits of ``mask``."""
+    def _prefix(self, his: list, cut: int) -> int:
+        """Scaled weight of the first ``cut`` points in last-axis order whose
+        ranks on the other axes lie below ``his``."""
+        if self._layer is not None:
+            return _cover(self._layer, 0, cut, his)
+        mask = (1 << cut) - 1
+        for masks, hi in zip(self._masks, his):
+            mask &= masks[hi]
         total = 0
         for plane in self._planes:  # the top bit first
             total += total + (mask & plane).bit_count()
         return total
 
     def query(self, rect: Union[QueryRect, Sequence[Interval]]) -> Scalar:
-        """Weight of the points inside ``rect``, ends open, closed or absent.  The
-        bitsets take a lower end off the mask; the wavelet counts the prefix
-        below hi less that below lo, off the last axis."""
+        """Weight of the points inside ``rect``, ends open, closed or absent: signed
+        rank prefixes, by inclusion-exclusion over every lower end."""
         ivs = rect.intervals if isinstance(rect, QueryRect) else tuple(rect)
         if len(ivs) != self.dim:
             raise ValidationError(f"rectangle has {len(ivs)} axes, tree has {self.dim}")
-        cuts = list(map(_rank_cut, ivs, self.values))
-        a, b = (self._cut[r] for r in cuts.pop())
-        if self._layer is None:
-            mask = (1 << b) - (1 << a)
-            for masks, (lo, hi) in zip(self._masks, cuts):
-                mask &= masks[hi] & ~masks[lo]
-            total = self._weigh(mask)
-        else:
-            terms = [(1, [])]  # (sign, prefix ends) by inclusion-exclusion over the lower ends
-            for lo, hi in cuts:
-                terms = [(s, his + [hi]) for s, his in terms] + [
-                    (-s, his + [lo]) for s, his in terms if lo]
-            total = sum(s * _cover(self._layer, a, b, his) for s, his in terms)
+        terms = [(1, [])]  # (sign, rank prefix ends); a prefix below rank 0 is empty
+        for lo, hi in map(_rank_cut, ivs, self.values):
+            terms = [(s, ends + [hi]) for s, ends in terms] + [
+                (-s, ends + [lo]) for s, ends in terms if lo]
+        total = sum(s * self._prefix(his, self._cut[last]) for s, (*his, last) in terms)
         return total if self._scale == 1 else _unscaled(total, self._scale)
 
     def count(self, caps: Sequence[ExtScalar]) -> Scalar:
@@ -359,13 +353,7 @@ class RangeTree:
         if len(caps) != self.dim:
             raise ValidationError(f"{len(caps)} caps given, tree has {self.dim} axes")
         *his, last = map(bisect_right, self.values, caps)
-        if self._layer is None:
-            mask = (1 << self._cut[last]) - 1
-            for masks, hi in zip(self._masks, his):
-                mask &= masks[hi]
-            total = self._weigh(mask)
-        else:
-            total = _cover(self._layer, 0, self._cut[last], his)
+        total = self._prefix(his, self._cut[last])
         return total if self._scale == 1 else _unscaled(total, self._scale)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 __all__ = [
@@ -63,6 +64,20 @@ def ensure_scalar(x: object, what: str = "value") -> Scalar:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
+
+
+def _scaled(values, base: int = 1) -> tuple[int, list[int]]:
+    """(scale, values times scale), scale the LCM of ``base`` and the denominators
+    of ``values``: with ``_unscaled``, the package's one pair of exact-int conversions."""
+    scale = lcm(base, *[v.denominator for v in values])
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _unscaled(x: Scalar, scale: int) -> Scalar:
+    """``x / scale`` exactly, as an int whenever the value is integral."""
+    if scale != 1:
+        x = Fraction(x, scale)
+    return x.numerator if x.denominator == 1 else x
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -13,9 +13,10 @@ One integer-key Dijkstra core runs every sweep: the composite-order sweep
 (``_lex_sweep``), which the revenue fold ``_revenue_of`` and the tree build
 ``_spt_of`` read; the fixed-only sweeps of the preprocessing; and the
 model-graph sweep of each query whose reduced tree is not certified empty.
-Fractional costs and prices become ints by the LCM of their denominators, the
-triple is packed into one int key, and results are divided back exactly; only
-the oracle's fixed-only tables (``_fixed_sweep``) stay times the cost scale.
+Fractional costs and prices become ints by the LCM of their denominators
+(``rational._scaled``), the triple is packed into one int key, and results are
+divided back exactly (``rational._unscaled``); only the oracle's fixed-only
+tables (``_fixed_sweep``) stay times the cost scale.
 Packing is safe because every key a sweep stores belongs to a simple path, so
 the low components are bounded by the sum of all prices and by 2^(k+1)-2.
 """
@@ -24,13 +25,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Iterable, NamedTuple, Union
 
 from .errors import UnreachableVertexError, ValidationError
 from .instance import Instance, Priceable, _checked_prices
-from .rational import INF, ExtScalar, Scalar, format_scalar
+from .rational import INF, ExtScalar, Scalar, _scaled, _unscaled, format_scalar
 
 __all__ = [
     "CompositeWeight",
@@ -116,20 +115,6 @@ def _dijkstra(starts, heads, inc, source: int, start: int, dist: list):
     return dist, parent
 
 
-def _unscaled(x: Scalar, scale: int) -> Scalar:
-    """``x / scale`` exactly, as an int whenever the value is integral."""
-    if scale != 1:
-        x = Fraction(x, scale)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _scaled_prices(cost_scale: int, pvals) -> tuple[int, list[int]]:
-    """(scale, prices times scale): scale is the LCM of ``cost_scale`` and the
-    price denominators, so every scaled price is an exact int."""
-    scale = lcm(cost_scale, *[p.denominator for p in pvals])
-    return scale, [p.numerator * (scale // p.denominator) for p in pvals]
-
-
 def _lex_keys(costs, priced, f: int, ps: list[int]):
     """Packed keys of the composite order ``(w, -p, -chi)`` for one price vector.
 
@@ -161,7 +146,7 @@ def _lex_sweep(inst: Instance, pvals: tuple, source: int):
     """Composite-order sweep under the checked prices ``pvals``: (dist keys,
     parent slots, scale, pcap, m1, m2), what ``_revenue_of`` and ``_spt_of`` read."""
     starts, heads, _epos, costs, priced, cost_scale, _cutoff = inst._layout
-    scale, ps = _scaled_prices(cost_scale, pvals)
+    scale, ps = _scaled(pvals, cost_scale)
     inc, start, pcap, m1, m2 = _lex_keys(costs, priced, scale // cost_scale, ps)
     dist, parent = _dijkstra(starts, heads, inc, source, start, [INF] * inst.n)
     return dist, parent, scale, pcap, m1, m2
@@ -245,16 +230,17 @@ def last_priceable_labels(inst: Instance, spt: SptResult) -> tuple[Union[int, No
     priceable edge collects each vertex's demand.
     """
     n = inst.n
+    tails, _heads, kinds = inst._columns
     children: list[list[int]] = [[] for _ in range(n)]
     for v, pe in enumerate(spt.parent_edge):
         if pe is not None:
-            children[inst.edges[pe].tail].append(v)
+            children[tails[pe]].append(v)
     last: list = [None] * n
     stack = [spt.source]
     while stack:
         u = stack.pop()
         for v in children[u]:
-            kind = inst.edges[spt.parent_edge[v]].kind
+            kind = kinds[spt.parent_edge[v]]
             last[v] = kind.index if isinstance(kind, Priceable) else last[u]
             stack.append(v)
     return tuple(last)

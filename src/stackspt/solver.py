@@ -21,7 +21,6 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from random import Random
 from typing import Optional, Union
 
@@ -29,8 +28,8 @@ from .errors import ParseError, ValidationError
 from .instance import Instance, PriceFunction, _tuple_of, ensure_scalar, serialize_instance
 from .model import _contracted
 from .oracle import RevenueOracle, build_oracle
-from .rational import Scalar, format_scalar, is_finite, parse_scalar
-from .shortest import _lex_sweep, _revenue_of, _spt_of, _unscaled, last_priceable_labels
+from .rational import Scalar, _scaled, _unscaled, format_scalar, is_finite, parse_scalar
+from .shortest import _lex_sweep, _revenue_of, _spt_of, last_priceable_labels
 
 __all__ = [
     "CandidateSet",
@@ -220,8 +219,8 @@ def solve(inst: Instance, cands: Union[CandidateSet, None] = None) -> SolveResul
     else:
         grid = [lst if lst else (fallback_price(inst),) for lst in cands.per_edge]
     oracle._check_served()
-    scale = lcm(oracle.model.scale, *{p.denominator for row in grid for p in row})
-    scaled = [tuple(p.numerator * (scale // p.denominator) for p in row) for row in grid]
+    scale = _scaled([p for row in grid for p in row], oracle.model.scale)[0]
+    scaled = [tuple(_scaled(row, scale)[1]) for row in grid]  # scale is a common multiple
     vectors = scaled if cands.vectors is not None else itertools.product(*scaled)
 
     kernel = oracle._kernel

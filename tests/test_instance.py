@@ -20,10 +20,11 @@ from stackspt.instance import (
     random_instance,
     serialize_instance,
 )
+from stackspt.model import reduced_tree_of_spt
 from stackspt.oracle import build_oracle
 from stackspt.rational import INF
-from stackspt.shortest import lex_dijkstra, naive_revenue
-from stackspt.solver import solve
+from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
+from stackspt.solver import solve, verify_oracle
 
 SAMPLE = """\
 # a small instance with one comment per construct
@@ -336,6 +337,10 @@ class TestLayout:
         oracle.warm_up(trees)
         assert oracle.revenue((3, 4)) == naive_revenue(inst, (3, 4))
         solve(inst)
+        assert verify_oracle(inst, 20, 1, oracle=oracle).passed
+        spt = lex_dijkstra(inst, (3, 4))
+        assert reduced_tree_of_spt(inst, spt) == oracle.reduced_tree_for((3, 4))
+        assert len(last_priceable_labels(inst, spt)) == inst.n
         assert serialize_instance(inst) == text == (tmp_path / "gen.txt").read_text()
         assert builds == []
         assert inst.edges is inst.edges and builds == ["edges"]  # built once, then kept

@@ -22,11 +22,10 @@ from stackspt.model import (
     w_infinity,
 )
 from stackspt.oracle import build_oracle
-from stackspt.rational import INF, is_finite
+from stackspt.rational import INF, _scaled, is_finite
 from stackspt.shortest import (
     _dijkstra,
     _fixed_sweep,
-    _scaled_prices,
     chi_sum,
     last_priceable_labels,
     lex_dijkstra,
@@ -306,7 +305,7 @@ class TestEmptyCertificate:
         assert reduced_tree(mg, p).parents == parents
         assert len(calls) == sweeps
         oracle = build_oracle(inst)  # the query kernel, which skips the served-demand check
-        assert oracle._kernel(*_scaled_prices(mg.scale, p.values))[0] == parents
+        assert oracle._kernel(*_scaled(p.values, mg.scale))[0] == parents
         assert len(calls) == 2 * sweeps
         assert reduced_tree_of_spt(inst, lex_dijkstra(inst, p)).parents == parents
 

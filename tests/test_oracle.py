@@ -968,6 +968,7 @@ class TestMemo:
     def test_memoized_query_builds_nothing_and_scales_once(self, monkeypatch):
         import stackspt.model
         import stackspt.oracle as mod
+        import stackspt.rational
         import stackspt.shortest
 
         base = chain_with_bypasses()
@@ -992,9 +993,9 @@ class TestMemo:
             monkeypatch.setattr(ReducedTree, "__post_init__", lambda rt: calls.append(rt) or real_check(rt))
             monkeypatch.setattr(mod, "_Plan", lambda *a: calls.append(a) or real_plan(*a))
             scalings = []
-            real_scale = stackspt.shortest._scaled_prices
+            real_scale = stackspt.rational._scaled
             for owner in (stackspt.shortest, stackspt.model, mod):
-                monkeypatch.setattr(owner, "_scaled_prices", lambda *a: scalings.append(1) or real_scale(*a))
+                monkeypatch.setattr(owner, "_scaled", lambda *a: scalings.append(1) or real_scale(*a))
             again = [oracle.revenue(p) for p in vectors]
             assert calls == [] and len(scalings) == len(vectors)
             assert again == first == [naive_revenue(inst, p) for p in vectors]
@@ -1004,6 +1005,7 @@ class TestMemo:
         import stackspt.instance
         import stackspt.model
         import stackspt.oracle as mod
+        import stackspt.rational
         import stackspt.shortest
 
         inst = chain_with_bypasses()
@@ -1013,9 +1015,9 @@ class TestMemo:
         built, scalings, checks = [], [], []
         real_init = PriceFunction.__post_init__
         monkeypatch.setattr(PriceFunction, "__post_init__", lambda pf: built.append(pf) or real_init(pf))
-        real_scale = stackspt.shortest._scaled_prices
+        real_scale = stackspt.rational._scaled
         for owner in (stackspt.shortest, stackspt.model, mod):
-            monkeypatch.setattr(owner, "_scaled_prices", lambda *a: scalings.append(1) or real_scale(*a))
+            monkeypatch.setattr(owner, "_scaled", lambda *a: scalings.append(1) or real_scale(*a))
         real_check = stackspt.instance.ensure_scalar
         monkeypatch.setattr(stackspt.instance, "ensure_scalar", lambda *a: checks.append(a) or real_check(*a))
         for p, want in zip(vectors, first):

@@ -1,5 +1,6 @@
 """Range tree vs. linear scan, boundary semantics, and structural checks."""
 
+import itertools
 import random
 from array import array
 from fractions import Fraction
@@ -316,6 +317,32 @@ def test_rank_cuts_on_exact_coordinates(dim, weight_pool, kind):
                 tuple(Interval(lower=exact_bound(rng), upper=exact_bound(rng)) for _ in range(dim))
             )
             assert rt.query(rect) == linear_scan(points, weights, rect)
+
+
+def test_query_inclusion_exclusion_over_every_end_kind():
+    # every mix of absent, open and closed ends on three axes, each end on a
+    # point coordinate (NEG_INF among them), with each axis's interval in turn
+    # nonempty, a single value, and upside down
+    rng = random.Random(25)
+    axes = [[NEG_INF, -2, Fraction(1, 2), 3], [NEG_INF, 0, 1], [Fraction(-1, 3), 4, 1 << 70]]
+    points = [tuple(rng.choice(vals) for vals in axes) for _ in range(40)]
+    points += points[:10]  # duplicates, merged by the build
+    weights = [rng.choice((0, 1, 2, Fraction(1, 3), Fraction(2, 3))) for _ in points]
+    trees = [build_as(kind, pts(3, points, weights)) for kind in KINDS]
+    ends = [None, False, True]  # absent, open, closed
+    for kinds in itertools.product(itertools.product(ends, ends), repeat=3):
+        for turn in range(3):
+            ivs = []
+            for axis, (vals, (lo_kind, hi_kind)) in enumerate(zip(axes, kinds)):
+                lo, hi = sorted(rng.sample(range(len(vals)), 2))
+                lo, hi = [(lo, hi), (lo, lo), (hi, lo)][(turn + axis) % 3]
+                ivs.append(Interval(lower=None if lo_kind is None else (vals[lo], lo_kind),
+                                    upper=None if hi_kind is None else (vals[hi], hi_kind)))
+            rect = QueryRect(tuple(ivs))
+            got = [tree.query(rect) for tree in trees]
+            want = linear_scan(points, weights, rect)
+            assert got[0] == want and repr(got[0]) == repr(got[1]), rect
+            assert (type(got[0]) is int) == (Fraction(want).denominator == 1), rect
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -10,6 +10,8 @@ from stackspt.rational import (
     _SCALAR_RE,
     INF,
     NEG_INF,
+    _scaled,
+    _unscaled,
     ensure_scalar,
     format_scalar,
     is_finite,
@@ -199,3 +201,38 @@ class TestEnsureScalar:
         for bad in (INF, NEG_INF, float("inf"), float("nan")):
             with pytest.raises(TypeError):
                 ensure_scalar(bad)
+
+
+class TestScaling:
+    def test_all_ints_keep_the_base(self):
+        assert _scaled([3, -1, 0, 7]) == (1, [3, -1, 0, 7])
+        assert _scaled((3, 5), 4) == (4, [12, 20])
+
+    def test_mixed_fractions_take_the_lcm_with_the_base(self):
+        scale, ints = _scaled([Fraction(1, 4), 2, Fraction(-5, 6)], 9)
+        assert scale == 36 and ints == [9, 72, -30]
+        assert all(type(x) is int for x in ints)
+
+    def test_a_common_multiple_base_is_kept(self):
+        assert _scaled([Fraction(1, 3), Fraction(1, 2)], 12) == (12, [4, 6])
+
+    def test_empty_input_returns_the_base(self):
+        assert _scaled([]) == (1, [])
+        assert _scaled((), 6) == (6, [])
+
+    def test_unscaled_is_an_int_when_integral(self):
+        for x, scale, want in [(12, 4, 3), (0, 7, 0), (-12, 4, -3), (5, 1, 5), (-5, 1, -5)]:
+            got = _unscaled(x, scale)
+            assert got == want and type(got) is int
+        for x, scale, want in [(6, 4, Fraction(3, 2)), (-2, 6, Fraction(-1, 3))]:
+            got = _unscaled(x, scale)
+            assert got == want and type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @given(st.lists(rationals, max_size=6), st.integers(1, 60))
+    def test_unscaled_inverts_scaled(self, values, base):
+        scale, ints = _scaled(values, base)
+        assert scale % base == 0 and all(type(x) is int for x in ints)
+        back = [_unscaled(x, scale) for x in ints]
+        assert back == values
+        assert [type(x) is int for x in back] == [Fraction(x).denominator == 1 for x in values]
