@@ -122,7 +122,7 @@ class ModelGraph:
 
     Two views are derived once and cached: the slot arrays of the Dijkstra
     core (``_csr``), and per label the gap ``root_w[t_i] - root_w[s_i]``
-    (``_gaps``) against which ``tree_parents`` certifies the empty tree.
+    (``_gaps``) against which ``certified_empty`` certifies the empty tree.
     """
 
     k: int
@@ -203,47 +203,91 @@ def build_model_graph(
 
 
 def reduced_tree(mg: ModelGraph, prices: Union[PriceFunction, Sequence]) -> ReducedTree:
-    """Reduced tree of the model graph under the given prices."""
+    """Reduced tree of the model graph under the given prices: empty when
+    ``certified_empty`` holds, else the model sweep's (``tree_slots``) with
+    its fixed edges contracted (``slot_parents``).  The oracle's kernel first
+    tries the last model tree it swept, by its certificate (``kept_terms``)."""
     scale, ps = _scaled(_checked_prices(prices, mg.k), mg.scale)
-    return ReducedTree(tree_parents(mg, scale, ps))
+    f = scale // mg.scale  # prices are f times the unit of the model weights
+    if certified_empty(mg, f, ps):
+        return ReducedTree((None,) * mg.k)
+    return ReducedTree(slot_parents(mg, tree_slots(mg, f, ps)))
 
 
-def tree_parents(mg: ModelGraph, scale: int, ps: list[int]) -> tuple[Union[int, None], ...]:
-    """``ReducedTree.parents`` under the prices ``ps``, given times ``scale``.
-
-    ``scale`` must be a multiple of ``mg.scale``, the unit of the model
-    graph's weights, by f = ``scale // mg.scale``.  The tree is empty exactly
-    when every price exceeds f times its label's gap (``mg._gaps``): were
-    some e_i in the tree, take the one whose head settles first; s_i's route
-    is priced-free, so it costs ``root_w[s_i]``, and t_i goes through e_i
-    exactly when that plus the price is at most ``root_w[t_i]``, the priced
-    route winning a tie on weight.  These k comparisons answer the empty tree;
-    any other runs the composite-weight Dijkstra sweep on the 2k+1 logical
-    vertices and contracts the fixed edges of the resulting tree.
-    """
-    f = scale // mg.scale
+def certified_empty(mg: ModelGraph, f: int, ps) -> bool:
+    """Whether the tree is empty: every price exceeds f times its gap.  Were
+    some e_i in the tree, take the one whose head settles first: its priced-
+    free route to s_i costs ``root_w[s_i]``, and t_i goes through e_i exactly
+    when that plus the price is at most ``root_w[t_i]`` (ties go to e_i)."""
     gaps = mg._gaps
-    if all(map(gt, ps, gaps)) if f == 1 else all(p > g * f for p, g in zip(ps, gaps)):
-        return (None,) * mg.k
-    starts, heads, tails, weights, labels, priced = mg._csr
-    inc, start, _pcap, _m1, _m2 = _lex_keys(weights, priced, f, ps)
-    _dist, parent = _dijkstra(starts, heads, inc, 0, start, [INF] * (len(starts) - 1))
+    return all(map(gt, ps, gaps)) if f == 1 else all(p > g * f for p, g in zip(ps, gaps))
 
+
+def tree_slots(mg: ModelGraph, f: int, ps) -> tuple:
+    """The composite-weight sweep of the 2k+1 logical vertices under prices
+    ``ps`` that are f times ``mg.scale``: per logical vertex the ``_csr`` slot
+    of its tree edge, None at the root and at unreached vertices."""
+    starts, heads, _tails, weights, _labels, priced = mg._csr
+    inc, start, _pcap, _m1, _m2 = _lex_keys(weights, priced, f, ps)
+    return tuple(_dijkstra(starts, heads, inc, 0, start, [INF] * (len(starts) - 1))[1])
+
+
+def slot_parents(mg: ModelGraph, slots: tuple) -> tuple[Union[int, None], ...]:
+    """``ReducedTree.parents`` of the model tree with these parent slots:
+    its fixed edges contracted."""
+    _starts, _heads, tails, _weights, labels, _priced = mg._csr
     parents: list = [None] * mg.k
     for i in range(1, mg.k + 1):
-        j = parent[2 * i]  # t_i
+        j = slots[2 * i]  # t_i
         if j is None or labels[j] != i:
             continue  # e_i is not a tree edge
-        cur = 2 * i - 1  # s_i
-        found = ROOT
-        while cur != 0:
-            j = parent[cur]
-            if labels[j]:
-                found = labels[j]
-                break
-            cur = tails[j]
-        parents[i - 1] = found
+        cur = 2 * i - 1  # s_i, then up its fixed tree edges
+        while cur and not labels[slots[cur]]:
+            cur = tails[slots[cur]]
+        parents[i - 1] = labels[slots[cur]] if cur else ROOT
     return tuple(parents)
+
+
+def kept_terms(mg: ModelGraph, slots: tuple, edges: tuple) -> tuple[tuple, bool]:
+    """(terms, certifiable) of the model tree with these parent slots, whose
+    reduced tree has the labels ``edges``.  Route r leads to ``edges[r]``, route
+    n = len(edges) has no priced edge, and a query's ``totals`` lists the route
+    prices, 0, then its prices.  Reached vertex v has its tree path's fixed
+    weight F_v, route r_v (of its last priced edge) and signature chi_v.  Slot
+    j = (u -> v) off the tree gives the term (c, t, r_u, x, r_v): c = F_u + w_j
+    - F_v, x the index in ``totals`` of j's price (n when fixed), t = 1 when the
+    tree wins a weight tie with j (c > 0: it pays more; or c = 0 and a larger
+    signature).  At prices f times ``mg.scale`` the tree is the unique shortest
+    one, so the sweep's, when every c * f + t + totals[r_u] + totals[x] >
+    totals[r_v]; per (r_u, x, r_v) the least (c, t) binds for every f >= 1.  A
+    fixed slot with r_u = r_v is dropped if the tree wins it; a tie there,
+    the same at every price, leaves the tree not certifiable."""
+    _starts, heads, tails, weights, labels, _priced = mg._csr
+    n = len(edges)
+    route = {label: r for r, label in enumerate(edges)}
+    paths = {0: (0, n, 0)}  # reached logical vertex: (F, r, chi)
+
+    def path(v):
+        if v not in paths:
+            j = slots[v]
+            f, r, chi = path(tails[j])
+            label = labels[j]
+            paths[v] = (f + weights[j], route[label] if label else r, chi + (label and 1 << label))
+        return paths[v]
+
+    least, certifiable = {}, True
+    for j, (u, v, w, label) in enumerate(zip(tails, heads, weights, labels)):
+        if slots[v] == j or (u and slots[u] is None):
+            continue  # a tree slot, or one out of an unreached vertex
+        (f_u, r_u, chi_u), (f_v, r_v, chi_v) = path(u), path(v)
+        c = f_u + w - f_v
+        t = int(c > 0 or c == 0 and chi_u + (label and 1 << label) < chi_v)
+        x = n + label
+        if x == n and r_u == r_v:
+            certifiable = certifiable and bool(t)
+        else:
+            least[r_u, x, r_v] = min(least.get((r_u, x, r_v), (c, t)), (c, t))
+    return tuple(sorted((c, t, *key) for key, (c, t) in least.items())), certifiable
 
 
 def reduced_tree_of_spt(inst: Instance, spt: SptResult) -> ReducedTree:

@@ -2,7 +2,8 @@
 
 The pipeline: 1 full + k bounded fixed-only sweeps feed the model graph; each
 price vector maps to a reduced tree, the empty one by k comparisons against
-the model graph's gaps and any other by a (2k+1)-vertex Dijkstra run; for
+the model graph's gaps, any other by the certificate of the kept tree (the
+last model tree swept) or else a (2k+1)-vertex Dijkstra run; for
 every edge of that tree, the vertices it can serve embed as weighted points
 whose dominance rectangle membership decides the classification; one range
 tree per (edge, edge set), built the first time a reduced tree with that edge
@@ -27,12 +28,13 @@ a cut descriptor of ints, from which a query makes that axis's cap.  A
 query checks its prices with the package's one check (``_checked_prices``,
 no ``PriceFunction`` made) and scales them to ints once, then runs the one
 integer kernel (``_kernel``, which ``solver.solve`` calls directly on
-candidates it scaled itself): the reduced tree's parents tuple, from the
-gap comparisons or the model-graph sweep (``model.tree_parents``), finds
-the plan, so a tree met before is neither rebuilt nor revalidated; each
-route costs its parent route plus one price, and each rectangle side
-becomes an int cap with one floor division, which ``RangeTree.count``
-bisects and counts in its bitsets or wavelet levels.
+candidates it scaled itself): past the gaps, it checks the kept tree's
+certificate (``model.kept_terms``) on the route prices and sweeps only
+when a term fails.  The sweep's parent slots key a memo of (parents, plan,
+certificate), O(k^2) ints per model tree met; the entry becomes the kept
+tree, swapped whole.  Each route costs its parent route plus one price,
+and each rectangle side becomes an int cap with one floor division, which
+``RangeTree.count`` bisects and counts in its bitsets or wavelet levels.
 """
 
 from __future__ import annotations
@@ -49,9 +51,12 @@ from .model import (
     ModelGraph,
     ReducedTree,
     build_model_graph,
+    certified_empty,
+    kept_terms,
     reduced_tree,
     sequence_of,
-    tree_parents,
+    slot_parents,
+    tree_slots,
     w_infinity,
 )
 from .rangetree import RangeTree, WeightedPointSet, build_range_tree
@@ -98,6 +103,8 @@ class RevenueOracle:
         self.floors = floors
         self._unreachable_demand = unreachable_demand
         self._plans: dict[tuple, Optional[_Plan]] = {}
+        self._swept: dict[tuple, tuple] = {}  # model tree's parent slots: (parents, plan, terms)
+        self._kept = ((), None, None)  # the last swept model tree's entry, swapped whole
         self._trees: dict[tuple, tuple] = {}  # (label, rt.edges): (first rt, its tree)
         self._lock = threading.Lock()
 
@@ -164,20 +171,41 @@ class RevenueOracle:
         """The one evaluation path, for checked prices ``ps`` times ``scale``
         (a multiple of the cost scale): the reduced tree's parents, its plan,
         and per edge (label, route price times ``scale``, served weight)."""
-        parents = tree_parents(self.model, scale, ps)
-        plan = self._plan_for(parents)
-        if plan is None:
-            return parents, None, []
-        f = scale // self.model.scale
-        totals = [0] * (len(plan.steps) + 1)  # route prices, then the trailing 0
-        for at, up, i in plan.steps:
-            totals[at] = totals[up] + ps[i]
+        mg = self.model
+        f = scale // mg.scale
+        if certified_empty(mg, f, ps):
+            return (None,) * mg.k, None, []
+        parents, plan, terms = self._kept  # the last model tree swept, and its certificate
+        if terms is not None:
+            totals = plan.route_prices(ps)
+            for c, t, r_u, x, r_v in terms:  # model.kept_terms
+                if c * f + t + totals[r_u] + totals[x] <= totals[r_v]:
+                    terms = None
+                    break
+        if terms is None:  # no kept tree, no certificate, or a failed term
+            parents, plan, terms = self._kept = self._model_tree(tree_slots(mg, f, ps))
+            totals = plan.route_prices(ps)  # past the gaps, the tree is not empty
         rows = []
         for label, p, tree, edge_cuts in zip(plan.rt.edges, totals, plan.trees, plan.cuts):
             caps = [(totals[o] - p - (totals[o] + lose > p)) // f - shift
                     for o, lose, shift in edge_cuts]
             rows.append((label, p, tree.count(caps)))
         return parents, plan, rows
+
+    def _model_tree(self, slots: tuple) -> tuple:
+        """(parents, plan, certificate or None) of the model tree with these parent slots."""
+        entry = self._swept.get(slots)
+        if entry is None:
+            parents = slot_parents(self.model, slots)
+            plan = self._plan_for(parents)
+            with self._lock:
+                entry = self._swept.get(slots)
+                if entry is None:
+                    terms, certifiable = kept_terms(self.model, slots, plan.rt.edges)
+                    _log.debug("kept-tree certificate for %s: terms=%d certifiable=%s",
+                               parents, len(terms), certifiable)
+                    entry = self._swept[slots] = (parents, plan, terms if certifiable else None)
+        return entry
 
     def revenue(self, prices: Union[PriceFunction, Sequence]) -> Scalar:
         """Exact revenue of a price vector, an int whenever it is integral."""
@@ -225,6 +253,13 @@ class _Plan:
     """
 
     __slots__ = ("rt", "steps", "trees", "cuts")
+
+    def route_prices(self, ps) -> list:
+        """Route prices in ``rt.edges`` order, route n's 0, then ``ps``."""
+        totals = [0] * (len(self.steps) + 1) + [*ps]
+        for at, up, i in self.steps:
+            totals[at] = totals[up] + ps[i]
+        return totals
 
     def __init__(self, mg: ModelGraph, rt: ReducedTree):
         self.rt = rt

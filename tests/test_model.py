@@ -266,7 +266,7 @@ class TestReducedTreeComputation:
 
 
 class TestEmptyCertificate:
-    """``tree_parents`` answers the empty tree from the gaps, without a sweep."""
+    """``certified_empty`` answers the empty tree from the gaps, without a sweep."""
 
     def test_gaps(self):
         assert model_of(chain_with_bypasses())._gaps == (7, 10)

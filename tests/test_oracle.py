@@ -20,11 +20,11 @@ import strategies
 from oracles import linear_scan, query_rect, route_costs, scaled_fixed_table, unpruned_embedding
 from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction, random_instance
-from stackspt.model import ReducedTree, reduced_tree_of_spt, sequence_of, w_infinity
+from stackspt.model import ReducedTree, reduced_tree, reduced_tree_of_spt, sequence_of, w_infinity
 from stackspt import rangetree
 from stackspt.oracle import RevenueOracle, build_oracle, embed_points
 from stackspt.rangetree import Interval, QueryRect, RangeTree, build_range_tree
-from stackspt.rational import INF, NEG_INF, is_finite
+from stackspt.rational import INF, NEG_INF, _scaled, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
 from stackspt.solver import fallback_price, heuristic_candidates
 
@@ -1092,12 +1092,147 @@ class TestMemo:
         assert sorted(plans, key=repr) == sorted(trees, key=repr)
 
 
+def tied_chain() -> Instance:
+    """e_1's head reaches e_2's tail at cost 1, and so does the root's fixed
+    route, for 5 + 1: with e_1 out of the tree, two model routes to s_2 tie on
+    weight, price and signature, whatever the prices."""
+    edges = (
+        Edge(0, 1, Priceable(1)),
+        Edge(1, 2, Fixed(1)),
+        Edge(2, 3, Priceable(2)),
+        Edge(0, 1, Fixed(5)),
+        Edge(0, 3, Fixed(20)),
+    )
+    return Instance(n=4, root=0, edges=edges, demand=(1,) * 4)
+
+
+def full_graph_breakdown(inst: Instance, prices) -> tuple:
+    """``revenue_breakdown`` from the full graph's composite-order tree: per
+    edge of its reduced tree, the route price and the demand it serves."""
+    spt = lex_dijkstra(inst, prices)
+    rt = reduced_tree_of_spt(inst, spt)
+    served = dict.fromkeys(rt.edges, 0)
+    for label, phi in zip(last_priceable_labels(inst, spt), inst.demand):
+        if label is not None:
+            served[label] += phi
+    return rt, tuple((label, sum(prices[j - 1] for j in sequence_of(rt, label)), served[label])
+                     for label in rt.edges)
+
+
+def counting_sweeps(monkeypatch) -> list:
+    """Record every model-graph sweep, as ``TestEmptyCertificate`` does."""
+    import stackspt.model as model
+
+    calls, real = [], model._dijkstra
+    monkeypatch.setattr(model, "_dijkstra", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def log_lines(caplog, prefix: str) -> list:
+    """The ``stackspt`` logger's messages that start with ``prefix``."""
+    lines = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
+    return [m for m in lines if m.startswith(prefix)]
+
+
+class TestKeptTree:
+    """A query keeps the last swept model tree and sweeps only when that
+    tree's certificate fails."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_kept_trees_answer_as_the_sweep(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        n = data.draw(st.integers(2, 14), label="n")
+        m = data.draw(st.integers(n - 1 + k, 3 * n + k), label="m")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        inst = random_instance(n, m, k, seed=seed, cost_max=data.draw(st.sampled_from((2, 5))))
+        oracle = build_oracle(inst)
+        mg = oracle.model
+
+        def price(gap):  # many ties: small ints, or at a label's gap and 1/q beside it
+            if not is_finite(gap) or gap < 0 or data.draw(st.booleans()):
+                return data.draw(st.integers(1, 3))
+            q = data.draw(st.sampled_from((1, 2, 3)))
+            at = Fraction(gap, mg.scale) + data.draw(st.sampled_from((-1, 0, 1))) * Fraction(1, q)
+            return at if at > 0 else Fraction(1, q)
+
+        for _ in range(data.draw(st.integers(2, 10), label="queries")):
+            prices = tuple(price(g) for g in mg._gaps)
+            parents, _plan, rows = oracle._kernel(*_scaled(prices, mg.scale))
+            assert parents == reduced_tree(mg, prices).parents
+            assert oracle.revenue(prices) == naive_revenue(inst, prices)
+            rt, breakdown = oracle.revenue_breakdown(prices)
+            assert (rt, breakdown) == full_graph_breakdown(inst, prices)
+            assert [served for _, _, served in rows] == [served for _, _, served in breakdown]
+
+    def test_second_query_on_the_tree_does_not_sweep(self, monkeypatch):
+        inst = chain_with_bypasses()
+        oracle = build_oracle(inst)
+        calls = counting_sweeps(monkeypatch)
+        # the empty tree keeps the kept tree; (None, 0) is never certified (``tied_chain``)
+        vectors = ((1, 1), 1), ((2, 1), 1), ((1, 2), 1), ((100, 100), 1), ((2, 2), 1), \
+            ((8, 10), 3), ((1, 1), 4), ((2, 1), 4)
+        for p, sweeps in vectors:
+            assert oracle.revenue_breakdown(p) == full_graph_breakdown(inst, p)
+            assert oracle.revenue(p) == naive_revenue(inst, p)
+            assert len(calls) == sweeps, p
+
+    def test_a_tie_falls_back_to_the_sweep(self, monkeypatch):
+        inst = tied_chain()
+        oracle = build_oracle(inst)
+        calls = counting_sweeps(monkeypatch)
+        for sweeps, p in enumerate(((6, 3), (7, 4), (6, 14)), start=1):
+            rt, rows = oracle.revenue_breakdown(p)
+            assert len(calls) == sweeps  # the kept tree is never certified
+            assert (rt, rows) == full_graph_breakdown(inst, p) and rt == ReducedTree((None, 0))
+        assert len(oracle._swept) == 1  # one certificate compiled, not certifiable
+
+    def test_threads_alternating_two_trees_answer_as_a_serial_run(self):
+        inst = chain_with_bypasses()
+        vectors = [(1, 1), (8, 10), (2, 1), (8, 9)]
+        serial = build_oracle(inst)
+        trees = {serial.reduced_tree_for(p) for p in vectors}
+        assert len(trees) == 2 and not any(rt.is_empty for rt in trees)
+        expect = [serial.revenue_breakdown(p) for p in vectors]
+        oracle = build_oracle(inst)
+        gate = threading.Barrier(8)
+
+        def worker(shift):
+            gate.wait(timeout=60)
+            order = [(shift + i) % len(vectors) for i in range(400)]
+            return all(oracle.revenue_breakdown(vectors[j]) == expect[j] for j in order)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the kept tree's check and swap
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert all(pool.map(worker, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_debug_log_once_per_model_tree(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="stackspt"):
+            oracle = build_oracle(chain_with_bypasses())
+            for p in ((1, 1), (2, 1), (100, 100), (1, 1)):
+                oracle.revenue(p)
+            assert log_lines(caplog, "kept-tree") == [
+                "kept-tree certificate for (0, 1): terms=2 certifiable=True"]
+            oracle.revenue((8, 10))
+            oracle.revenue((8, 9))
+            assert log_lines(caplog, "kept-tree")[1:] == [
+                "kept-tree certificate for (None, 0): terms=2 certifiable=False"]
+            caplog.clear()
+            for p in ((1, 1), (8, 10), (2, 1)):
+                oracle.revenue(p)  # trees met before compile nothing
+            assert not [r for r in caplog.records if r.name == "stackspt"]
+
+
 def test_debug_log_once_per_materialized_tree(caplog):
     oracle = build_oracle(chain_with_bypasses())
     p = PriceFunction.parse("1 1", 2)
     with caplog.at_level(logging.DEBUG, logger="stackspt"):
         oracle.revenue(p)
-        built = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
+        built = log_lines(caplog, "range tree")
         assert [m.split(":")[0] for m in built] == [
             f"range tree for edge {i} over (1, 2)" for i in (1, 2)
         ]
@@ -1112,7 +1247,7 @@ def test_debug_log_once_per_materialized_tree(caplog):
         assert not [r for r in caplog.records if r.name == "stackspt"]
         for q in ((7, 11), (8, 1), (7, 11), (8, 1)):  # two other edge sets, twice each
             oracle.revenue(q)
-        built = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
+        built = log_lines(caplog, "range tree")
         assert [m.split(":")[0] for m in built] == [
             "range tree for edge 1 over (1,)", "range tree for edge 2 over (2,)"
         ]
