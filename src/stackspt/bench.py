@@ -93,6 +93,8 @@ def run_bench(
     """
     if queries < 1:
         raise ValidationError("bench needs at least one query")
+    if k < 1:
+        raise ValidationError("bench requires at least one priceable edge (--k >= 1)")
     records = []
     for n in sizes:
         m = 4 * n

@@ -5,17 +5,19 @@ zero weights dropped) and each axis is mapped once to integer ranks against
 one sorted list of its distinct exact values.  The points are sorted once, by
 last-axis rank, into whichever representation ``_representation`` picks (past
 ``MAX_TREE_BYTES`` the build is refused), and each counts through one
-primitive, ``_prefix(his, cut)``: the weight of the first ``cut`` points whose
-ranks on the other axes lie below ``his``.  ``count``, the oracle's dominance
-query, bisects its closed caps into ranks for one prefix; ``query`` sums
-signed prefixes by inclusion-exclusion over every lower end.  Weights are ints
-(``rational._scaled``), divided back once: a count is an int when integral.
+primitive, ``_prefix(his, cut)``: the weight in the first ``cut`` slots whose
+ranks on the other axes lie below ``his``, where a slot is a point, or a unit
+of weight in the bits, and ``_cut[r]`` counts the slots below last-axis rank
+r.  ``count``, the oracle's dominance query, bisects its closed caps into
+ranks for one prefix; ``query`` sums signed prefixes by inclusion-exclusion
+over every lower end.  Weights are ints (``rational._scaled``), divided back
+once: a count is an int when integral.
 
-- **bits** (word-level counting, after Chan and Patrascu): bit i stands for
-  the i-th point.  Each axis before the last keeps R + 1 prefix masks (the
-  points ranked below h), the last axis is the first ``cut`` bits, and the
-  weights are bit planes.  ((d - 1)(R + 1) + planes)D bits; a prefix is
-  d - 1 ANDs and a popcount per plane.
+- **bits** (word-level counting, after Chan and Patrascu): in last-axis
+  order, a point of weight w is a run of w bits, W bits in all.  Each axis
+  before the last keeps R + 1 prefix masks (the runs of the points ranked
+  below h), and the last axis is the first ``cut`` bits.  (d - 1)(R + 1)W
+  bits; a prefix is d - 1 ANDs and one popcount.
 - **wavelet**, for many values on one or two axes, for one axis and for
   wide weights: every axis before the last is a wavelet matrix.  Per rank
   bit, from the top, the sequence is stably partitioned (0 bits first) and
@@ -59,8 +61,6 @@ _I64 = 1 << 63
 
 # Past this many predicted bytes a tree is refused before it is allocated.
 MAX_TREE_BYTES = 1 << 30
-
-_MAX_PLANES = (8, 20)  # two axes, more: past these, a wavelet walk outruns the popcounts
 
 
 def _is_exact(x: object) -> bool:
@@ -209,42 +209,27 @@ def _cover(layer, a: int, b: int, his: list) -> Scalar:
     return total
 
 
-def _representation(distinct: int, counts: Sequence[int], planes: int) -> tuple:
-    """(kind, bits bytes, wavelet bytes) for ``distinct`` points, ``counts[a]``
-    values on axis a and ``planes``-bit int weights.  Bits: count + 1 masks
-    per axis before the last, and the planes, of ``distinct`` bits each.
-    Wavelet: with b rank bits per such axis, prod(b + 1) arrays of distinct + 1
-    8-byte weight sums and one fewer of 0-bit counts (2-byte below 65 536
-    points).  The smaller wins, but the bits need two axes and at most
-    ``_MAX_PLANES`` planes, as a count pays a popcount per plane."""
+def _representation(distinct: int, counts: Sequence[int], weight: int) -> tuple:
+    """(kind, bits bytes, wavelet bytes) for ``distinct`` points of total int
+    weight ``weight`` and ``counts[a]`` values on axis a.  Bits: count + 1
+    masks per axis before the last, of ``weight`` bits each.  Wavelet: with b
+    rank bits per such axis, prod(b + 1) arrays of distinct + 1 8-byte weight
+    sums and one fewer of 0-bit counts (2-byte below 65 536 points).  The
+    smaller wins, but the bits need two axes."""
     before = counts[:-1]
     nodes = prod((c - 1).bit_length() + 1 for c in before)
     zero = 2 if distinct < 1 << 16 else 8
-    bits = (distinct + 7) // 8 * (sum(c + 1 for c in before) + planes)
+    bits = (weight + 7) // 8 * sum(c + 1 for c in before)
     wavelet = (distinct + 1) * (8 * nodes + zero * (nodes - 1))
-    fast = len(counts) > 1 and planes <= _MAX_PLANES[len(counts) > 2]
-    return "bits" if fast and bits <= wavelet else "wavelet", bits, wavelet
+    return "bits" if len(counts) > 1 and bits <= wavelet else "wavelet", bits, wavelet
 
 
-def _prefix_masks(order: list, rank: list, count: int) -> list[int]:
-    """Per h in 0..count, the int whose bit i is set when ``order[i]`` ranks below h."""
-    at: list[list[int]] = [[] for _ in range(count)]
-    for i, pid in enumerate(order):
-        at[rank[pid]].append(i)
-    row = bytearray((len(order) + 7) // 8)
-    masks = [0]
-    for slots in at:
-        for i in slots:
-            row[i >> 3] |= 1 << (i & 7)
-        masks.append(int.from_bytes(row, "little"))
-    return masks
-
-
-def _weight_planes(ws: list) -> list[int]:
-    """Per bit j of the int weights ``ws``, from the top, the int whose bit i is bit j of ws[i]."""
-    text = ws[::-1]  # int(text, 2) ends at bit 0
-    return [int(bytes(48 | w >> j & 1 for w in text), 2)  # 48 | bit: "0" or "1"
-            for j in reversed(range(max(ws, default=0).bit_length()))]
+def _prefix_masks(runs: list, rank: list, count: int) -> list[int]:
+    """Per h in 0..count, the OR of the ``runs`` of the points ranked below h."""
+    at = [0] * count
+    for run, r in zip(runs, rank):
+        at[r] |= run
+    return list(accumulate(at, int.__or__, initial=0))
 
 
 def _rank_cut(iv: Interval, values: list) -> tuple[int, int]:
@@ -271,7 +256,7 @@ class RangeTree:
     """
 
     __slots__ = ("dim", "size", "distinct", "total_weight", "values", "kind", "predicted",
-                 "_cut", "_layer", "_masks", "_planes", "_scale")
+                 "_cut", "_layer", "_masks", "_scale")
 
     def __init__(self, pts: WeightedPointSet):
         self.dim = pts.dim
@@ -296,8 +281,8 @@ class RangeTree:
         self.values = tuple(values)
         self._scale, ws = _scaled([merged[pt] for pt in points])
         counts = list(map(len, values))
-        self.kind, bits, wavelet = _representation(
-            len(points), counts, max(ws, default=0).bit_length())
+        weight = sum(ws)
+        self.kind, bits, wavelet = _representation(len(points), counts, weight)
         self.predicted = bits, wavelet
         if (bits if self.kind == "bits" else wavelet) > MAX_TREE_BYTES:
             raise ValidationError(
@@ -305,35 +290,35 @@ class RangeTree:
                 f"take {bits} bytes as bitsets or {wavelet} as wavelet levels, "
                 f"past the cap of {MAX_TREE_BYTES} bytes")
         last = ranks.pop()
+        width = ws if self.kind == "bits" else [1] * len(points)  # bits or slots per point
         per_rank = [0] * (len(values[-1]) + 1)
-        for r in last:
-            per_rank[r + 1] += 1
-        self._cut = array("q", accumulate(per_rank))  # slots of last-axis ranks < r
+        for r, w in zip(last, width):
+            per_rank[r + 1] += w
+        self._cut = array("q", accumulate(per_rank))
         order = sorted(range(len(points)), key=last.__getitem__)
         if self.kind == "bits":
             self._layer = None
-            self._masks = [_prefix_masks(order, r, c) for r, c in zip(ranks, counts)]
-            self._planes = _weight_planes([ws[i] for i in order])
+            runs = [0] * len(points)
+            for pid, start in zip(order, accumulate([ws[i] for i in order], initial=0)):
+                runs[pid] = ((1 << ws[pid]) - 1) << start
+            self._masks = [_prefix_masks(runs, r, c) for r, c in zip(ranks, counts)]
             return
         self._layer = _layer(
             order,
             [(r, (c - 1).bit_length()) for r, c in zip(ranks, counts)],
             ws,
-            partial(array, "q") if sum(ws) < _I64 else list,
+            partial(array, "q") if weight < _I64 else list,
         )
 
     def _prefix(self, his: list, cut: int) -> int:
-        """Scaled weight of the first ``cut`` points in last-axis order whose
+        """Scaled weight in the first ``cut`` slots in last-axis order whose
         ranks on the other axes lie below ``his``."""
         if self._layer is not None:
             return _cover(self._layer, 0, cut, his)
         mask = (1 << cut) - 1
         for masks, hi in zip(self._masks, his):
             mask &= masks[hi]
-        total = 0
-        for plane in self._planes:  # the top bit first
-            total += total + (mask & plane).bit_count()
-        return total
+        return mask.bit_count()
 
     def query(self, rect: Union[QueryRect, Sequence[Interval]]) -> Scalar:
         """Weight of the points inside ``rect``, ends open, closed or absent: signed

@@ -799,7 +799,7 @@ def test_fractional_demand_breakdowns_read_alike_in_both_representations():
     vectors = [tuple(rng.randint(1, 14) for _ in range(3)) for _ in range(60)]
     reads = {}
     for kind in ("bits", "wavelet"):
-        chooser = lambda distinct, counts, planes: (kind, 0, 0)  # noqa: E731
+        chooser = lambda distinct, counts, weight: (kind, 0, 0)  # noqa: E731
         with patch.object(rangetree, "_representation", chooser):
             oracle = build_oracle(inst)
             reads[kind] = [repr(oracle.revenue_breakdown(p)) for p in vectors]
@@ -1238,8 +1238,8 @@ def test_debug_log_once_per_materialized_tree(caplog):
         ]
         assert all("dim=2" in m and "build_s=" in m for m in built)
         assert [m.split("kind=")[1].split(" build_s")[0] for m in built] == [
-            "bits bits_bytes=4 wavelet_bytes=16",  # weight 2: two planes beside two masks
-            "bits bits_bytes=3 wavelet_bytes=16"]
+            "bits bits_bytes=2 wavelet_bytes=16",  # weight 2: two masks of a 2-bit run, a byte each
+            "bits bits_bytes=2 wavelet_bytes=16"]
         assert "points=2 distinct=1" in built[0]  # two equal points merged
         caplog.clear()
         oracle.revenue(p)

@@ -21,7 +21,7 @@ from stackspt.rangetree import (
     _representation,
     build_range_tree,
 )
-from stackspt.rational import INF, NEG_INF
+from stackspt.rational import INF, NEG_INF, _scaled
 
 
 def pts(dim, coords, weights=None):
@@ -40,10 +40,17 @@ KINDS = ["bits", "wavelet"]
 
 def forced(kind):
     """Within the block, every tree is built as ``kind``, whatever the chooser would pick."""
-    return patch.object(rangetree, "_representation", lambda distinct, counts, bits: (kind, 0, 0))
+    return patch.object(rangetree, "_representation", lambda distinct, counts, weight: (kind, 0, 0))
 
 
 def build_as(kind, point_set):
+    """The tree over ``point_set`` built as ``kind``.  Weights whose unary runs
+    alone pass ``MAX_TREE_BYTES`` (those past int64) cannot be built as bits,
+    so there the chooser must pick the wavelet."""
+    if kind == "bits" and sum(_scaled(list(point_set.weights))[1]) > 8 * rangetree.MAX_TREE_BYTES:
+        tree = build_range_tree(point_set)
+        assert tree.kind == "wavelet"
+        return tree
     with forced(kind):
         tree = build_range_tree(point_set)
     assert tree.kind == kind
@@ -399,33 +406,41 @@ def test_predictions_match_what_is_built(dim, n, spread):
     points = [tuple(rng.randrange(spread) for _ in range(dim - 1)) + (y,) for y in range(n)]
     weights = [rng.randint(1, 3) for _ in range(n)]
     counts = [len(set(col)) for col in zip(*points)] or [0] * dim
-    kind, bits, wavelet = _representation(n, counts, max(weights, default=0).bit_length())
+    total = sum(weights)
+    kind, bits, wavelet = _representation(n, counts, total)
     rt = build_range_tree(pts(dim, points, weights))
     assert (rt.kind, rt.predicted) == (kind, (bits, wavelet))
     assert kind == ("bits" if dim > 1 and bits <= wavelet else "wavelet")
     as_bits = build_as("bits", pts(dim, points, weights))
     assert [len(masks) for masks in as_bits._masks] == [c + 1 for c in counts[:-1]]
-    rows = as_bits._planes + [mask for masks in as_bits._masks for mask in masks]
-    assert all(row.bit_length() <= n for row in rows)
-    assert len(rows) * ((n + 7) // 8) == bits
+    assert as_bits._cut[-1] == total  # one bit per unit of weight
+    masks = [mask for masks in as_bits._masks for mask in masks]
+    assert all(mask.bit_length() <= total for mask in masks)
+    assert len(masks) * ((total + 7) // 8) == bits
     assert layer_bytes(build_as("wavelet", pts(dim, points, weights))._layer) == wavelet
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_weights_past_the_plane_cutoff_keep_the_wavelet(dim):
-    # a bitset count spends a popcount per weight plane; a wavelet count does not
-    most = rangetree._MAX_PLANES[dim > 2]
-    scaled = Fraction((1 << most) - 1, 3)  # times 3: most planes
-    for w, kind in (((1 << most) - 1, "bits"), (1 << most, "wavelet"), (scaled, "bits"),
-                    (Fraction(1 << most, 3), "wavelet")):
-        rt = build_range_tree(pts(dim, [(0,) * dim, (1,) * dim, (1,) * dim], weights=(w, 1, 2)))
-        assert rt.kind == kind and rt.predicted[0] < rt.predicted[1]
-        assert (rt.count([0] * dim), rt.count([1] * (dim - 1) + [INF])) == (w, w + 3)
+def test_total_weight_past_the_wavelet_bytes_keeps_the_wavelet(dim):
+    # two distinct points of two values per axis: the bits hold 3 (d - 1) masks of
+    # one bit per unit of weight, the wavelet a size fixed by the points alone
+    points = [(0,) * dim, (1,) * dim, (1,) * dim]
+    wavelet = layer_bytes(build_as("wavelet", pts(dim, points))._layer)
+    rows = 3 * (dim - 1)
+    most = 8 * (wavelet // rows)  # the largest total weight whose masks fit in as many bytes
+    for total, kind in ((most, "bits"), (most + 1, "wavelet")):
+        point_set = pts(dim, points, weights=(total - 3, 1, 2))
+        rt = build_range_tree(point_set)
+        assert rt.kind == kind and rt.predicted == (rows * ((total + 7) // 8), wavelet)
+        other = build_as({"bits": "wavelet", "wavelet": "bits"}[kind], point_set)
+        for caps in ([0] * dim, [1] * (dim - 1) + [0], [1] * (dim - 1) + [INF], [INF] * dim):
+            rect = QueryRect.dominance([(c, True) for c in caps])
+            assert rt.count(caps) == other.count(caps) == linear_scan(points, point_set.weights, rect)
 
 
 def test_one_axis_keeps_its_running_sums():
     rt = build_range_tree(pts(1, [(0,), (1,)]))
-    assert rt.kind == "wavelet" and rt.predicted == (1, 24)
+    assert rt.kind == "wavelet" and rt.predicted == (0, 24)
     assert list(rt._layer) == [0, 1, 2]
 
 
@@ -440,7 +455,7 @@ def test_fraction_weights_count_an_int_when_integral(kind):
 
 def test_refuses_a_tree_past_the_size_cap():
     points = [(x, y, z) for x in range(6) for y in range(5) for z in range(4)]
-    _, bits, wavelet = _representation(120, [6, 5, 4], 1)
+    _, bits, wavelet = _representation(120, [6, 5, 4], 120)
     with patch.object(rangetree, "MAX_TREE_BYTES", min(bits, wavelet) - 1), \
             patch.object(rangetree, "_layer", None), patch.object(rangetree, "_prefix_masks", None):
         with pytest.raises(ValidationError) as exc:  # before either representation is built
