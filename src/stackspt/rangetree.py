@@ -17,9 +17,9 @@ once: a count is an int when integral.
   order, a point of weight w is a run of w bits, W bits in all.  Each axis
   before the last keeps R + 1 prefix masks (the runs of the points ranked
   below h), and the last axis is the first ``cut`` bits.  (d - 1)(R + 1)W
-  bits; a prefix is d - 1 ANDs and one popcount.
-- **wavelet**, for many values on one or two axes, for one axis and for
-  wide weights: every axis before the last is a wavelet matrix.  Per rank
+  bits; a prefix is d - 1 ANDs and one popcount, of W bits each.
+- **wavelet**, for one axis, for many values on one or two axes and for
+  a large W: every axis before the last is a wavelet matrix.  Per rank
   bit, from the top, the sequence is stably partitioned (0 bits first) and
   a flat array keeps the running count of 0 bits (16-bit below 65 536
   points), so a node's slots [a, b) map to its children's with two
@@ -61,6 +61,10 @@ _I64 = 1 << 63
 
 # Past this many predicted bytes a tree is refused before it is allocated.
 MAX_TREE_BYTES = 1 << 30
+
+# Up to this many mask bytes per wavelet walk step, a bits count keeps up with
+# the walk (measured: BENCH_2026-10-20-unary.json, "count_crossover").
+_MASK_BYTES_PER_STEP = 256
 
 
 def _is_exact(x: object) -> bool:
@@ -215,21 +219,37 @@ def _representation(distinct: int, counts: Sequence[int], weight: int) -> tuple:
     masks per axis before the last, of ``weight`` bits each.  Wavelet: with b
     rank bits per such axis, prod(b + 1) arrays of distinct + 1 8-byte weight
     sums and one fewer of 0-bit counts (2-byte below 65 536 points).  The
-    smaller wins, but the bits need two axes."""
+    smaller wins, but the bits need two axes and masks of at most
+    ``_MASK_BYTES_PER_STEP`` bytes per step of a walk (prod(b + 1) at most)."""
     before = counts[:-1]
     nodes = prod((c - 1).bit_length() + 1 for c in before)
     zero = 2 if distinct < 1 << 16 else 8
     bits = (weight + 7) // 8 * sum(c + 1 for c in before)
     wavelet = (distinct + 1) * (8 * nodes + zero * (nodes - 1))
-    return "bits" if len(counts) > 1 and bits <= wavelet else "wavelet", bits, wavelet
+    fast = len(counts) > 1 and weight <= 8 * _MASK_BYTES_PER_STEP * nodes
+    return "bits" if fast and bits <= wavelet else "wavelet", bits, wavelet
 
 
-def _prefix_masks(runs: list, rank: list, count: int) -> list[int]:
-    """Per h in 0..count, the OR of the ``runs`` of the points ranked below h."""
-    at = [0] * count
-    for run, r in zip(runs, rank):
-        at[r] |= run
-    return list(accumulate(at, int.__or__, initial=0))
+def _prefix_masks(order: list, starts: list, rank: list, count: int) -> list[int]:
+    """Per h in 0..count, the int whose bits [starts[i], starts[i + 1]) are set when
+    ``order[i]`` ranks below h: the runs of the points ranked below h."""
+    at: list[list[int]] = [[] for _ in range(count)]
+    for i, pid in enumerate(order):
+        at[rank[pid]].append(i)
+    row = bytearray((starts[-1] + 7) // 8)
+    masks = [0]
+    for slots in at:
+        for i in slots:  # a run's whole bytes by slice, its edge bytes by OR
+            s, e = starts[i], starts[i + 1]
+            lo, hi = s >> 3, e >> 3
+            if lo < hi:
+                row[lo] |= 256 - (1 << (s & 7))
+                row[lo + 1:hi] = b"\xff" * (hi - lo - 1)
+                s = hi << 3
+            if s < e:
+                row[hi] |= (1 << (e & 7)) - (1 << (s & 7))
+        masks.append(int.from_bytes(row, "little"))
+    return masks
 
 
 def _rank_cut(iv: Interval, values: list) -> tuple[int, int]:
@@ -261,13 +281,11 @@ class RangeTree:
     def __init__(self, pts: WeightedPointSet):
         self.dim = pts.dim
         self.size = len(pts)
-        total: Scalar = 0
         merged: dict = {}
         for pt, w in zip(pts.points, pts.weights):
-            total = total + w
             if w:
                 merged[pt] = merged.get(pt, 0) + w
-        self.total_weight = total
+        self.total_weight = sum(pts.weights)
         points = list(merged)
         self.distinct = len(points)
         # per axis: sorted distinct values and point ranks
@@ -298,17 +316,11 @@ class RangeTree:
         order = sorted(range(len(points)), key=last.__getitem__)
         if self.kind == "bits":
             self._layer = None
-            runs = [0] * len(points)
-            for pid, start in zip(order, accumulate([ws[i] for i in order], initial=0)):
-                runs[pid] = ((1 << ws[pid]) - 1) << start
-            self._masks = [_prefix_masks(runs, r, c) for r, c in zip(ranks, counts)]
+            starts = list(accumulate([ws[i] for i in order], initial=0))
+            self._masks = [_prefix_masks(order, starts, r, c) for r, c in zip(ranks, counts)]
             return
-        self._layer = _layer(
-            order,
-            [(r, (c - 1).bit_length()) for r, c in zip(ranks, counts)],
-            ws,
-            partial(array, "q") if weight < _I64 else list,
-        )
+        axes = [(r, (c - 1).bit_length()) for r, c in zip(ranks, counts)]
+        self._layer = _layer(order, axes, ws, partial(array, "q") if weight < _I64 else list)
 
     def _prefix(self, his: list, cut: int) -> int:
         """Scaled weight in the first ``cut`` slots in last-axis order whose

@@ -1,7 +1,9 @@
 """Range tree vs. linear scan, boundary semantics, and structural checks."""
 
 import itertools
+import math
 import random
+import tracemalloc
 from array import array
 from fractions import Fraction
 from unittest.mock import patch
@@ -378,7 +380,7 @@ def test_layer_over_65536_ids_matches_linear_scan(ids, typecode):
     rng = random.Random(ids)
     points = [(rng.randrange(300) if y % 64 == 0 else 0, y) for y in range(ids)]
     weights = [rng.randint(1, 3) for _ in range(ids)]
-    with forced("wavelet"):  # the bitsets are predicted smaller here
+    with forced("wavelet"):  # whatever the chooser would pick
         rt = build_range_tree(pts(2, points, weights))
     assert rt.distinct == ids and rt._layer[0][0].typecode == typecode
     caps = [(0, ids // 2), (150, ids - 2), (299, INF), (INF, 40000), (-1, INF), (0, -1)]
@@ -410,7 +412,9 @@ def test_predictions_match_what_is_built(dim, n, spread):
     kind, bits, wavelet = _representation(n, counts, total)
     rt = build_range_tree(pts(dim, points, weights))
     assert (rt.kind, rt.predicted) == (kind, (bits, wavelet))
-    assert kind == ("bits" if dim > 1 and bits <= wavelet else "wavelet")
+    nodes = math.prod((c - 1).bit_length() + 1 for c in counts[:-1])
+    short = (total + 7) // 8 <= rangetree._MASK_BYTES_PER_STEP * nodes
+    assert kind == ("bits" if dim > 1 and short and bits <= wavelet else "wavelet")
     as_bits = build_as("bits", pts(dim, points, weights))
     assert [len(masks) for masks in as_bits._masks] == [c + 1 for c in counts[:-1]]
     assert as_bits._cut[-1] == total  # one bit per unit of weight
@@ -436,6 +440,42 @@ def test_total_weight_past_the_wavelet_bytes_keeps_the_wavelet(dim):
         for caps in ([0] * dim, [1] * (dim - 1) + [0], [1] * (dim - 1) + [INF], [INF] * dim):
             rect = QueryRect.dominance([(c, True) for c in caps])
             assert rt.count(caps) == other.count(caps) == linear_scan(points, point_set.weights, rect)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_masks_past_the_bytes_per_step_keep_the_wavelet(dim):
+    # 200 distinct points of two values per axis before the last: the bits stay
+    # smaller in bytes, but past _MASK_BYTES_PER_STEP mask bytes per wavelet
+    # node (2 per such axis) a count would AND longer masks than a walk takes steps
+    points = [(y % 2,) * (dim - 1) + (y,) for y in range(200)]
+    most = 8 * rangetree._MASK_BYTES_PER_STEP * 2 ** (dim - 1)
+    for total, kind in ((most, "bits"), (most + 1, "wavelet")):
+        point_set = pts(dim, points, weights=[1] * 199 + [total - 199])
+        rt = build_range_tree(point_set)
+        assert rt.kind == kind and rt.predicted[0] < rt.predicted[1]
+        other = build_as({"bits": "wavelet", "wavelet": "bits"}[kind], point_set)
+        for caps in ([0] * (dim - 1) + [INF], [1] * (dim - 1) + [150], [INF] * dim):
+            rect = QueryRect.dominance([(c, True) for c in caps])
+            assert rt.count(caps) == other.count(caps) == linear_scan(points, point_set.weights, rect)
+
+
+def test_bits_build_allocates_the_masks_it_predicts():
+    # the 65 536-point shape of test_predictions_match_what_is_built, as bits: each
+    # axis sets its runs in one row of bytes, so the build's traced peak is the
+    # predicted masks plus about 300 bytes of bookkeeping per point (the merged
+    # points, ranks, order and run starts), not a shifted int per point
+    rng = random.Random(1 << 16)
+    points = [(rng.randrange(3), y) for y in range(1 << 16)]
+    point_set = pts(2, points, [rng.randint(1, 3) for _ in points])
+    tracemalloc.start()
+    try:
+        rt = build_as("bits", point_set)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rt.predicted[0] + 512 * len(points)
+    assert rt.count([1, 40000]) == linear_scan(
+        points, point_set.weights, QueryRect.dominance([(1, True), (40000, True)]))
 
 
 def test_one_axis_keeps_its_running_sums():
