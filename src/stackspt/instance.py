@@ -288,7 +288,11 @@ def _checked_prices(prices: Union[PriceFunction, Iterable], k: int | None = None
         values = prices.values
     else:
         checked = []
-        for pos, p in enumerate(prices):
+        try:
+            items = enumerate(prices)
+        except TypeError:
+            raise ValidationError(f"prices must be a sequence of scalars, got {prices!r}") from None
+        for pos, p in items:
             sign = p
             if type(p) is not int:
                 try:

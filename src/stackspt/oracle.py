@@ -22,7 +22,7 @@ edge undercuts even at price 0 is never served by it: the head's sweep
 leaves it INF, and it gets no point.  A point has one axis per edge of the
 reduced tree, so it depends on its edge and the tree's edge set alone; the
 nesting only moves each cut by an int, its routes' fixed parts.  A plan,
-built once per reduced tree after one check of the whole tree
+built once per model tree after one check of the whole reduced tree
 (``_checked_routes``), keeps each edge's route, its range tree and per axis
 a cut descriptor of ints, from which a query makes that axis's cap.  A
 query checks its prices with the package's one check (``_checked_prices``,
@@ -30,9 +30,9 @@ no ``PriceFunction`` made) and scales them to ints once, then runs the one
 integer kernel (``_kernel``, which ``solver.solve`` calls directly on
 candidates it scaled itself): past the gaps, it checks the kept tree's
 certificate (``model.kept_terms``) on the route prices and sweeps only
-when a term fails.  The sweep's parent slots key a memo of (parents, plan,
-certificate), O(k^2) ints per model tree met; the entry becomes the kept
-tree, swapped whole.  Each route costs its parent route plus one price,
+when a term fails.  The sweep's parent slots key the one memo, of (parents,
+plan, certificate), O(k^2) ints per model tree met; the entry becomes the
+kept tree, swapped whole.  Each route costs its parent route plus one price,
 and each rectangle side becomes an int cap with one floor division, which
 ``RangeTree.count`` bisects and counts in its bitsets or wavelet levels.
 """
@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger("stackspt")
-_UNBUILT = object()  # the plan memo's answer for a parents tuple it has not met
 
 
 class RevenueOracle:
@@ -79,12 +78,12 @@ class RevenueOracle:
     Holds the fixed-only distance tables ``d_root`` and ``d_t`` (times the
     cost scale ``model.scale``; ``d_t[i-1]`` is INF wherever no route through
     e_i undercuts ``d_root``), the label ``floors`` of ``build_oracle``, the
-    model graph, one range tree per (label, edge set) that a plan has met (at
-    most k * 2^(k-1)), and a lazily populated memo from each reduced tree's
-    parents tuple to its query plan, or to None for the empty tree.  The tree
-    of label i over an edge set is built with the first plan that holds e_i
-    and has that edge set.  Concurrent queries are safe; the first query
-    needing a given plan builds it, and any tree it lacks, exactly once.
+    model graph, one range tree per (label, edge set) that a plan or
+    ``warm_up`` has met (at most k * 2^(k-1)), and a lazily populated memo
+    from each swept model tree's parent slots to its entry: the reduced
+    tree's parents, its query plan and its certificate.  Concurrent queries
+    are safe; the first query on a given model tree builds its entry, and
+    any range tree it lacks, exactly once.
     """
 
     def __init__(
@@ -102,7 +101,6 @@ class RevenueOracle:
         self.d_t = d_t
         self.floors = floors
         self._unreachable_demand = unreachable_demand
-        self._plans: dict[tuple, Optional[_Plan]] = {}
         self._swept: dict[tuple, tuple] = {}  # model tree's parent slots: (parents, plan, terms)
         self._kept = ((), None, None)  # the last swept model tree's entry, swapped whole
         self._trees: dict[tuple, tuple] = {}  # (label, rt.edges): (first rt, its tree)
@@ -115,25 +113,9 @@ class RevenueOracle:
     def reduced_tree_for(self, prices: Union[PriceFunction, Sequence]) -> ReducedTree:
         return reduced_tree(self.model, prices)
 
-    def _plan_for(self, parents: tuple) -> Optional[_Plan]:
-        """The memoized plan of the reduced tree with these parents, None when
-        the tree is empty.  A miss validates the tree and builds the range
-        trees of its labels that have none yet."""
-        plan = self._plans.get(parents, _UNBUILT)
-        if plan is _UNBUILT:
-            with self._lock:
-                plan = self._plans.get(parents, _UNBUILT)
-                if plan is _UNBUILT:
-                    rt = ReducedTree(parents)
-                    plan = _Plan(self.model, rt) if rt.edges else None
-                    if plan:
-                        plan.trees = tuple(self._tree(rt, j) for j in rt.edges)
-                    self._plans[parents] = plan
-        return plan
-
     def _tree(self, rt: ReducedTree, label: int) -> RangeTree:
         """Label's tree over ``rt.edges``, built from ``embed_points`` (which
-        validates ``rt``) when no plan has needed it yet.  Called under the lock."""
+        validates ``rt``) the first time it is asked for.  Called under the lock."""
         key = (label, rt.edges)
         if key not in self._trees:
             pts = embed_points(self, rt, label)
@@ -151,10 +133,12 @@ class RevenueOracle:
         return self._trees[key][1]
 
     def warm_up(self, trees: Iterable[ReducedTree]) -> None:
-        """Build the plan of each given reduced tree, and the range trees it needs."""
+        """Build the range trees of each given reduced tree's labels, once the tree is checked."""
         for rt in trees:
             _checked_routes(self.model, rt)
-            self._plan_for(rt.parents)
+            with self._lock:
+                for label in rt.edges:
+                    self._tree(rt, label)
 
     def _check_served(self) -> None:
         if self._unreachable_demand is not None:
@@ -196,15 +180,15 @@ class RevenueOracle:
         """(parents, plan, certificate or None) of the model tree with these parent slots."""
         entry = self._swept.get(slots)
         if entry is None:
-            parents = slot_parents(self.model, slots)
-            plan = self._plan_for(parents)
             with self._lock:
                 entry = self._swept.get(slots)
                 if entry is None:
-                    terms, certifiable = kept_terms(self.model, slots, plan.rt.edges)
+                    rt = ReducedTree(slot_parents(self.model, slots))
+                    plan = _Plan(self.model, rt, tuple(self._tree(rt, j) for j in rt.edges))
+                    terms, certifiable = kept_terms(self.model, slots, rt.edges)
                     _log.debug("kept-tree certificate for %s: terms=%d certifiable=%s",
-                               parents, len(terms), certifiable)
-                    entry = self._swept[slots] = (parents, plan, terms if certifiable else None)
+                               rt.parents, len(terms), certifiable)
+                    entry = self._swept[slots] = (rt.parents, plan, terms if certifiable else None)
         return entry
 
     def revenue(self, prices: Union[PriceFunction, Sequence]) -> Scalar:
@@ -236,20 +220,20 @@ class _Plan:
 
     Holds the tree itself, ``steps``, and per edge its range tree (the
     oracle's tree of that label over ``rt.edges``, which every plan with that
-    edge set shares, set in ``trees`` before the oracle publishes the plan)
-    and per axis, one for each edge of ``rt``, a cut descriptor (o, lose,
-    shift) of the axis's cap.  A step (at, up, i), parents first, prices the
-    route at position ``at`` as the route at ``up`` plus price i (0-based),
-    ``up`` being n, the route count, for a top-level edge: route n stays 0.
-    The axis caps the point at q - p - shift, p being this route's price and
-    q that of route o: the axis's own route, or route n on the own axis.
-    ``shift`` is this route's ``w_infinity`` minus route o's (0 for route n):
-    an int, by which the reduced tree moves the cut.  The cap is closed
-    exactly when this route wins the preference order, higher price first,
-    then higher signature: open exactly when q + lose > p, with ``lose`` 1
-    when route o has the higher ``chi_sum`` (distinct routes never tie
-    there).  ``_kernel`` gives ``RangeTree.count`` the closed int cap
-    (q - p - (q + lose > p)) // f - shift, prices being f times the cost scale.
+    edge set shares) and per axis, one for each edge of ``rt``, a cut
+    descriptor (o, lose, shift) of the axis's cap.  A step (at, up, i),
+    parents first, prices the route at position ``at`` as the route at ``up``
+    plus price i (0-based), ``up`` being n, the route count, for a top-level
+    edge: route n stays 0.  The axis caps the point at q - p - shift, p being
+    this route's price and q that of route o: the axis's own route, or route
+    n on the own axis.  ``shift`` is this route's ``w_infinity`` minus route
+    o's (0 for route n): an int, by which the reduced tree moves the cut.
+    The cap is closed exactly when this route wins the preference order,
+    higher price first, then higher signature: open exactly when q + lose >
+    p, with ``lose`` 1 when route o has the higher ``chi_sum`` (distinct
+    routes never tie there).  ``_kernel`` gives ``RangeTree.count`` the
+    closed int cap (q - p - (q + lose > p)) // f - shift, prices being f
+    times the cost scale.
     """
 
     __slots__ = ("rt", "steps", "trees", "cuts")
@@ -261,8 +245,8 @@ class _Plan:
             totals[at] = totals[up] + ps[i]
         return totals
 
-    def __init__(self, mg: ModelGraph, rt: ReducedTree):
-        self.rt = rt
+    def __init__(self, mg: ModelGraph, rt: ReducedTree, trees: tuple):
+        self.rt, self.trees = rt, trees
         seqs, w = _checked_routes(mg, rt)
         n = len(seqs)
         at = {ROOT: n, **{label: j for j, label in enumerate(rt.edges)}}
@@ -283,6 +267,8 @@ def _checked_routes(mg: ModelGraph, rt: ReducedTree, label: Optional[int] = None
     """The routes of ``rt`` in ``rt.edges`` order and each one's ``w_infinity``,
     once ``rt`` is checked: it has the oracle's k, holds ``label`` (when one
     is given) and is realizable, every route having a fixed path."""
+    if not isinstance(rt, ReducedTree):
+        raise ValidationError(f"expected a ReducedTree, got {rt!r}")
     if rt.k != mg.k:
         raise ValidationError(f"reduced tree has k = {rt.k}, the oracle has k = {mg.k}")
     if label is not None and label not in rt:

@@ -139,8 +139,8 @@ class WeightedPointSet:
     weights: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.dim}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
+            raise ValidationError(f"dimension must be an int >= 1, got {self.dim!r}")
         if len(self.points) != len(self.weights):
             raise ValidationError("points and weights differ in length")
         for pt in self.points:

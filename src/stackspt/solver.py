@@ -25,7 +25,7 @@ from random import Random
 from typing import Optional, Union
 
 from .errors import ParseError, ValidationError
-from .instance import Instance, PriceFunction, _tuple_of, ensure_scalar, serialize_instance
+from .instance import Instance, PriceFunction, _checked_prices, _tuple_of, serialize_instance
 from .model import _contracted
 from .oracle import RevenueOracle, build_oracle
 from .rational import Scalar, _scaled, _unscaled, format_scalar, is_finite, parse_scalar
@@ -47,25 +47,12 @@ __all__ = [
 _log = logging.getLogger("stackspt")
 
 
-def _exact_positive(v, what: str) -> Scalar:
+def _checked_candidates(prices, what: str, k: Optional[int] = None) -> tuple[Scalar, ...]:
+    """A candidate list or vector through the one price check, its errors naming ``what``."""
     try:
-        v = ensure_scalar(v, what)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from exc
-    if v <= 0:
-        raise ValidationError(f"{what} must be strictly positive, got {format_scalar(v)}")
-    return v
-
-
-def _clean_candidates(values, what: str) -> tuple[Scalar, ...]:
-    seen = set()
-    out = []
-    for v in values:
-        v = _exact_positive(v, what)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return tuple(out)
+        return _checked_prices(prices, k)
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -77,25 +64,21 @@ class CandidateSet:
     vectors: Optional[tuple[tuple[Scalar, ...], ...]] = None
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValidationError(f"k must be an int, got {self.k!r}")
         if self.k < 1:
             raise ValidationError("candidate set needs k >= 1")
         per_edge = _tuple_of(self.per_edge, "per_edge", "a sequence of candidate lists")
         if len(per_edge) != self.k:
             raise ValidationError(f"expected {self.k} per-edge candidate lists, got {len(per_edge)}")
-        object.__setattr__(
-            self,
-            "per_edge",
-            tuple(_clean_candidates(_tuple_of(lst, f"candidates of edge {i}", "a sequence of prices"),
-                                    "candidate price") for i, lst in enumerate(per_edge, start=1)),
-        )
+        object.__setattr__(self, "per_edge", tuple(
+            tuple(dict.fromkeys(_checked_candidates(lst, f"candidates of edge {i}")))
+            for i, lst in enumerate(per_edge, start=1)))
         if self.vectors is not None:
-            cleaned = []
-            for vec in _tuple_of(self.vectors, "vectors", "a sequence of price vectors"):
-                vec = _tuple_of(vec, "candidate vector", "a sequence of prices")
-                if len(vec) != self.k:
-                    raise ValidationError(f"candidate vector {vec!r} does not have {self.k} entries")
-                cleaned.append(tuple(_exact_positive(v, "candidate price") for v in vec))
-            object.__setattr__(self, "vectors", tuple(cleaned))
+            vectors = _tuple_of(self.vectors, "vectors", "a sequence of price vectors")
+            object.__setattr__(self, "vectors", tuple(
+                _checked_candidates(vec, f"candidate vector {pos}", self.k)
+                for pos, vec in enumerate(vectors, start=1)))
 
     @classmethod
     def from_vectors(cls, k: int, vectors) -> "CandidateSet":
@@ -207,6 +190,8 @@ def solve(inst: Instance, cands: Union[CandidateSet, None] = None) -> SolveResul
     t0 = time.perf_counter()
     if inst.k < 1:
         raise ValidationError("instance has no priceable edges to solve for")
+    if cands is not None and not isinstance(cands, CandidateSet):
+        raise ValidationError(f"candidates must be a CandidateSet, got {cands!r}")
     oracle = build_oracle(inst)
     if cands is None:
         cands = heuristic_candidates(oracle)
@@ -304,6 +289,8 @@ def verify_oracle(
     sum vs fast revenue.  Failures carry the serialized instance, made once
     per report, so they can be replayed.
     """
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValidationError(f"trials must be an int >= 1, got {trials!r}")
     if oracle is None:
         oracle = build_oracle(inst)
     rng = Random(seed)

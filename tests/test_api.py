@@ -1,8 +1,12 @@
 """The public surface: exported names, and one validation of every price vector."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,7 @@ from stackspt.model import reduced_tree
 from stackspt.oracle import build_oracle
 from stackspt.rangetree import WeightedPointSet
 from stackspt.shortest import lex_dijkstra, naive_revenue
-from stackspt.solver import CandidateSet
+from stackspt.solver import CandidateSet, solve, verify_oracle
 
 
 def two_edge_instance() -> Instance:
@@ -106,6 +110,8 @@ BAD_PRICES = [
     (("3", 1), "price 1 must be an int or Fraction, got str"),
     ((None, 1), "price 1 must be an int or Fraction, got NoneType"),
     ((False, 1), "price 1 must be an int or Fraction, got bool"),
+    (5, "prices must be a sequence of scalars, got 5"),
+    (None, "prices must be a sequence of scalars, got None"),
 ]
 
 ENTRY_POINTS = {
@@ -135,7 +141,7 @@ HUGE_VALUES = {
     "price": (lambda: PriceFunction((1, HUGE)), "price 2 must be > 0, got "),
     "candidate": (
         lambda: CandidateSet(k=1, per_edge=((HUGE,),)),
-        "candidate price must be strictly positive, got ",
+        "candidates of edge 1: price 1 must be > 0, got ",
     ),
     "edge cost": (
         lambda: Instance(n=2, root=0, edges=(Edge(0, 1, Fixed(HUGE)),), demand=(0, 1)),
@@ -194,6 +200,38 @@ BAD_ARGUMENTS = {
         lambda: CandidateSet.from_vectors(2, 5),
         "vectors must be a sequence of price vectors, got 5",
     ),
+    "candidate k a str": (
+        lambda: CandidateSet(k="2", per_edge=((1,), (2,))),
+        "k must be an int, got '2'",
+    ),
+    "candidate k a bool": (
+        lambda: CandidateSet(k=True, per_edge=((1,),)),
+        "k must be an int, got True",
+    ),
+    "candidate k a float": (
+        lambda: CandidateSet(k=1.0, per_edge=((1,),)),
+        "k must be an int, got 1.0",
+    ),
+    "point dimension a str": (
+        lambda: WeightedPointSet("1", points=((0,),), weights=(1,)),
+        "dimension must be an int >= 1, got '1'",
+    ),
+    "point dimension a bool": (
+        lambda: WeightedPointSet(True, points=((0,),), weights=(1,)),
+        "dimension must be an int >= 1, got True",
+    ),
+    "verify trials negative": (
+        lambda: verify_oracle(two_edge_instance(), -1, 1),
+        "trials must be an int >= 1, got -1",
+    ),
+    "warm-up tree not a ReducedTree": (
+        lambda: build_oracle(two_edge_instance()).warm_up([(0, None)]),
+        "expected a ReducedTree, got (0, None)",
+    ),
+    "solve candidates not a CandidateSet": (
+        lambda: solve(two_edge_instance(), [[1], [2]]),
+        "candidates must be a CandidateSet, got [[1], [2]]",
+    ),
 }
 
 
@@ -203,3 +241,17 @@ def test_bad_arguments_raise_validation_error(case):
     with pytest.raises(ValidationError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # numpy sits beside the tests; nothing the package or its CLI loads may need it, or anything else
+    env = {**os.environ, "PYTHONPATH": str(Path(stackspt.__file__).parents[1])}
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import stackspt, stackspt.cli, stackspt.__main__\n"
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "stackspt" in out
+    assert [m for m in out if m != "stackspt" and m not in sys.stdlib_module_names] == []

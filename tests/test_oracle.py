@@ -26,7 +26,7 @@ from stackspt.oracle import RevenueOracle, build_oracle, embed_points
 from stackspt.rangetree import Interval, QueryRect, RangeTree, build_range_tree
 from stackspt.rational import INF, NEG_INF, _scaled, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
-from stackspt.solver import fallback_price, heuristic_candidates
+from stackspt.solver import fallback_price, heuristic_candidates, random_prices
 
 
 def chain_with_bypasses() -> Instance:
@@ -300,7 +300,7 @@ class TestEmbedding:
             embed_points(oracle, rt, 1)
         with pytest.raises(ValidationError, match=message):
             oracle.warm_up([rt])
-        assert oracle._plans == {} and oracle.materialized_keys == frozenset()
+        assert oracle._swept == {} and oracle.materialized_keys == frozenset()
 
     def test_unmet_tree_is_answered_without_building(self, monkeypatch):
         import stackspt.oracle as mod
@@ -311,12 +311,12 @@ class TestEmbedding:
         oracle = build_oracle(chain_with_bypasses())
         for warm in ([], [ReducedTree((0, 1))]):
             oracle.warm_up(warm)
-            plans, keys, built = dict(oracle._plans), oracle.materialized_keys, len(calls)
+            swept, keys, built = dict(oracle._swept), oracle.materialized_keys, len(calls)
             for rt in (ReducedTree((0, None)), ReducedTree((0, 0))):
-                assert rt.parents not in plans
+                assert rt.parents not in [parents for parents, _, _ in swept.values()]
                 for label in rt.edges:
                     embed_points(oracle, rt, label)
-            assert len(calls) == built and oracle._plans == plans
+            assert len(calls) == built and oracle._swept == swept
             assert oracle.materialized_keys == keys
 
 
@@ -326,8 +326,10 @@ def test_warm_up_of_list_parents_builds_the_tuple_plan():
     tupled.warm_up([ReducedTree((0, 1))])
     assert listed.materialized_keys == tupled.materialized_keys == {
         (ReducedTree((0, 1)), 1), (ReducedTree((0, 1)), 2)}
-    assert list(listed._plans) == list(tupled._plans) == [(0, 1)]
+    assert listed._swept == tupled._swept == {}  # the first query builds the plan
     assert listed.revenue((1, 1)) == tupled.revenue((1, 1))
+    assert [plan.rt for plan in plans_of(listed)] == [plan.rt for plan in plans_of(tupled)] == [
+        ReducedTree((0, 1))]
 
 
 @pytest.mark.parametrize("parents", [(), (0,), (0, 1, None)])
@@ -568,8 +570,7 @@ def test_four_edge_trees_match_naive_at_breakpoints():
         assert oracle.revenue(p) == naive_revenue(inst, p), p
     assert four_edge >= 30
     # one tree per (label, edge set) that a plan met, with one axis per edge
-    met = {(label, plan.rt.edges) for plan in filter(None, oracle._plans.values())
-           for label in plan.rt.edges}
+    met = {(label, plan.rt.edges) for plan in plans_of(oracle) for label in plan.rt.edges}
     keys = oracle.materialized_keys
     assert sorted((label, rt.edges) for rt, label in keys) == sorted(met)
     assert {label for label, _ in met} == {1, 2, 3, 4}
@@ -686,7 +687,7 @@ def test_four_root_shortcut_trees_hold_the_servable_vertices():
     rng = random.Random(11)
     for _ in range(100):
         oracle.revenue_breakdown(_near_breakpoints(oracle, rng.choice))
-    plans = [plan for plan in oracle._plans.values() if plan is not None]
+    plans = plans_of(oracle)
     assert any(len(plan.rt.edges) == 4 for plan in plans)
     for plan in plans:
         dim = len(plan.rt.edges)
@@ -706,8 +707,8 @@ def test_two_edge_plan_builds_two_axis_trees():
     partial = full[:2] + (out, out)
     for p in (partial, full):
         assert oracle.revenue(p) == naive_revenue(inst, p), p
-    two = oracle._plans[oracle.reduced_tree_for(partial).parents]
-    four = oracle._plans[oracle.reduced_tree_for(full).parents]
+    two, four = (next(plan for plan in plans_of(oracle) if plan.rt == oracle.reduced_tree_for(p))
+                 for p in (partial, full))
     assert two.rt.edges == (1, 2) and [tree.dim for tree in two.trees] == [2, 2]
     assert [tree.dim for tree in four.trees] == [4] * 4
     for small, big in zip(two.trees, four.trees):
@@ -740,7 +741,7 @@ def test_far_root_first_query_at_k8_stays_small():
     finally:
         tracemalloc.stop()
     assert got == naive_revenue(inst, prices) and peak < 100 * 2**20
-    (plan,) = filter(None, oracle._plans.values())
+    (plan,) = plans_of(oracle)
     assert [(tree.kind, tree.dim) for tree in plan.trees] == [("bits", 8)] * 8
     assert min(tree.distinct for tree in plan.trees) > 200
 
@@ -887,10 +888,15 @@ class TestDegenerate:
         assert oracle.revenue((1,)) == 1
 
 
-def counting_plans(monkeypatch, mod, plans: list) -> None:
-    """Record the reduced tree of every plan constructed."""
+def plans_of(oracle: RevenueOracle) -> list:
+    """The plan of every model tree the oracle has swept, one per memo entry."""
+    return [plan for _, plan, _ in oracle._swept.values()]
+
+
+def counting_plan_builds(monkeypatch, mod, plans: list) -> None:
+    """Record the reduced tree of every plan constructed: one per model tree met."""
     real = mod._Plan
-    monkeypatch.setattr(mod, "_Plan", lambda mg, rt: plans.append(rt) or real(mg, rt))
+    monkeypatch.setattr(mod, "_Plan", lambda mg, rt, trees: plans.append(rt) or real(mg, rt, trees))
 
 
 class TestMemo:
@@ -938,7 +944,7 @@ class TestMemo:
 
         plans, trees = [], []
         real_tree = mod.build_range_tree
-        counting_plans(monkeypatch, mod, plans)
+        counting_plan_builds(monkeypatch, mod, plans)
         monkeypatch.setattr(
             mod, "build_range_tree", lambda pts: trees.append(pts.dim) or real_tree(pts)
         )
@@ -957,13 +963,42 @@ class TestMemo:
         for _ in range(2):
             for p in vectors:
                 assert oracle.revenue(p) == naive_revenue(inst, p)
-        assert sorted(plans, key=repr) == sorted(seen, key=repr)  # once each
+        # once per model tree met, so at least once per reduced tree met
+        assert sorted(plans, key=repr) == sorted((plan.rt for plan in plans_of(oracle)), key=repr)
+        assert set(plans) == seen
         met = {(label, rt.edges) for rt in seen for label in rt.edges}
         # once per (label, edge set), with one axis per edge of the set
         assert sorted(trees) == sorted(len(edges) for _, edges in met)
         keys = oracle.materialized_keys
         assert sorted((label, rt.edges) for rt, label in keys) == sorted(met)
         assert all(rt in seen and label in rt for rt, label in keys)
+
+    def test_model_trees_of_one_reduced_tree_share_its_range_trees(self, monkeypatch):
+        import stackspt.oracle as mod
+
+        plan_type, plans, calls = mod._Plan, [], []
+        real_tree = mod.build_range_tree
+        counting_plan_builds(monkeypatch, mod, plans)
+        monkeypatch.setattr(mod, "build_range_tree", lambda pts: calls.append(1) or real_tree(pts))
+        inst = random_instance(12, 30, 3, seed=11, cost_max=2)  # costs 1-2: many ties
+        oracle = build_oracle(inst)
+        rng = random.Random(11)
+        for _ in range(60):
+            prices = random_prices(inst, rng)
+            assert oracle.revenue(prices) == naive_revenue(inst, prices), prices
+        entries = list(oracle._swept.values())
+        assert len(plans) == len(entries) == len({id(plan) for _, plan, _ in entries})
+        assert all(type(plan) is plan_type for _, plan, _ in entries)
+        by_parents = {}
+        for parents, plan, _ in entries:
+            by_parents.setdefault(parents, []).append(plan)
+        shared = [group for group in by_parents.values() if len(group) > 1]
+        assert shared  # some reduced tree is met through two model trees
+        for first, *others in shared:
+            for plan in others:  # a plan of its own, over the same range-tree objects
+                assert plan.rt == first.rt and plan.cuts == first.cuts
+                assert all(a is b for a, b in zip(plan.trees, first.trees, strict=True))
+        assert len(calls) == len(oracle.materialized_keys)
 
     def test_memoized_query_builds_nothing_and_scales_once(self, monkeypatch):
         import stackspt.model
@@ -1053,7 +1088,7 @@ class TestMemo:
             return real(pts)
 
         monkeypatch.setattr(mod, "build_range_tree", counting)
-        counting_plans(monkeypatch, mod, plans)  # list.append is atomic
+        counting_plan_builds(monkeypatch, mod, plans)  # list.append is atomic
         inst = diamond()
         probe = build_oracle(inst)
         # distinct reduced trees, two of them nestings of one edge set, so
@@ -1089,7 +1124,9 @@ class TestMemo:
         for got, shift in results:
             assert got == expect[shift:] + expect[:shift]
         assert len(calls) == len(met)  # one tree per (label, edge set), never two
-        assert sorted(plans, key=repr) == sorted(trees, key=repr)
+        # one plan per model tree, never two, and every reduced tree met has one
+        assert sorted(plans, key=repr) == sorted((plan.rt for plan in plans_of(oracle)), key=repr)
+        assert set(plans) == set(trees)
 
 
 def tied_chain() -> Instance:
@@ -1267,7 +1304,7 @@ def test_plans_share_one_tree_per_edge_set(inst, data):
             prices = _near_breakpoints(oracle, lambda seq: data.draw(st.sampled_from(seq)))
             assert oracle.revenue(prices) == naive_revenue(inst, prices)
     shared = {}
-    for plan in filter(None, oracle._plans.values()):
+    for plan in plans_of(oracle):
         for label, tree in zip(plan.rt.edges, plan.trees, strict=True):
             assert shared.setdefault((label, plan.rt.edges), tree) is tree, label
             assert tree.dim == len(plan.rt.edges)

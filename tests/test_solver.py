@@ -105,8 +105,8 @@ class TestCandidateSet:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             CandidateSet(k=1, per_edge=((0,),))
-        with pytest.raises(ValidationError):
-            CandidateSet.from_vectors(2, [(1, -2)])
+        with pytest.raises(ValidationError, match=r"^candidate vector 2: price 2 must be > 0, got -2$"):
+            CandidateSet.from_vectors(2, [(1, 2), (1, -2)])
 
     def test_rejects_inexact(self):
         with pytest.raises(ValidationError):
@@ -115,7 +115,7 @@ class TestCandidateSet:
     def test_rejects_arity_mismatch(self):
         with pytest.raises(ValidationError):
             CandidateSet(k=2, per_edge=((1,),))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^candidate vector 1: expected 2 prices, got 3$"):
             CandidateSet.from_vectors(2, [(1, 2, 3)])
 
     def test_rejects_no_edges(self):
@@ -123,11 +123,11 @@ class TestCandidateSet:
             CandidateSet(k=0, per_edge=())
 
     def test_rejects_entries_that_are_not_sequences(self):
-        with pytest.raises(ValidationError, match=r"^candidates of edge 2 must be a sequence of prices, got 5$"):
+        with pytest.raises(ValidationError, match=r"^candidates of edge 2: prices must be a sequence of scalars, got 5$"):
             CandidateSet(k=2, per_edge=((1,), 5))
-        with pytest.raises(ValidationError, match=r"^candidate vector must be a sequence of prices, got 5$"):
+        with pytest.raises(ValidationError, match=r"^candidate vector 2: prices must be a sequence of scalars, got 5$"):
             CandidateSet.from_vectors(2, [(1, 2), 5])
-        with pytest.raises(ValidationError, match=r"^candidate vector must be a sequence of prices, got 5$"):
+        with pytest.raises(ValidationError, match=r"^candidate vector 1: prices must be a sequence of scalars, got 5$"):
             CandidateSet(k=2, per_edge=((), ()), vectors=(5,))
         assert CandidateSet.from_vectors(2, [iter((1, 2))]).vectors == ((1, 2),)
 
@@ -152,7 +152,7 @@ class TestParseCandidates:
             ("vector 1\n", "expected 2 prices"),
             ("orbit 1 2\n", "unknown directive"),
             ("cand 1 1e3\n", "not a scalar"),
-            ("cand 1 0\n", "strictly positive"),
+            ("cand 1 0\n", "^candidates of edge 1: price 1 must be > 0, got 0$"),
             ("vector 1 x\n", "not a scalar"),
         ],
     )
