@@ -28,7 +28,7 @@ from .instance import (
 from .oracle import build_oracle
 from .rational import format_scalar
 from .shortest import naive_revenue
-from .solver import parse_candidates, solve, verify_oracle
+from .solver import _checked_trials, parse_candidates, solve, verify_oracle
 
 __all__ = ["entry", "main"]
 
@@ -135,8 +135,7 @@ def _random_fleet(args: argparse.Namespace) -> Iterable[tuple[str, Instance]]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if (args.instance is None) == (not args.random):
         raise ValidationError("give exactly one of --instance PATH or --random")
-    if args.trials < 1:
-        raise ValidationError("need --trials >= 1")
+    _checked_trials(args.trials)
     targets = _verify_targets(args)
     seeds = random.Random(args.seed ^ 0x5EED)
     if args.csv:

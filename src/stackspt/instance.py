@@ -29,6 +29,7 @@ tuple of ``Edge``, is built from the columns when first read.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count
 from typing import Iterable, Union
@@ -278,15 +279,22 @@ class PriceFunction:
         return " ".join(format_scalar(p) for p in self.values)
 
 
+_SEQUENCE_TYPES = frozenset((tuple, list))  # one lookup spares them the ABC checks
+
+
 def _checked_prices(prices: Union[PriceFunction, Iterable], k: int | None = None) -> tuple:
     """The values of a price vector, each an exact scalar > 0, and ``k`` of them
     when ``k`` is given.  A ``PriceFunction``'s values were checked when it was
     made; of others, an int needs only be > 0, anything else passes
     ``ensure_scalar`` first (a Fraction of denominator 1 becomes an int) and
-    has its sign read off its numerator."""
+    has its sign read off its numerator.  A mapping or a set is refused: its
+    iteration order is not the edges' order."""
     if isinstance(prices, PriceFunction):
         values = prices.values
     else:
+        if type(prices) not in _SEQUENCE_TYPES and isinstance(prices, (Mapping, Set)):
+            raise ValidationError(f"prices must be a sequence of scalars in edge order, "
+                                  f"got a {type(prices).__name__}")
         checked = []
         try:
             items = enumerate(prices)

@@ -2,8 +2,8 @@
 
 The pipeline: 1 full + k bounded fixed-only sweeps feed the model graph; each
 price vector maps to a reduced tree, the empty one by k comparisons against
-the model graph's gaps, any other by the certificate of the kept tree (the
-last model tree swept) or else a (2k+1)-vertex Dijkstra run; for
+the model graph's gaps, any other by the certificate of a kept tree (one of
+the last certifiable model trees met) or else a (2k+1)-vertex Dijkstra run; for
 every edge of that tree, the vertices it can serve embed as weighted points
 whose dominance rectangle membership decides the classification; one range
 tree per (edge, edge set), built the first time a reduced tree with that edge
@@ -28,13 +28,15 @@ a cut descriptor of ints, from which a query makes that axis's cap.  A
 query checks its prices with the package's one check (``_checked_prices``,
 no ``PriceFunction`` made) and scales them to ints once, then runs the one
 integer kernel (``_kernel``, which ``solver.solve`` calls directly on
-candidates it scaled itself): past the gaps, it checks the kept tree's
-certificate (``model.kept_terms``) on the route prices and sweeps only
-when a term fails.  The sweep's parent slots key the one memo, of (parents,
-plan, certificate), O(k^2) ints per model tree met; the entry becomes the
-kept tree, swapped whole.  Each route costs its parent route plus one price,
-and each rectangle side becomes an int cap with one floor division, which
-``RangeTree.count`` bisects and counts in its bitsets or wavelet levels.
+candidates it scaled itself): past the gaps, it checks each kept tree's
+certificate (``model.kept_terms``) on the route prices, latest first, and
+sweeps only when a term of each fails.  The sweep's parent slots key the one
+memo, of (parents, plan, certificate), O(k^2) ints per model tree met; an
+entry with a certificate becomes the first kept tree, and the oldest of
+``KEPT_TREES`` goes, in a tuple swapped whole.  Each route costs its parent
+route plus one price, and each rectangle side becomes an int cap with one
+floor division, which ``RangeTree.count`` bisects and counts in its bitsets
+or wavelet levels.
 """
 
 from __future__ import annotations
@@ -71,6 +73,11 @@ __all__ = [
 
 _log = logging.getLogger("stackspt")
 
+# certifiable model trees a query tries before it sweeps: on chain-frac, 1 leaves 333
+# sweeps per 1000 queries and 2 leaves 167, the vectors with no strict certificate; 3 or 4
+# sweep no less
+KEPT_TREES = 2
+
 
 class RevenueOracle:
     """Preprocessed pricing-query structure for one instance.
@@ -81,9 +88,14 @@ class RevenueOracle:
     model graph, one range tree per (label, edge set) that a plan or
     ``warm_up`` has met (at most k * 2^(k-1)), and a lazily populated memo
     from each swept model tree's parent slots to its entry: the reduced
-    tree's parents, its query plan and its certificate.  Concurrent queries
-    are safe; the first query on a given model tree builds its entry, and
-    any range tree it lacks, exactly once.
+    tree's parents, its query plan and its certificate (None when a tie that
+    no price moves keeps it from ever holding).  Up to ``KEPT_TREES`` entries
+    with a certificate are kept, latest first: a query that one certifies
+    moves it first, and a sweep that finds a certifiable tree puts it first,
+    dropping the oldest past ``KEPT_TREES``; an uncertifiable tree is
+    answered from its sweep and drops nothing.  Concurrent queries are safe;
+    the first query on a given model tree builds its entry, and any range
+    tree it lacks, exactly once.
     """
 
     def __init__(
@@ -102,7 +114,7 @@ class RevenueOracle:
         self.floors = floors
         self._unreachable_demand = unreachable_demand
         self._swept: dict[tuple, tuple] = {}  # model tree's parent slots: (parents, plan, terms)
-        self._kept = ((), None, None)  # the last swept model tree's entry, swapped whole
+        self._kept: tuple = ()  # certifiable _swept entries, latest first, swapped whole
         self._trees: dict[tuple, tuple] = {}  # (label, rt.edges): (first rt, its tree)
         self._lock = threading.Lock()
 
@@ -159,16 +171,24 @@ class RevenueOracle:
         f = scale // mg.scale
         if certified_empty(mg, f, ps):
             return (None,) * mg.k, None, []
-        parents, plan, terms = self._kept  # the last model tree swept, and its certificate
-        if terms is not None:
+        kept = self._kept  # read once: another query may swap it meanwhile
+        for entry in kept:
+            parents, plan, terms = entry
             totals = plan.route_prices(ps)
             for c, t, r_u, x, r_v in terms:  # model.kept_terms
                 if c * f + t + totals[r_u] + totals[x] <= totals[r_v]:
-                    terms = None
                     break
-        if terms is None:  # no kept tree, no certificate, or a failed term
-            parents, plan, terms = self._kept = self._model_tree(tree_slots(mg, f, ps))
+            else:  # every term holds: this tree is the answer, and goes first
+                if entry is not kept[0]:
+                    self._kept = (entry, *[e for e in kept if e is not entry])
+                break
+        else:  # no kept tree, or a term of each failed
+            entry = parents, plan, terms = self._model_tree(tree_slots(mg, f, ps))
             totals = plan.route_prices(ps)  # past the gaps, the tree is not empty
+            # a certifiable tree goes first, and the oldest may go; it is none of the kept
+            # trees, as a certifiable tree's terms all hold exactly when the sweep finds it
+            if terms is not None:
+                self._kept = (entry, *kept[:KEPT_TREES - 1])
         rows = []
         for label, p, tree, edge_cuts in zip(plan.rt.edges, totals, plan.trees, plan.cuts):
             caps = [(totals[o] - p - (totals[o] + lose > p)) // f - shift

@@ -12,7 +12,7 @@ the revenue of "the" shortest path tree is well defined.
 One integer-key Dijkstra core runs every sweep: the composite-order sweep
 (``_lex_sweep``), which the revenue fold ``_revenue_of`` and the tree build
 ``_spt_of`` read; the fixed-only sweeps of the preprocessing; and the
-model-graph sweep of each query that neither the gaps nor the kept tree certify.
+model-graph sweep of each query that neither the gaps nor the kept trees certify.
 Fractional costs and prices become ints by the LCM of their denominators
 (``rational._scaled``), the triple is packed into one int key, and results are
 divided back exactly (``rational._unscaled``); only the oracle's fixed-only

@@ -273,6 +273,13 @@ def random_prices(inst: Instance, rng: Random) -> list[Scalar]:
     return out
 
 
+def _checked_trials(trials) -> None:
+    """``verify_oracle``'s check of its trial count, which the CLI makes
+    before it generates any instance."""
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValidationError(f"trials must be an int >= 1, got {trials!r}")
+
+
 def verify_oracle(
     inst: Instance,
     trials: int,
@@ -289,8 +296,7 @@ def verify_oracle(
     sum vs fast revenue.  Failures carry the serialized instance, made once
     per report, so they can be replayed.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValidationError(f"trials must be an int >= 1, got {trials!r}")
+    _checked_trials(trials)
     if oracle is None:
         oracle = build_oracle(inst)
     rng = Random(seed)

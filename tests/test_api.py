@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -112,6 +113,12 @@ BAD_PRICES = [
     ((False, 1), "price 1 must be an int or Fraction, got bool"),
     (5, "prices must be a sequence of scalars, got 5"),
     (None, "prices must be a sequence of scalars, got None"),
+    # unordered containers: iterated, they would price the edges in their own order
+    ({1: 5, 2: 7}, "prices must be a sequence of scalars in edge order, got a dict"),
+    ({3, 4}, "prices must be a sequence of scalars in edge order, got a set"),
+    (frozenset((3, 4)), "prices must be a sequence of scalars in edge order, got a frozenset"),
+    (MappingProxyType({1: 5, 2: 7}),
+     "prices must be a sequence of scalars in edge order, got a mappingproxy"),
 ]
 
 ENTRY_POINTS = {

@@ -407,10 +407,14 @@ class TestVerify:
         code, _, _ = run(capsys, "verify")
         assert code == 2
 
-    def test_zero_trials_rejected(self, capsys):
+    def test_zero_trials_rejected(self, capsys, monkeypatch):
+        def generate(*_args, **_kwargs):
+            raise AssertionError("an instance was generated before the trials were checked")
+
+        monkeypatch.setattr(cli, "random_instance", generate)
         code, out, err = run(capsys, "verify", "--random", "--trials", "0")
         assert code == 2 and out == ""
-        assert err == "error: need --trials >= 1\n"
+        assert err == "error: trials must be an int >= 1, got 0\n"
 
 
 class TestBench:

@@ -22,7 +22,7 @@ from stackspt.errors import UnreachableVertexError, ValidationError
 from stackspt.instance import Edge, Fixed, Instance, Priceable, PriceFunction, random_instance
 from stackspt.model import ReducedTree, reduced_tree, reduced_tree_of_spt, sequence_of, w_infinity
 from stackspt import rangetree
-from stackspt.oracle import RevenueOracle, build_oracle, embed_points
+from stackspt.oracle import KEPT_TREES, RevenueOracle, build_oracle, embed_points
 from stackspt.rangetree import Interval, QueryRect, RangeTree, build_range_tree
 from stackspt.rational import INF, NEG_INF, _scaled, is_finite
 from stackspt.shortest import last_priceable_labels, lex_dijkstra, naive_revenue
@@ -1165,6 +1165,12 @@ def counting_sweeps(monkeypatch) -> list:
     return calls
 
 
+def assert_kept_trees_distinct_and_certifiable(oracle: RevenueOracle) -> None:
+    kept = oracle._kept
+    assert len({id(entry) for entry in kept}) == len(kept) <= KEPT_TREES
+    assert all(terms is not None for _, _, terms in kept)
+
+
 def log_lines(caplog, prefix: str) -> list:
     """The ``stackspt`` logger's messages that start with ``prefix``."""
     lines = [r.getMessage() for r in caplog.records if r.name == "stackspt"]
@@ -1172,8 +1178,8 @@ def log_lines(caplog, prefix: str) -> list:
 
 
 class TestKeptTree:
-    """A query keeps the last swept model tree and sweeps only when that
-    tree's certificate fails."""
+    """A query tries the kept trees, the last ``KEPT_TREES`` certifiable model
+    trees it met, latest first, and sweeps only when a term of each fails."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -1193,26 +1199,68 @@ class TestKeptTree:
             at = Fraction(gap, mg.scale) + data.draw(st.sampled_from((-1, 0, 1))) * Fraction(1, q)
             return at if at > 0 else Fraction(1, q)
 
-        for _ in range(data.draw(st.integers(2, 10), label="queries")):
-            prices = tuple(price(g) for g in mg._gaps)
+        seen = []
+        for _ in range(data.draw(st.integers(2, 30), label="queries")):
+            if seen and data.draw(st.booleans()):  # a tree met before: promote it, or sweep it back
+                prices = data.draw(st.sampled_from(seen))
+            else:
+                prices = tuple(price(g) for g in mg._gaps)
+                seen.append(prices)
             parents, _plan, rows = oracle._kernel(*_scaled(prices, mg.scale))
             assert parents == reduced_tree(mg, prices).parents
             assert oracle.revenue(prices) == naive_revenue(inst, prices)
             rt, breakdown = oracle.revenue_breakdown(prices)
             assert (rt, breakdown) == full_graph_breakdown(inst, prices)
             assert [served for _, _, served in rows] == [served for _, _, served in breakdown]
+            assert_kept_trees_distinct_and_certifiable(oracle)
 
     def test_second_query_on_the_tree_does_not_sweep(self, monkeypatch):
         inst = chain_with_bypasses()
         oracle = build_oracle(inst)
         calls = counting_sweeps(monkeypatch)
-        # the empty tree keeps the kept tree; (None, 0) is never certified (``tied_chain``)
+        # the empty tree keeps the kept trees; (None, 0) is never certified (``tied_chain``),
+        # so each of its queries sweeps and (0, 1) stays kept
         vectors = ((1, 1), 1), ((2, 1), 1), ((1, 2), 1), ((100, 100), 1), ((2, 2), 1), \
-            ((8, 10), 3), ((1, 1), 4), ((2, 1), 4)
+            ((8, 10), 3), ((1, 1), 3), ((2, 1), 3)
         for p, sweeps in vectors:
             assert oracle.revenue_breakdown(p) == full_graph_breakdown(inst, p)
             assert oracle.revenue(p) == naive_revenue(inst, p)
             assert len(calls) == sweeps, p
+
+    def test_alternating_two_trees_sweeps_once_per_tree(self, monkeypatch):
+        inst = chain_with_bypasses()
+        oracle = build_oracle(inst)
+        calls = counting_sweeps(monkeypatch)
+        for p in [(1, 1), (1, 17), (2, 1), (1, 18)] * 3:  # trees (0, 1) and (0, None) in turn
+            assert oracle.revenue_breakdown(p) == full_graph_breakdown(inst, p)
+            assert oracle.revenue(p) == naive_revenue(inst, p)
+        assert len(calls) == 2
+        assert [parents for parents, _, _ in oracle._kept] == [(0, None), (0, 1)]
+
+    def test_an_uncertifiable_tree_evicts_nothing_and_a_third_evicts_the_oldest(self, monkeypatch):
+        inst = random_instance(8, 16, 3, seed=8, cost_max=2)
+        oracle = build_oracle(inst)
+        calls = counting_sweeps(monkeypatch)
+        a, b, c, u = (0, 1, None), (0, None, 0), (0, None, None), (None, 0, None)
+        steps = [  # prices, its tree, whether it sweeps, the kept trees after it, latest first
+            ((1, 1, 3), a, True, [a]),
+            ((1, 3, 1), b, True, [b, a]),
+            ((3, 1, 3), u, True, [b, a]),  # not certifiable: answered from the sweep alone
+            ((1, 1, 3), a, False, [a, b]),  # a hit behind the first entry moves it first
+            ((1, 3, 1), b, False, [b, a]),
+            ((1, 3, 3), c, True, [c, b]),  # a third certifiable tree evicts the oldest, a
+            ((1, 3, 1), b, False, [b, c]),
+            ((1, 1, 3), a, True, [a, b]),
+        ]
+        assert KEPT_TREES == 2
+        for p, tree, sweeps, kept in steps:
+            before = len(calls)
+            rt, rows = oracle.revenue_breakdown(p)
+            assert (len(calls) > before) == sweeps, p
+            assert rt.parents == tree and (rt, rows) == full_graph_breakdown(inst, p)
+            assert [parents for parents, _, _ in oracle._kept] == kept, p
+            assert oracle.revenue(p) == naive_revenue(inst, p)
+        assert {parents for parents, _, terms in oracle._swept.values() if terms is None} == {u}
 
     def test_a_tie_falls_back_to_the_sweep(self, monkeypatch):
         inst = tied_chain()
@@ -1227,10 +1275,21 @@ class TestKeptTree:
     def test_threads_alternating_two_trees_answer_as_a_serial_run(self):
         inst = chain_with_bypasses()
         vectors = [(1, 1), (8, 10), (2, 1), (8, 9)]
+        self.threads_answer_as_a_serial_run(inst, vectors, trees=2)
+
+    def test_threads_moving_among_four_trees_answer_as_a_serial_run(self):
+        # three certifiable trees and (None, 0, None): threads promote and evict kept trees
+        inst = random_instance(8, 16, 3, seed=8, cost_max=2)
+        vectors = [(1, 1, 3), (1, 3, 1), (3, 1, 3), (1, 3, 3), (1, 1, 2), (1, 4, 1)]
+        self.threads_answer_as_a_serial_run(inst, vectors, trees=4)
+
+    @staticmethod
+    def threads_answer_as_a_serial_run(inst, vectors, trees):
         serial = build_oracle(inst)
-        trees = {serial.reduced_tree_for(p) for p in vectors}
-        assert len(trees) == 2 and not any(rt.is_empty for rt in trees)
+        met = {serial.reduced_tree_for(p) for p in vectors}
+        assert len(met) == trees and not any(rt.is_empty for rt in met)
         expect = [serial.revenue_breakdown(p) for p in vectors]
+        assert expect == [full_graph_breakdown(inst, p) for p in vectors]
         oracle = build_oracle(inst)
         gate = threading.Barrier(8)
 
@@ -1240,12 +1299,13 @@ class TestKeptTree:
             return all(oracle.revenue_breakdown(vectors[j]) == expect[j] for j in order)
 
         switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads inside the kept tree's check and swap
+        sys.setswitchinterval(1e-6)  # switch threads inside the kept trees' checks and swaps
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 assert all(pool.map(worker, range(8), timeout=60))
         finally:
             sys.setswitchinterval(switch)
+        assert_kept_trees_distinct_and_certifiable(oracle)  # whichever swap came last
 
     def test_debug_log_once_per_model_tree(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="stackspt"):
